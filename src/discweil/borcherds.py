@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import ceil
 
 from .arith import divisors, is_prime, is_rational_square
-from .cyclo import CycNumber, exp_frac, root_of_unity
+from .cyclo import CycNumber, exp_frac
 from .fqmod import hyperbolic_pair
 from .linalg import rational_rref
 from .lnn_catalog import SelfDualSpec, assemble, selfdual_list_Np, relations_Np
@@ -24,6 +24,7 @@ from .qseries import (
     FracQSeries,
     assert_identity,
     first_mismatch,
+    product_terms,
 )
 from .weilrep import apply_S
 
@@ -148,32 +149,13 @@ class LiftResult:
         }
 
 
-def _class_poly(f, side, r, deg):
-    """prod_x (1 - zeta_N^x w)^(c at pattern (0,x,.,.)) truncated at w^deg."""
-    N, Np = f.N, f.Nprime
-    poly = [Fraction(0)] * (deg + 1)
-    poly[0] = Fraction(1)
-    for x in range(N):
-        c = f.coeff((0, x, 0, r) if side == 1 else (0, x, r, 0))
-        if not c:
-            continue
-        z = Fraction(1) if x == 0 else root_of_unity(x, N)
-        if c > 0:
-            for _ in range(c):
-                for j in range(deg, 0, -1):
-                    poly[j] = poly[j] - z * poly[j - 1]
-        else:
-            for _ in range(-c):
-                for j in range(1, deg + 1):
-                    poly[j] = poly[j] + z * poly[j - 1]
-    return poly
-
-
 def _psi_series(f, side, trunc):
     """One side of the product expansion as a truncated series.
 
     side 1: exponent grid 1, patterns (0,x,0,l), lead (1/24) sum c_(0,x,y,0).
     side 2: grid 1/N', patterns (0,x,l,0), lead (1/24N') sum c_(0,x,0,y).
+    Grid step l contributes prod_x (1 - zeta_N^x w^l)^c, with c read at the
+    pattern whose free slot holds l mod N'.
     """
     N, Np = f.N, f.Nprime
     w = weyl_vector(f)
@@ -184,31 +166,16 @@ def _psi_series(f, side, trunc):
         lead = w.rho_kappa_prime / Np
         den = Np
     trunc = Fraction(trunc)
-    bound = (trunc - lead) * den
-    acc = {0: Fraction(1)}
-    polys = {}
-    for lam in range(1, max(1, ceil(bound))):
-        if lam >= bound:
-            break
-        r = lam % Np
-        if r not in polys:
-            polys[r] = _class_poly(f, side, r, ceil(bound / lam))
-        poly = polys[r]
-        out = {}
-        for k, v in acc.items():
-            top = min(len(poly) - 1, ceil((bound - k) / lam) - 1)
-            for j in range(0, top + 1):
-                pj = poly[j]
-                if isinstance(pj, Fraction) and not pj:
-                    continue
-                kk = k + j * lam
-                p = v * pj
-                prev = out.get(kk)
-                out[kk] = p if prev is None else prev + p
-        acc = out
+    bound = ceil((trunc - lead) * den)
+    slots = [
+        [(x, f.coeff((0, x, 0, r) if side == 1 else (0, x, r, 0))) for x in range(N)]
+        for r in range(Np)
+    ]
+    factors = [(lam, x, c) for lam in range(1, bound) for x, c in slots[lam % Np] if c]
+    coeffs = product_terms(factors, N, bound)
     exp_den = 24 * Np
     terms = {}
-    for k, v in acc.items():
+    for k, v in enumerate(coeffs):
         key = lead * exp_den + k * (exp_den // den)
         assert key.denominator == 1
         terms[key.numerator] = v

@@ -5,9 +5,13 @@ key k to the coefficient of q^(k/m).  Truncation metadata propagates through
 arithmetic pessimistically, so an identity check can never silently compare
 coefficients beyond what both sides actually know.
 
-The Dedekind eta expansion eta(d tau + r) = e(r/24) q^(d/24) prod(1 - e(nr)
-q^(nd)) is produced sparsely from the pentagonal number theorem; the naive
-truncated product is kept alongside as the oracle.
+Every product expansion, a Borcherds lift side or an eta quotient, goes
+through one engine: ``product_terms`` expands prod (1 - zeta_M^a t^s)^c by the
+Euler transform, a single pass of the logarithmic-derivative recurrence that
+needs no series powers and no inverse.  The Dedekind eta expansion
+eta(d tau + r) = e(r/24) q^(d/24) prod(1 - e(nr) q^(nd)) is also produced
+sparsely from the pentagonal number theorem, with the naive truncated product
+alongside; both are kept as independent oracles for the engine.
 """
 
 from dataclasses import dataclass
@@ -15,7 +19,7 @@ from fractions import Fraction
 from math import ceil
 
 from .arith import lcm
-from .cyclo import CycNumber, exp_frac
+from .cyclo import CycNumber, _reduction_rows, exp_frac
 
 
 def _nonzero(v):
@@ -131,56 +135,6 @@ class FracQSeries:
                 out[k] = p if w is None else w + p
         return FracQSeries(m, out, trunc)
 
-    def inverse(self):
-        """Multiplicative inverse; the leading coefficient must be a unit."""
-        if not self.terms:
-            raise ValueError("cannot invert a series with zero leading term")
-        m = self.exp_den
-        l = min(self.terms)
-        c0 = self.terms[l]
-        c0inv = c0.inv() if isinstance(c0, CycNumber) else Fraction(1) / c0
-        # relative coordinates: write self = c0 q^(l/m) (1 + u), solve x(1+u) = 1
-        rel_bound = ceil(self.trunc * m - l)
-        u = {k - l: v * c0inv for k, v in self.terms.items() if k != l}
-        x = {0: Fraction(1)}
-        ukeys = sorted(u)
-        for k in range(1, rel_bound):
-            acc = None
-            for j in ukeys:
-                if j > k:
-                    break
-                xv = x.get(k - j)
-                if xv is None:
-                    continue
-                p = xv * u[j]
-                acc = p if acc is None else acc + p
-            if acc is not None and _nonzero(acc):
-                x[k] = -acc
-        trunc = self.trunc - 2 * Fraction(l, m)
-        return FracQSeries(m, {k - l: v * c0inv for k, v in x.items()}, trunc)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            raise TypeError("series powers must be integers")
-        if e < 0:
-            return self.inverse() ** (-e)
-        rel = self.trunc - self._lead_or_trunc()
-        if e == 0:
-            return FracQSeries.one(rel, 1)
-        out = None
-        base = self
-        k = e
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
     def text(self, max_terms=None):
         lines = []
         for k in sorted(self.terms):
@@ -203,16 +157,7 @@ class FracQSeries:
 
 def equals_to_precision(a, b):
     """Exact coefficient agreement below the smaller truncation."""
-    m = lcm(a.exp_den, b.exp_den)
-    a, b = a._rescaled(m), b._rescaled(m)
-    bound = min(a.trunc, b.trunc) * m
-    for k in set(a.terms) | set(b.terms):
-        if k >= bound:
-            continue
-        d = a.terms.get(k, 0) - b.terms.get(k, 0)
-        if _nonzero(d):
-            return False
-    return True
+    return first_mismatch(a, b) is None
 
 
 def first_mismatch(a, b):
@@ -227,6 +172,54 @@ def first_mismatch(a, b):
         if _nonzero(d):
             return Fraction(k, m)
     return None
+
+
+# ------------------------------------------------------------- products
+
+
+def _from_coords(coords, M):
+    """The number with these power-basis coordinates; a Fraction when rational."""
+    if not any(coords[1:]):
+        return Fraction(coords[0])
+    return CycNumber(M, {j: x for j, x in enumerate(coords) if x})
+
+
+def product_terms(factors, M, bound):
+    """Coefficients b_0, ..., b_(bound-1) of prod (1 - zeta_M^a t^s)^c.
+
+    ``factors`` lists the triples (s, a, c) with s >= 1 and integer c.  This
+    is the Euler transform: the logarithmic derivative of the product gives
+    n b_n = sum_(k=1..n) s_k b_(n-k) with s_k = -sum_(s | k) s c zeta_M^(a k/s).
+    Each s_k is summed as an integer histogram of powers of zeta_M and reduced
+    to the power basis once, and each b_n right after its exact division by n,
+    so no cancellation is carried and rational coefficients stay Fractions.
+    """
+    rows = _reduction_rows(M)
+    hist = [[0] * M for _ in range(bound)]
+    for s, a, c in factors:
+        for j in range(1, (bound - 1) // s + 1):
+            hist[j * s][a * j % M] -= s * c
+    sums = []
+    for k in range(1, bound):
+        coords = [0] * len(rows[0])
+        for e, h in enumerate(hist[k]):
+            if h:
+                for j, r in enumerate(rows[e]):
+                    coords[j] += h * r
+        if any(coords):
+            sums.append((k, _from_coords(coords, M)))
+    b = [Fraction(1)] if bound > 0 else []
+    for n in range(1, bound):
+        acc = Fraction(0)
+        for k, v in sums:
+            if k > n:
+                break
+            w = b[n - k]
+            if w:
+                acc = acc + v * w
+        acc = acc / n
+        b.append(_from_coords(acc.canon(), M) if isinstance(acc, CycNumber) else acc)
+    return b
 
 
 # ------------------------------------------------------------------ eta
@@ -337,24 +330,42 @@ class EtaQuotient:
         object.__setattr__(self, "factors", tuple(self.factors))
 
     def expand(self, trunc):
-        """Truncated series of the quotient, one division at the end."""
+        """Truncated series of the quotient, from one pass of product_terms.
+
+        Each factor eta(d tau + r)^e is e(r e/24) q^(d e/24) times
+        prod_n (1 - e(n r) q^(n d))^e.  The monomials are pulled out front and
+        every product factor goes to the engine at once, over the lcm of the
+        shift denominators.  The series is known below trunc - loss(), the
+        order a quotient of eta series each truncated at trunc would know.
+        """
         trunc = Fraction(trunc)
-        num = None
-        den = None
-        for f in self.factors:
-            if f.exponent == 0:
-                continue
-            s = eta_series(f.scale, f.shift, trunc) ** abs(f.exponent)
-            if f.exponent > 0:
-                num = s if num is None else num * s
-            else:
-                den = s if den is None else den * s
-        if num is None:
-            num = FracQSeries.one(trunc)
-        out = num if den is None else num / den
-        if self.prefactor != 1:
-            out = out.scale(self.prefactor)
+        live = [f for f in self.factors if f.exponent]
+        for f in live:
+            if trunc <= f.scale / 24:
+                raise ValueError("truncation under the leading exponent gives an empty series")
+        D = lcm(*(f.scale.denominator for f in live))
+        M = lcm(*(f.shift.denominator for f in live))
+        rel = trunc - self.loss() - self.lead()
+        bound = ceil(rel * D)
+        triples = []
+        for f in live:
+            step = int(f.scale * D)
+            a = int(f.shift * M)
+            triples += [(n * step, n * a % M, f.exponent) for n in range(1, (bound - 1) // step + 1)]
+        coeffs = product_terms(triples, M, bound)
+        out = FracQSeries(D, dict(enumerate(coeffs)), rel).shift(self.lead())
+        front = self.prefactor
+        phase = sum((f.shift * f.exponent for f in live), Fraction(0)) / 24
+        if phase.denominator != 1:
+            front = front * exp_frac(phase)
+        if front != 1:
+            out = out.scale(front)
         return out
+
+    def loss(self):
+        """How far below the requested order expand() knows the series."""
+        top = max((f.scale for f in self.factors if f.exponent), default=Fraction(0))
+        return top / 24 - self.lead()
 
     def lead(self):
         return sum((f.scale * f.exponent for f in self.factors), Fraction(0)) / 24
@@ -381,20 +392,14 @@ class EtaQuotient:
 def assert_identity(lhs, rhs, trunc):
     """Compare two eta quotients as series up to the requested order.
 
-    Expansion depth is topped up until both sides are known to the requested
-    truncation; the report carries the first mismatching exponent if any.
+    Each side is expanded once, deep enough that both are known to the
+    requested truncation; the report carries the first mismatching exponent
+    if any.
     """
     trunc = Fraction(trunc)
-    depth = trunc
-    for _ in range(8):
-        a = lhs.expand(depth)
-        b = rhs.expand(depth)
-        eff = min(a.trunc, b.trunc)
-        if eff >= trunc:
-            break
-        depth += trunc - eff
-    else:
-        raise ValueError("could not reach the requested truncation")
+    depth = trunc + max(0, lhs.loss(), rhs.loss())
+    a = lhs.expand(depth)
+    b = rhs.expand(depth)
     bad = first_mismatch(a, b)
     report = {
         "equal": bad is None,

@@ -10,7 +10,7 @@ the breadth-first closure tiny even for |D| in the thousands.
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .arith import factorize
 from .groupring import GroupRingVector
@@ -288,110 +288,3 @@ def classify(h):
 def characteristic_vector(h):
     """The 0/1 group-ring vector supported exactly on H."""
     return GroupRingVector.characteristic(h.parent, sorted(h.indices))
-
-
-def _primary_projection_scalars(m):
-    """Scalar e_p per prime with x -> e_p x the p-primary projection."""
-    expo = lcm(*m.orders)
-    out = {}
-    for p, k in factorize(expo):
-        pe = p**k
-        rest = expo // pe
-        out[p] = rest * pow(rest, -1, pe) % expo
-    return out
-
-
-def primary_projection(h, p):
-    """Image of H under the projection onto the p-primary part of D."""
-    m = h.parent
-    scal = _primary_projection_scalars(m).get(p)
-    if scal is None:
-        return Subgroup.trivial(m)
-    idx = frozenset(m.index(m.smul(scal, x)) for x in h.element_tuples())
-    return Subgroup(m, idx)
-
-
-def block_projection(h, coords):
-    """Image of H under zeroing all coordinates outside the given positions."""
-    m = h.parent
-    keep = set(coords)
-    idx = frozenset(
-        m.index(tuple(c if j in keep else 0 for j, c in enumerate(x)))
-        for x in h.element_tuples()
-    )
-    return Subgroup(m, idx)
-
-
-def _scaled_image(h, scalar):
-    m = h.parent
-    idx = frozenset(m.index(m.smul(scalar, x)) for x in h.element_tuples())
-    return Subgroup(m, idx)
-
-
-def _complement_within(m, hblock, block_indices):
-    """Complement of a block subgroup taken inside the block itself."""
-    gens = hblock.gen_tuples()
-    at = m.element_at
-    return frozenset(
-        i for i in block_indices if all(m.b_int(at(i), g) == 0 for g in gens)
-    )
-
-
-def projection_check(h, blocks=None):
-    """Check the projection laws for a self-dual isotropic H.
-
-    blocks is a pair of coordinate index lists giving an orthogonal two-block
-    split of D; the default is the split of each p-primary part against its
-    complement.  The report checks, within each split (D_1, D_2):
-        |H_1| |H_2 complement-within-D_2| = |H| and symmetrically,
-        both projections co-isotropic inside their blocks,
-        H = H_1 + H_2 when the block orders are coprime.
-    """
-    m = h.parent
-    report = {"ok": True, "splits": []}
-    splits = []
-    if blocks is None:
-        scalars = _primary_projection_scalars(m)
-        primes = sorted(scalars)
-        if len(primes) >= 2:
-            expo = lcm(*m.orders)
-            for p in primes:
-                e_p = scalars[p]
-                e_rest = (1 - e_p) % expo
-                full = Subgroup(m, frozenset(range(m.size)))
-                b1 = _scaled_image(full, e_p).indices
-                b2 = _scaled_image(full, e_rest).indices
-                splits.append(
-                    (_scaled_image(h, e_p), _scaled_image(h, e_rest), b1, b2, True)
-                )
-    else:
-        c1, c2 = blocks
-        full = Subgroup(m, frozenset(range(m.size)))
-        b1 = block_projection(full, c1).indices
-        b2 = block_projection(full, c2).indices
-        o1 = prod(m.orders[j] for j in c1) if c1 else 1
-        o2 = prod(m.orders[j] for j in c2) if c2 else 1
-        splits.append(
-            (block_projection(h, c1), block_projection(h, c2), b1, b2, gcd(o1, o2) == 1)
-        )
-    at = m.element_at
-    for h1, h2, b1, b2, coprime in splits:
-        comp1 = _complement_within(m, h1, b1)
-        comp2 = _complement_within(m, h2, b2)
-        entry = {
-            "sizes": (h1.order, h2.order),
-            "card_identity": h1.order * len(comp2) == h.order
-            and h2.order * len(comp1) == h.order,
-            "coisotropic": all(m.q_int(at(i)) == 0 for i in comp1)
-            and all(m.q_int(at(i)) == 0 for i in comp2),
-        }
-        if coprime:
-            summed = set()
-            for i in h1.indices:
-                for j in h2.indices:
-                    summed.add(m.index(m.add(at(i), at(j))))
-            entry["direct_sum"] = frozenset(summed) == h.indices
-        entry_ok = all(v for k, v in entry.items() if k != "sizes")
-        report["ok"] = report["ok"] and entry_ok
-        report["splits"].append(entry)
-    return report

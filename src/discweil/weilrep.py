@@ -32,8 +32,8 @@ from .linalg import (
     same_rational_span,
 )
 from .subgroups import (
-    DEFAULT_BOUND,
     EnumerationBoundError,
+    _bound_check,
     enumerate_isotropic_subgroups,
     enumerate_self_dual_isotropic,
 )
@@ -49,10 +49,7 @@ class CertificationError(RuntimeError):
 @lru_cache(maxsize=32)
 def _pack(m):
     """Integer tables for a module: B-exponent matrix, Q vector, reduction."""
-    if m.size > DEFAULT_BOUND:
-        raise EnumerationBoundError(
-            "|D| = %d too large for dense Weil data" % m.size
-        )
+    _bound_check(m, None)
     L = m.level
     X = np.array(m.element_list, dtype=np.int64)
     _, qg, bg = m._int_tables
@@ -490,16 +487,6 @@ def check_vH_action(m, h):
     target = np.zeros_like(canon)
     target[perp, 0] = len(idx)
     return bool(np.array_equal(canon, target))
-
-
-def averaging_operator(m):
-    """(1/L sum_n rho(T)^n) rho(S): kills non-isotropic rows of rho(S)."""
-    S = rho_S(m)
-    n = m.size
-    zero_row = [CycNumber(1, {})] * n
-    iso = set(m.isotropic_indices)
-    rows = [S.rows[i] if i in iso else list(zero_row) for i in range(n)]
-    return WeilMatrix(m, rows)
 
 
 def averaging_on_subgroup(m, h):

@@ -2,8 +2,13 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from discweil.borcherds import InputForm, lift
 from discweil.cyclo import exp_frac
+from discweil.fqmod import hyperbolic_pair
+from discweil.lnn_catalog import selfdual_list_Np
 from discweil.qseries import (
     EtaFactor,
     EtaQuotient,
@@ -54,19 +59,21 @@ def test_series_arithmetic():
     x = eta_series(1, 0, 25)
     y = eta_series(2, 0, 25)
     assert (x * y).lead() == F(1, 8)
-    assert equals_to_precision(x * x, x**2)
-    one = x / x
-    assert one.lead() == 0 and one.leading_coefficient() == 1
-    assert first_mismatch(one, FracQSeries.one(one.trunc)) is None
-    inv = x.inverse()
-    assert equals_to_precision(x * inv, FracQSeries.one(20))
-    assert equals_to_precision(x**-2, inv * inv)
+    square = EtaQuotient([EtaFactor(1, 0, 2)]).expand(25)
+    assert equals_to_precision(x * x, square)
 
 
-def test_inverse_truncation_bookkeeping():
-    # inverting loses twice the leading exponent
-    i4 = eta_series(4, 0, 10).inverse()
-    assert i4.trunc == 10 - 2 * F(4, 24)
+def test_expand_truncation_bookkeeping():
+    # a quotient is known to the relative precision of its shallowest factor,
+    # as a quotient of eta series each truncated at the requested order
+    inv4 = EtaQuotient([EtaFactor(4, 0, -1)])
+    assert inv4.expand(10).trunc == 10 - 2 * F(4, 24) == 10 - inv4.loss()
+    rhs7 = EtaQuotient(
+        [EtaFactor(7, 0, 8), EtaFactor(1, 0, -1), EtaFactor(49, 0, -1)],
+        exp_frac(F(6, 48)),
+    )
+    assert rhs7.loss() == F(49, 24) - F(7 * 8 - 1 - 49, 24)
+    assert rhs7.expand(40).trunc == 40 - rhs7.loss()
 
 
 def test_coefficient_access_guard():
@@ -80,13 +87,13 @@ def test_coefficient_access_guard():
 def test_empty_series_guard():
     with pytest.raises(ValueError):
         eta_series(1, 0, F(1, 24))
+    with pytest.raises(ValueError):
+        EtaQuotient([EtaFactor(1, 0, 2), EtaFactor(3, 0, -1)]).expand(F(1, 8))
 
 
-def test_monomial_and_pow_zero():
+def test_monomial():
     m = FracQSeries.monomial(F(1, 3), F(2), 6)
     assert m.lead() == F(1, 3) and m.leading_coefficient() == 2
-    p0 = m**0
-    assert p0.leading_coefficient() == 1 and p0.lead() == 0
 
 
 def test_prime_shift_identity_small():
@@ -125,3 +132,59 @@ def test_text_and_json_round_shape():
     assert set(obj) == {"exp_den", "terms", "trunc"}
     json.dumps(obj)  # must already be plain data
     assert eta_series(1, 0, 3).text().startswith("q^(1/24)")
+
+
+# ------------------------------------------- the engine against the oracles
+
+
+def pentagonal_sides(quotient, trunc):
+    """(numerator, denominator) products of pentagonal eta series.
+
+    The prefactor rides with the numerator; only FracQSeries multiplication
+    is used, so this route shares nothing with product_terms.
+    """
+    num = FracQSeries.one(trunc).scale(quotient.prefactor)
+    den = FracQSeries.one(trunc)
+    for f in quotient.factors:
+        e = eta_series(f.scale, f.shift, trunc)
+        for _ in range(abs(f.exponent)):
+            if f.exponent > 0:
+                num = num * e
+            else:
+                den = den * e
+    return num, den
+
+
+def assert_matches_pentagonal(series, quotient, trunc):
+    num, den = pentagonal_sides(quotient, trunc)
+    prod = series * den
+    assert min(prod.trunc, num.trunc) > num.lead()  # a nonempty comparison
+    assert equals_to_precision(prod, num)
+
+
+eta_factors = st.builds(
+    EtaFactor,
+    st.sampled_from([F(1, 2), F(1), F(2), F(3)]),
+    st.sampled_from([F(0), F(1, 2), F(1, 3)]),
+    st.integers(-2, 2),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(eta_factors, min_size=1, max_size=4), st.integers(1, 12))
+def test_expand_matches_pentagonal_products(factors, trunc):
+    q = EtaQuotient(factors)
+    assert_matches_pentagonal(q.expand(trunc), q, trunc)
+
+
+def test_mixed_sign_lift_matches_pentagonal_products():
+    # psi1 of +v^H - v^H' + v^H'' on D_{6,3}: its quotient has a shifted
+    # factor, a denominator and a root-of-unity prefactor
+    cat = selfdual_list_Np(6, 3)
+    f = InputForm.from_combination(
+        hyperbolic_pair(6, 3), [(1, cat[3]), (-1, cat[7]), (1, cat[11])]
+    )
+    res = lift(f, 30)
+    assert any(g.shift for g in res.eta1.factors)
+    assert any(g.exponent < 0 for g in res.eta1.factors)
+    assert_matches_pentagonal(res.psi1, res.eta1, 30)

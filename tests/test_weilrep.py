@@ -5,7 +5,7 @@ import pytest
 from discweil import weilrep as W
 from discweil.fqmod import FqModule, hyperbolic_pair
 from discweil.groupring import GroupRingVector
-from discweil.subgroups import enumerate_subgroups
+from discweil.subgroups import EnumerationBoundError, enumerate_subgroups
 
 A1 = FqModule((2,), [F(1, 4)], [[F(1, 2)]])  # signature 1
 A2 = FqModule((3,), [F(1, 3)], [[F(2, 3)]])  # signature 2
@@ -121,3 +121,11 @@ def test_averaging_report():
     assert rep["fixed_dim"] == rep["selfdual_rank"] == 4
     with pytest.raises(ValueError):
         W.averaging_on_subgroup(A1, None)
+
+
+def test_env_var_bound_governs_dense_tables(monkeypatch):
+    # |D| = 16 is over a bound of 10, so the dense tables are never built
+    monkeypatch.setenv("WEILREP_MAX_D", "10")
+    W._pack.cache_clear()
+    with pytest.raises(EnumerationBoundError):
+        W.weil_relations_report(hyperbolic_pair(4, 1))
