@@ -379,7 +379,7 @@ def relation_to_eta_identity(N, p, rel, trunc):
         consts.append(const)
         out[name] = {
             "quotient": q.text("tau1" if name == "tau1" else "tau2"),
-            "constant": _const_str(const),
+            "constant": str(const),
             "verified": bad is None and series.lead() == 0,
             "first_mismatch": None if bad is None else str(bad),
             "checked_to": str(series.trunc),
@@ -392,14 +392,6 @@ def relation_to_eta_identity(N, p, rel, trunc):
         and out["product_of_constants_is_one"]
     )
     return out
-
-
-def _const_str(v):
-    if isinstance(v, CycNumber):
-        if v.is_rational():
-            return str(v.rational_value())
-        return repr(v)
-    return str(v)
 
 
 def verify_eta_prime(p, prec=200):
@@ -433,7 +425,7 @@ def verify_eta_prime(p, prec=200):
     report = {
         "p": p,
         "identity": "%s = %s" % (lhs.text(), rhs.text()),
-        "constant": _const_str(expected),
+        "constant": str(expected),
         "direct": direct,
         "relation": relation,
         "verified": direct["equal"] and relation["verified"] and tau1_const_one,

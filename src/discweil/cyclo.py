@@ -1,16 +1,19 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_M).
 
-Numbers are sparse rational combinations of roots of unity zeta_M^e.  The
-stored exponents are only wrapped modulo M; reduction to the canonical power
-basis (degree < phi(M), modulo the M-th cyclotomic polynomial) happens lazily
-when equality or zero tests need it.  That keeps monomial-heavy workloads
-(Weil matrices, eta coefficients) cheap.
+A number of conductor M is stored in one canonical form: integer coordinates
+(c_0, ..., c_(phi-1)) in the power basis 1, zeta_M, ..., zeta_M^(phi(M)-1)
+over a positive denominator coprime to their content.  Equal numbers of one
+conductor have equal fields, so equality, zero and rationality tests read
+fields; a sum adds coordinates and a product is an integer convolution
+reduced by the cached coordinates of the powers zeta_M^e.  The text form
+depends only on the value: a rational prints as a Fraction, r zeta_M^e as
+r*zM^e (r > 0 where -zeta_M^e is a power too), anything else as the
+power-basis sum.
 """
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .arith import divisors
 
@@ -74,6 +77,37 @@ def _reduction_rows(M):
     return tuple(rows)
 
 
+@cache
+def _sparse_rows(M):
+    """Row e of _reduction_rows(M) as its nonzero (index, value) pairs."""
+    return tuple(
+        tuple((j, r) for j, r in enumerate(row) if r) for row in _reduction_rows(M)
+    )
+
+
+@cache
+def _monomials(M):
+    """Coordinates of zeta_M^e -> e; every such row is primitive."""
+    return {row: e for e, row in enumerate(_reduction_rows(M))}
+
+
+def _reduce(M, terms):
+    """Power-basis integer coordinates of sum c zeta_M^e over (e, c) pairs."""
+    rows = _sparse_rows(M)
+    out = [0] * len(_reduction_rows(M)[0])
+    for e, c in terms:
+        for j, r in rows[e % M]:
+            out[j] += c * r
+    return out
+
+
+def _make(M, coords, den):
+    """The number coords / den of conductor M, den > 0."""
+    x = object.__new__(CycNumber)
+    x._set(M, coords, den)
+    return x
+
+
 class NotASquareError(ValueError):
     pass
 
@@ -89,114 +123,130 @@ def rational_sqrt(n):
 
 
 class CycNumber:
-    """An element of Q(zeta_M), stored as a sparse exponent -> rational map."""
+    """An element of Q(zeta_M): integer power-basis coordinates over den."""
 
-    __slots__ = ("conductor", "_c", "_canon")
+    __slots__ = ("conductor", "coords", "den")
 
     def __init__(self, conductor, coeffs):
-        self.conductor = conductor
-        c = {}
-        for e, v in coeffs.items():
-            v = Fraction(v)
-            if v:
-                e %= conductor
-                w = c.get(e)
-                c[e] = v if w is None else w + v
-                if not c[e]:
-                    del c[e]
-        self._c = c
-        self._canon = None
+        """The number sum v zeta_M^e of an exponent -> rational map."""
+        fr = [(e, Fraction(v)) for e, v in coeffs.items()]
+        den = lcm(*(v.denominator for _, v in fr))
+        terms = ((e, v.numerator * (den // v.denominator)) for e, v in fr)
+        self._set(conductor, _reduce(conductor, terms), den)
+
+    def _set(self, M, coords, den):
+        """Store coords / den (den > 0) with the content divided out."""
+        g = gcd(den, *coords)
+        self.conductor = M
+        self.coords = tuple(coords) if g == 1 else tuple(c // g for c in coords)
+        self.den = den // g
 
     # -- construction helpers
 
     @staticmethod
     def rational(v, conductor=1):
-        return CycNumber(conductor, {0: Fraction(v)})
+        v = Fraction(v)
+        coords = [0] * len(_reduction_rows(conductor)[0])
+        coords[0] = v.numerator
+        return _make(conductor, coords, v.denominator)
 
     def promote(self, M):
         if M == self.conductor:
             return self
         if M % self.conductor:
             raise ValueError("new conductor must be a multiple")
-        k = M // self.conductor
-        return CycNumber(M, {e * k: v for e, v in self._c.items()})
+        return self._substitute(M, M // self.conductor)
+
+    def _substitute(self, M, k):
+        """The number at conductor M with every zeta^j replaced by zeta_M^(j k)."""
+        return _make(M, _reduce(M, ((j * k, c) for j, c in enumerate(self.coords) if c)), self.den)
 
     def _pair(self, other):
         if not isinstance(other, CycNumber):
-            other = CycNumber.rational(other)
+            return self, CycNumber.rational(other, self.conductor)
+        if other.conductor == self.conductor:
+            return self, other
         M = lcm(self.conductor, other.conductor)
         return self.promote(M), other.promote(M)
 
-    # -- canonical form
-
-    def canon(self):
-        """Coordinates in the power basis 1, zeta, ..., zeta^(phi(M)-1)."""
-        if self._canon is None:
-            rows = _reduction_rows(self.conductor)
-            deg = len(rows[0])
-            out = [Fraction(0)] * deg
-            for e, v in self._c.items():
-                row = rows[e]
-                for j in range(deg):
-                    if row[j]:
-                        out[j] += v * row[j]
-            self._canon = tuple(out)
-        return self._canon
+    # -- predicates
 
     def is_zero(self):
-        if not self._c:
-            return True
-        return all(v == 0 for v in self.canon())
+        return not any(self.coords)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coords)
 
     def is_rational(self):
-        c = self.canon()
-        return all(v == 0 for v in c[1:])
+        return not any(self.coords[1:])
 
     def rational_value(self):
-        c = self.canon()
-        if any(v for v in c[1:]):
+        if not self.is_rational():
             raise ValueError("not a rational number")
-        return c[0]
+        return Fraction(self.coords[0], self.den)
+
+    def _monomial(self):
+        """(r, e) with self = r zeta_M^e, r > 0 where there is a choice; or None."""
+        g = gcd(*self.coords)
+        if not g:
+            return None
+        table = _monomials(self.conductor)
+        unit = tuple(c // g for c in self.coords)
+        if unit in table:
+            return Fraction(g, self.den), table[unit]
+        unit = tuple(-c for c in unit)
+        if unit in table:
+            return Fraction(-g, self.den), table[unit]
+        return None
 
     # -- arithmetic
 
     def __add__(self, other):
+        if not isinstance(other, (CycNumber, int, Fraction)):
+            return NotImplemented
         a, b = self._pair(other)
-        c = dict(a._c)
-        for e, v in b._c.items():
-            w = c.get(e)
-            c[e] = v if w is None else w + v
-        return CycNumber(a.conductor, c)
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return _make(a.conductor, [x * fa + y * fb for x, y in zip(a.coords, b.coords)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.conductor, {e: -v for e, v in self._c.items()})
+        return _make(self.conductor, [-c for c in self.coords], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, CycNumber) else -Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycNumber(
-                self.conductor, {e: v * other for e, v in self._c.items()}
+            other = Fraction(other)
+            return _make(
+                self.conductor,
+                [c * other.numerator for c in self.coords],
+                self.den * other.denominator,
             )
+        if not isinstance(other, CycNumber):
+            return NotImplemented
         a, b = self._pair(other)
-        c = {}
         M = a.conductor
-        for e1, v1 in a._c.items():
-            for e2, v2 in b._c.items():
-                e = (e1 + e2) % M
-                w = c.get(e)
-                p = v1 * v2
-                c[e] = p if w is None else w + p
-        return CycNumber(M, c)
+        n = len(a.coords)
+        full = [0] * (2 * n - 1)
+        bnz = [(j, y) for j, y in enumerate(b.coords) if y]
+        for i, x in enumerate(a.coords):
+            if x:
+                for j, y in bnz:
+                    full[i + j] += x * y
+        out = full[:n]
+        rows = _sparse_rows(M)
+        for k in range(n, 2 * n - 1):
+            c = full[k]
+            if c:
+                for j, r in rows[k % M]:
+                    out[j] += c * r
+        return _make(M, out, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -213,121 +263,77 @@ class CycNumber:
         return out
 
     def inv(self):
-        if len(self._c) == 1:
-            # monomial fast path
-            (e, v), = self._c.items()
-            return CycNumber(self.conductor, {(-e) % self.conductor: 1 / v})
-        p = list(self.canon())
-        if all(v == 0 for v in p):
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_poly(self.conductor)]
-        g, u, _ = _fpoly_xgcd(p, phi)
-        # g is a nonzero constant; inverse = u / g
-        c0 = g[0]
+        """1 / self: zeta^-e / r for r zeta^e, otherwise the product of the
+        other Galois conjugates divided by the norm, a nonzero rational."""
         M = self.conductor
-        return CycNumber(M, {i: v / c0 for i, v in enumerate(u) if v})
+        mono = self._monomial()
+        if mono is not None:
+            return root_of_unity(-mono[1], M) * (1 / mono[0])
+        if not self:
+            raise ZeroDivisionError("inverse of zero cyclotomic number")
+        rest = CycNumber.rational(1, M)
+        for k in range(2, M):
+            if gcd(k, M) == 1:
+                rest = rest * self._substitute(M, k)
+        return rest / (self * rest).rational_value()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            return self * (1 / Fraction(other))
         return self * other.inv()
 
     def __rtruediv__(self, other):
         return self.inv() * other
 
     def conjugate(self):
-        M = self.conductor
-        return CycNumber(M, {(-e) % M: v for e, v in self._c.items()})
+        return self._substitute(self.conductor, -1)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return (self - Fraction(other)).is_zero()
+            return self.is_rational() and Fraction(self.coords[0], self.den) == other
         if not isinstance(other, CycNumber):
             return NotImplemented
-        return (self - other).is_zero()
+        a, b = self._pair(other)
+        return a.coords == b.coords and a.den == b.den
 
     __hash__ = None
 
     # -- evaluation and output
 
-    def to_complex(self):
-        M = self.conductor
-        return sum(
-            float(v) * cmath.exp(2j * cmath.pi * e / M) for e, v in self._c.items()
-        )
-
     def mod_prime(self, q, t):
         """Value in F_q after zeta_M -> t (t of multiplicative order M mod q)."""
-        out = 0
-        for e, v in self._c.items():
-            out += v.numerator * pow(t, e, q) * pow(v.denominator, -1, q)
-        return out % q
+        out = sum(c * pow(t, j, q) for j, c in enumerate(self.coords) if c)
+        return out * pow(self.den, -1, q) % q
 
     def to_json(self):
-        terms = [
-            [i, "%d/%d" % (v.numerator, v.denominator)]
-            for i, v in enumerate(self.canon())
-            if v
-        ]
+        terms = []
+        for i, c in enumerate(self.coords):
+            if c:
+                v = Fraction(c, self.den)
+                terms.append([i, "%d/%d" % (v.numerator, v.denominator)])
         return {"conductor": self.conductor, "terms": terms}
 
     def __repr__(self):
-        if not self._c:
-            return "0"
+        """A rational as a Fraction, r zeta_M^e as r*zM^e, else the power-basis sum."""
+        M = self.conductor
+        if self.is_rational():
+            return str(Fraction(self.coords[0], self.den))
+        mono = self._monomial()
+        if mono is not None:
+            return "%s*z%d^%d" % (mono[0], M, mono[1])
         bits = []
-        for e in sorted(self._c):
-            v = self._c[e]
-            if e == 0:
-                bits.append(str(v))
-            else:
-                bits.append("%s*z%d^%d" % (v, self.conductor, e))
-        return " + ".join(bits)
-
-
-def _fpoly_xgcd(a, b):
-    """Extended gcd for polynomials over Q (lists of Fractions, low first)."""
-
-    def norm(p):
-        while p and p[-1] == 0:
-            p = p[:-1]
-        return p
-
-    def divmod_(p, d):
-        p = list(p)
-        q = [Fraction(0)] * max(len(p) - len(d) + 1, 0)
-        for i in range(len(q) - 1, -1, -1):
-            c = p[i + len(d) - 1] / d[-1]
-            q[i] = c
+        for j, c in enumerate(self.coords):
             if c:
-                for j, dj in enumerate(d):
-                    p[i + j] -= c * dj
-        return q, norm(p)
-
-    r0, r1 = norm(list(a)), norm(list(b))
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = divmod_(r0, r1)
-        r0, r1 = r1, r
-        # s_next = s0 - q*s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1) if s1 else []
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    prod[i + j] += qi * sj
-        nxt = [Fraction(0)] * max(len(s0), len(prod))
-        for i, v in enumerate(s0):
-            nxt[i] += v
-        for i, v in enumerate(prod):
-            nxt[i] -= v
-        s0, s1 = s1, norm(nxt)
-    return r0, s0, s1
+                v = Fraction(c, self.den)
+                bits.append(str(v) if j == 0 else "%s*z%d^%d" % (v, M, j))
+        return " + ".join(bits)
 
 
 def root_of_unity(a, M):
     """zeta_M^a as a CycNumber."""
     if M < 1:
         raise ValueError("conductor must be positive")
-    return CycNumber(M, {a % M: Fraction(1)})
+    return _make(M, _reduction_rows(M)[a % M], 1)
 
 
 def exp_frac(fr):
@@ -341,4 +347,4 @@ def one(conductor=1):
 
 
 def zero(conductor=1):
-    return CycNumber(conductor, {})
+    return CycNumber.rational(0, conductor)

@@ -3,9 +3,8 @@
 A module is presented by generator orders (d_1, ..., d_k) together with the
 values Q(g_i) and B(g_i, g_j) of the quadratic form and its polarization
 B(x, y) = Q(x+y) - Q(x) - Q(y).  Values live in Q/Z and are stored as
-Fractions reduced into [0, 1).  Everything here is exact; no floats except
-the final sign disambiguation in signature_mod8, which only separates two
-candidates at distance 2*sqrt(|D|).
+Fractions reduced into [0, 1).  Everything here is exact: the signature is
+read off the Gauss sum in a cyclotomic field, with no floating point.
 """
 
 import itertools
@@ -15,6 +14,7 @@ from functools import cached_property
 from math import lcm, prod
 
 from .arith import factorize, is_rational_square
+from .cyclo import CycNumber, root_of_unity
 
 
 def mod1(fr):
@@ -186,8 +186,6 @@ class FqModule:
 
     def gauss_sum(self):
         """Sum of e(Q(x)) over D, exact, at conductor lcm(8, level)."""
-        from .cyclo import CycNumber
-
         L = self.level
         M = lcm(8, L)
         hist = {}
@@ -197,32 +195,22 @@ class FqModule:
         return CycNumber(M, {e: Fraction(c) for e, c in hist.items()})
 
     def signature_mod8(self):
-        """The s in Z/8 with gauss sum = sqrt(|D|) e(s/8) (exact identification)."""
-        from .cyclo import CycNumber, root_of_unity
+        """The s in Z/8 with gauss sum = sqrt(|D|) e(s/8) (exact identification).
 
+        The squared sum pins s mod 4; the sign of the sum itself against
+        e(s/8) a sqrt(m), where |D| = a^2 m with m squarefree, tells s from s+4.
+        """
         g = self.gauss_sum()
         n = self.size
-        r = _isqrt_exact(n)
-        if r is not None:
-            for s in range(8):
-                if g == root_of_unity(s, 8) * r:
-                    return s
-            raise DegenerateFormError("gauss sum off the expected circle")
-        # |D| is not a square: pin s mod 4 exactly from the squared sum,
-        # then separate s from s+4 numerically (candidates differ by sign,
-        # distance 2 sqrt(|D|), far beyond float error).
         g2 = g * g
-        smod4 = None
         for s in range(4):
             if g2 == root_of_unity(s, 4) * n:
-                smod4 = s
-                break
-        if smod4 is None:
-            raise DegenerateFormError("gauss sum off the expected circle")
-        import cmath
-
-        want = n**0.5 * cmath.exp(2j * cmath.pi * smod4 / 8)
-        return smod4 if abs(g.to_complex() - want) < abs(g.to_complex() + want) else smod4 + 4
+                a, m = 1, 1
+                for p, k in factorize(n):
+                    a *= p ** (k // 2)
+                    m *= p ** (k % 2)
+                return s if g == root_of_unity(s, 8) * a * _sqrt_squarefree(m) else s + 4
+        raise DegenerateFormError("gauss sum off the expected circle")
 
 
     # -- serialization -------------------------------------------------------
@@ -257,11 +245,21 @@ class FqModule:
         return "FqModule(orders=%r)" % (self.orders,)
 
 
-def _isqrt_exact(n):
-    from math import isqrt
+def _sqrt_squarefree(m):
+    """The positive square root of a squarefree m >= 1 as a cyclotomic number.
 
-    r = isqrt(n)
-    return r if r * r == n else None
+    An odd prime p gives its quadratic Gauss sum sum_x (x/p) zeta_p^x, which
+    is sqrt(p) for p = 1 mod 4 and i sqrt(p) for p = 3 mod 4; the prime 2
+    gives zeta_8 + zeta_8^-1 = sqrt(2).
+    """
+    out = CycNumber.rational(1)
+    for p, _ in factorize(m):
+        if p == 2:
+            out = out * (root_of_unity(1, 8) + root_of_unity(-1, 8))
+            continue
+        g = CycNumber(p, {x: 1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)})
+        out = out * (g * root_of_unity(-1, 4) if p % 4 == 3 else g)
+    return out
 
 
 def hyperbolic(N):

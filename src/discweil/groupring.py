@@ -6,21 +6,18 @@ from fractions import Fraction
 class GroupRingVector:
     """Sparse vector over a finite quadratic module.
 
-    Coefficients may be ints, Fractions or CycNumbers; index keys are element
-    indices of the parent module.  Zero coefficients are dropped eagerly only
-    for exact zeros of int/Fraction type; cyclotomic zeros survive until a
-    canonical test asks.
+    Coefficients are Fractions (ints are converted) or CycNumbers; index keys
+    are element indices of the parent module.  Zero coefficients are dropped,
+    so equal vectors have equal coefficient maps.
     """
 
     def __init__(self, parent, coeffs=None):
         self.parent = parent
-        self.coeffs = {}
-        for i, v in (coeffs or {}).items():
-            if isinstance(v, (int, Fraction)):
-                if v:
-                    self.coeffs[i] = Fraction(v)
-            else:
-                self.coeffs[i] = v
+        self.coeffs = {
+            i: Fraction(v) if isinstance(v, int) else v
+            for i, v in (coeffs or {}).items()
+            if v
+        }
 
     @classmethod
     def characteristic(cls, parent, indices):
@@ -62,16 +59,10 @@ class GroupRingVector:
     def __eq__(self, other):
         if not isinstance(other, GroupRingVector) or self.parent != other.parent:
             return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(_vals_equal(self.get(i), other.get(i)) for i in keys)
+        return self.coeffs == other.coeffs
 
     __hash__ = None
 
     def __repr__(self):
         return "GroupRingVector(%r)" % (self.coeffs,)
 
-
-def _vals_equal(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    return a == b or b == a

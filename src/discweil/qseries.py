@@ -19,27 +19,14 @@ from fractions import Fraction
 from math import ceil
 
 from .arith import lcm
-from .cyclo import CycNumber, _reduction_rows, exp_frac
-
-
-def _nonzero(v):
-    if isinstance(v, CycNumber):
-        return not v.is_zero()
-    return bool(v)
-
-
-def _coeff_str(v):
-    if isinstance(v, CycNumber) and v.is_rational():
-        v = v.rational_value()
-    return str(v)
+from .cyclo import CycNumber, exp_frac
 
 
 def _coeff_json(v):
     if isinstance(v, CycNumber):
-        if v.is_rational():
-            v = v.rational_value()
-        else:
+        if not v.is_rational():
             return v.to_json()
+        v = v.rational_value()
     v = Fraction(v)
     return [v.numerator, v.denominator]
 
@@ -56,7 +43,7 @@ class FracQSeries:
         self.trunc = Fraction(trunc)
         bound = self.trunc * exp_den
         self.terms = {
-            k: v for k, v in terms.items() if _nonzero(v) and k < bound
+            k: v for k, v in terms.items() if v and k < bound
         }
 
     @classmethod
@@ -138,7 +125,7 @@ class FracQSeries:
     def text(self, max_terms=None):
         lines = []
         for k in sorted(self.terms):
-            lines.append("q^(%d/%d): %s" % (k, self.exp_den, _coeff_str(self.terms[k])))
+            lines.append("q^(%d/%d): %s" % (k, self.exp_den, self.terms[k]))
             if max_terms is not None and len(lines) >= max_terms:
                 break
         return "\n".join(lines)
@@ -168,20 +155,12 @@ def first_mismatch(a, b):
     for k in sorted(set(a.terms) | set(b.terms)):
         if k >= bound:
             break
-        d = a.terms.get(k, 0) - b.terms.get(k, 0)
-        if _nonzero(d):
+        if a.terms.get(k, 0) != b.terms.get(k, 0):
             return Fraction(k, m)
     return None
 
 
 # ------------------------------------------------------------- products
-
-
-def _from_coords(coords, M):
-    """The number with these power-basis coordinates; a Fraction when rational."""
-    if not any(coords[1:]):
-        return Fraction(coords[0])
-    return CycNumber(M, {j: x for j, x in enumerate(coords) if x})
 
 
 def product_terms(factors, M, bound):
@@ -190,24 +169,21 @@ def product_terms(factors, M, bound):
     ``factors`` lists the triples (s, a, c) with s >= 1 and integer c.  This
     is the Euler transform: the logarithmic derivative of the product gives
     n b_n = sum_(k=1..n) s_k b_(n-k) with s_k = -sum_(s | k) s c zeta_M^(a k/s).
-    Each s_k is summed as an integer histogram of powers of zeta_M and reduced
-    to the power basis once, and each b_n right after its exact division by n,
-    so no cancellation is carried and rational coefficients stay Fractions.
+    Each s_k is summed as an integer histogram of powers of zeta_M before it
+    becomes one CycNumber, and a rational s_k stays a Fraction, so a product
+    with rational factors only runs in Fractions.
     """
-    rows = _reduction_rows(M)
-    hist = [[0] * M for _ in range(bound)]
+    hist = [{} for _ in range(bound)]
     for s, a, c in factors:
         for j in range(1, (bound - 1) // s + 1):
-            hist[j * s][a * j % M] -= s * c
+            h = hist[j * s]
+            e = a * j % M
+            h[e] = h.get(e, 0) - s * c
     sums = []
     for k in range(1, bound):
-        coords = [0] * len(rows[0])
-        for e, h in enumerate(hist[k]):
-            if h:
-                for j, r in enumerate(rows[e]):
-                    coords[j] += h * r
-        if any(coords):
-            sums.append((k, _from_coords(coords, M)))
+        v = CycNumber(M, hist[k])
+        if v:
+            sums.append((k, v.rational_value() if v.is_rational() else v))
     b = [Fraction(1)] if bound > 0 else []
     for n in range(1, bound):
         acc = Fraction(0)
@@ -217,8 +193,7 @@ def product_terms(factors, M, bound):
             w = b[n - k]
             if w:
                 acc = acc + v * w
-        acc = acc / n
-        b.append(_from_coords(acc.canon(), M) if isinstance(acc, CycNumber) else acc)
+        b.append(acc / n)
     return b
 
 
@@ -375,12 +350,9 @@ class EtaQuotient:
             body = "1"
         else:
             body = " * ".join(f.text(var) for f in self.factors)
-        pf = self.prefactor
-        if isinstance(pf, CycNumber) and pf.is_rational():
-            pf = pf.rational_value()
-        if isinstance(pf, (int, Fraction)) and pf == 1:
+        if self.prefactor == 1:
             return body
-        return "%s * %s" % (_coeff_str(pf), body)
+        return "%s * %s" % (self.prefactor, body)
 
     def to_json(self):
         return {
@@ -407,6 +379,6 @@ def assert_identity(lhs, rhs, trunc):
         "first_mismatch": None if bad is None else str(bad),
     }
     if bad is not None:
-        report["lhs_coeff"] = _coeff_str(a.coefficient(bad))
-        report["rhs_coeff"] = _coeff_str(b.coefficient(bad))
+        report["lhs_coeff"] = str(a.coefficient(bad))
+        report["rhs_coeff"] = str(b.coefficient(bad))
     return report

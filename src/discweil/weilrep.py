@@ -46,10 +46,17 @@ class CertificationError(RuntimeError):
 # --------------------------------------------------------------- numpy pack
 
 
-@lru_cache(maxsize=32)
 def _pack(m):
-    """Integer tables for a module: B-exponent matrix, Q vector, reduction."""
+    """Integer tables for a module: B-exponent matrix, Q vector, reduction.
+
+    The bound is checked on every call; only the tables are cached.
+    """
     _bound_check(m, None)
+    return _tables(m)
+
+
+@lru_cache(maxsize=32)
+def _tables(m):
     L = m.level
     X = np.array(m.element_list, dtype=np.int64)
     _, qg, bg = m._int_tables
@@ -107,9 +114,8 @@ class WeilMatrix:
             acc = CycNumber(1, {})
             for k in range(n):
                 v = vec[k]
-                if isinstance(v, Fraction) and not v:
-                    continue
-                acc = acc + self.rows[i][k] * v
+                if v:
+                    acc = acc + self.rows[i][k] * v
             out.append(acc)
         return out
 
@@ -244,9 +250,10 @@ def sl2_word(mat):
 
 def apply_T_power(m, k, vec):
     L = m.level
+    qvec = _pack(m)[2]
     out = []
     for i, v in enumerate(vec):
-        e = k * int(_pack(m)[2][i]) % L
+        e = k * int(qvec[i]) % L
         if e:
             out.append(root_of_unity(e, L) * v)
         else:
@@ -271,19 +278,17 @@ def apply_S(m, vec):
         row = Bmat[i]
         for k in range(n):
             v = vec[k]
+            if not v:
+                continue
+            sh = (int(-row[k]) % L) * stretch
             if isinstance(v, CycNumber):
-                if not v._c:
-                    continue
-                sh = (int(-row[k]) % L) * stretch
                 step = M // v.conductor
-                for e, c in v._c.items():
-                    ee = (e * step + sh) % M
-                    terms[ee] = terms.get(ee, zero) + c
+                for j, c in enumerate(v.coords):
+                    if c:
+                        e = (j * step + sh) % M
+                        terms[e] = terms.get(e, zero) + Fraction(c, v.den)
             else:
-                if not v:
-                    continue
-                e = (int(-row[k]) % L) * stretch
-                terms[e] = terms.get(e, zero) + Fraction(v)
+                terms[sh] = terms.get(sh, zero) + Fraction(v)
         out.append(s0 * CycNumber(M, terms))
     return out
 
@@ -567,7 +572,7 @@ def _invariant_system_rows(m):
     iso = list(m.isotropic_indices)
     pos = {g: c for c, g in enumerate(iso)}
     G = _gauss_sum_level(m)
-    gcan = [int(v) for v in G.canon()]  # counts of roots of unity: integral
+    gcan = G.coords  # counts of roots of unity: integral, so G.den == 1
     phi = RED.shape[1]
     red = _reduction_rows(L)
     rows = []

@@ -124,3 +124,42 @@ def test_module_json_round_trip_through_cli():
     r2 = run_cli("invariants", "--module", json.dumps(mod))
     assert r2.returncode == 0
     assert json.loads(r2.stdout)["dimension"] == 8
+
+
+VERIFY_ETA_P2_PREC40 = (
+    '{"constant":"1*z48^1","direct":{"checked_to":"40","equal":true,"first_mismatch":null},'
+    '"identity":"eta(tau + 1/2) = 1*z48^1 * eta(2*tau)^3 * eta(tau)^-1 * eta(4*tau)^-1","p":2,'
+    '"relation":{"N":2,"p":2,"product_of_constants_is_one":true,'
+    '"tau1":{"checked_to":"239/6","constant":"1","first_mismatch":null,'
+    '"quotient":"1*z48^1 * eta(2*tau1) * eta(4*tau1)^-1 * eta(tau1)^-1 * eta(2*tau1)'
+    ' * eta(tau1 + 1/2)^-1 * eta(2*tau1)","verified":true},'
+    '"tau2":{"checked_to":"479/12","constant":"1","first_mismatch":null,'
+    '"quotient":"1*z48^47 * eta(1/2*tau2) * eta(tau2)^-1 * eta(tau2)^-1 * eta(2*tau2)'
+    ' * eta(tau2)^-1 * eta(1/2*tau2 + 1/2)","verified":true},"verified":true},"verified":true}\n'
+)
+
+
+def test_verify_eta_stdout_is_pinned():
+    r = run_cli("verify-eta", "--p", "2", "--prec", "40")
+    assert r.returncode == 0
+    assert r.stdout == VERIFY_ETA_P2_PREC40
+
+
+LIFT_SHIFTED_MEMBER = (
+    '{"constant":{"conductor":48,"terms":[[7,"1/1"],[15,"-1/1"]]},'
+    '"eta1":{"factors":[{"exponent":1,"scale":[1,1],"shift":[1,2]}],'
+    '"prefactor":{"conductor":48,"terms":[[7,"1/1"],[15,"-1/1"]]}},'
+    '"eta2":{"factors":[{"exponent":1,"scale":[1,1],"shift":[0,1]}],"prefactor":[1,1]},'
+    '"psi1":{"exp_den":48,"terms":{"2":[1,1],"50":[1,1],"98":[-1,1]},"trunc":[3,1]},'
+    '"psi2":{"exp_den":48,"terms":{"2":[1,1],"50":[-1,1],"98":[-1,1]},"trunc":[3,1]},'
+    '"weight":"1/2","weyl":["1/12","1/48"]}\n'
+)
+
+
+def test_lift_stdout_with_cyclotomic_constant_is_pinned():
+    # a self-dual member of D_{2,2} whose tau_1 side carries eta(tau + 1/2),
+    # so its constant is e(-1/48) = zeta_48^7 - zeta_48^15 in the power basis
+    coeffs = '{"0,0,0,0":1,"0,1,0,1":1,"1,0,1,0":1,"1,1,1,1":1}'
+    r = run_cli("lift", "--N", "2", "--Nprime", "2", "--coeffs", coeffs, "--prec", "3")
+    assert r.returncode == 0
+    assert r.stdout == LIFT_SHIFTED_MEMBER

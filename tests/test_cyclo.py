@@ -1,5 +1,11 @@
 from fractions import Fraction as F
+from math import lcm
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from discweil.arith import divisors, factorize, prime_one_mod, primitive_root
 from discweil.cyclo import (
     CycNumber,
     cyclotomic_poly,
@@ -9,7 +15,6 @@ from discweil.cyclo import (
     root_of_unity,
     zero,
 )
-import pytest
 
 
 def test_cyclotomic_poly_known_values():
@@ -107,3 +112,144 @@ def test_to_json_shape():
     obj = z.to_json()
     assert set(obj) == {"conductor", "terms"}
     assert obj["terms"] == [[1, "3/2"]]
+
+
+# ------------------------------------------------- properties of the canonical form
+
+
+def _t(M):
+    """(q, t): a prime q = 1 mod M and an element t of order M mod q."""
+    q = prime_one_mod(M)
+    return q, pow(primitive_root(q), (q - 1) // M, q)
+
+
+term_maps = st.dictionaries(
+    st.integers(-200, 200),
+    st.builds(F, st.integers(-5, 5), st.integers(1, 6)),
+    max_size=5,
+)
+
+
+@st.composite
+def numbers(draw, top=None):
+    """An element of Q(zeta_M) for a random M dividing 48 or 168."""
+    top = top or draw(st.sampled_from([48, 168]))
+    return CycNumber(draw(st.sampled_from(divisors(top))), draw(term_maps))
+
+
+def _rewritten(x, terms, M, c):
+    """x, given by its term map, written at a multiple M of its conductor
+    with c times a vanishing sum of roots of unity added."""
+    k = M // x.conductor
+    out = {k * e: v for e, v in terms.items()}
+    if M > 1:
+        p = factorize(M)[-1][0]  # sum_j zeta_p^j = 0
+        for e in range(0, M, M // p):
+            out[e] = out.get(e, 0) + c
+    return CycNumber(M, out)
+
+
+@st.composite
+def pairs(draw):
+    """(a, b, same) at conductors dividing one of 48, 168; b == a when same,
+    reached by a rewritten term map or by arithmetic that cancels."""
+    top = draw(st.sampled_from([48, 168]))
+    M1 = draw(st.sampled_from(divisors(top)))
+    M2 = draw(st.sampled_from(divisors(top)))
+    terms = draw(term_maps)
+    a = CycNumber(M1, terms)
+    d = CycNumber(M2, draw(term_maps))
+    how = draw(st.sampled_from(["other", "rewritten", "arithmetic"]))
+    if how == "rewritten":
+        return a, _rewritten(a, terms, lcm(M1, M2), draw(st.integers(-3, 3))), True
+    if how == "arithmetic":
+        r = draw(st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 6)))
+        return a, (a * r + d) / r - d / r, True
+    return a, d, False
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs())
+def test_equality_is_equality_of_fields(abs_):
+    a, b, same = abs_
+    M = lcm(a.conductor, b.conductor)
+    pa, pb = a.promote(M), b.promote(M)
+    fields_agree = pa.coords == pb.coords and pa.den == pb.den
+    assert (a == b) == fields_agree == (b == a) == (a - b).is_zero()
+    if same:
+        assert a == b
+    if a == b:
+        q, t = _t(M)
+        assert pa.mod_prime(q, t) == pb.mod_prime(q, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(numbers(), st.sampled_from([1, 2, 3, 5, 7]))
+def test_promote_keeps_the_value(x, k):
+    M = x.conductor * k
+    y = x.promote(M)
+    assert y == x and y.conductor == M
+    q, t = _t(M)
+    assert y.mod_prime(q, t) == x.mod_prime(q, pow(t, k, q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([48, 168]).flatmap(lambda top: st.tuples(numbers(top), numbers(top))))
+def test_mod_prime_is_a_ring_map(ab):
+    a, b = ab
+    M = lcm(a.conductor, b.conductor)
+    q, t = _t(M)
+
+    def image(x):
+        return x.mod_prime(q, pow(t, M // x.conductor, q))
+
+    assert image(a + b) == (image(a) + image(b)) % q
+    assert image(a * b) == image(a) * image(b) % q
+    assert image(-a) == -image(a) % q
+
+
+@settings(max_examples=100, deadline=None)
+@given(numbers())
+def test_inverse(x):
+    if not x:
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+        return
+    assert x.inv() * x == 1
+    assert (x / x).is_rational() and x / x == 1
+
+
+def _parse(text, M):
+    """The value of a printed number: a sum of terms r or r*zM^e."""
+    total = zero(M)
+    for bit in text.split(" + "):
+        r, _, power = bit.partition("*z%d^" % M)
+        total = total + F(r) * root_of_unity(int(power or 0), M)
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(numbers(), st.integers(-3, 3), st.data())
+def test_text_depends_only_on_the_value(x, c, data):
+    terms = {e: F(v, x.den) for e, v in enumerate(x.coords)}
+    y = _rewritten(x, terms, x.conductor, c)
+    assert y == x and str(y) == str(x) == repr(x)
+    assert _parse(str(x), x.conductor) == x
+    # a rational multiple of one root of unity prints as that monomial
+    r = data.draw(st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 6)))
+    e = data.draw(st.integers(0, x.conductor - 1))
+    m = root_of_unity(e, x.conductor) * r
+    text = str(m)
+    assert _parse(text, x.conductor) == m
+    assert m.is_rational() or text.count("*z") == 1
+
+
+def test_text_of_monomials():
+    assert str(root_of_unity(47, 48)) == "1*z48^47"
+    assert str(-root_of_unity(23, 48)) == "1*z48^47"
+    assert str(root_of_unity(23, 48) * F(-1, 2)) == "1/2*z48^47"
+    assert str(root_of_unity(24, 48) * 3) == "-3"
+    assert str(root_of_unity(5, 15)) == "1*z15^5"
+    assert str(-root_of_unity(5, 15)) == "-1*z15^5"  # -zeta_15^5 is no power of zeta_15
+    assert str(root_of_unity(1, 12) + 1) == "1 + 1*z12^1"
+    assert str(zero(12)) == "0"

@@ -1,4 +1,9 @@
+import cmath
 from fractions import Fraction as F
+from functools import reduce
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from discweil.cyclo import exp_frac, zero
 from discweil.fqmod import (
@@ -61,6 +66,40 @@ def test_signatures():
     a2 = FqModule((3,), [F(1, 3)], [[F(2, 3)]])
     assert a1.signature_mod8() == 1
     assert a2.signature_mod8() == 2
+
+
+def _cyclic(d, q):
+    """Z/d with Q(x) = q x^2, so B(x, y) = 2 q x y."""
+    return FqModule((d,), [q], [[2 * q]])
+
+
+# Z/p with Q = a x^2/p (a a residue or a non-residue), Z/2 with Q = +-x^2/4,
+# Z/4 with Q = u x^2/8 (u odd)
+COMPONENTS = (
+    [_cyclic(p, F(a, p)) for p, n in ((3, 2), (5, 2), (7, 3)) for a in (1, n)]
+    + [_cyclic(2, F(a, 4)) for a in (1, 3)]
+    + [_cyclic(4, F(u, 8)) for u in (1, 3, 5, 7)]
+)
+
+
+def _float_signature(m):
+    """Test oracle: the angle of sum e(Q(x)), in eighths of a turn, by floats."""
+    g = sum(cmath.exp(2j * cmath.pi * float(m.q_value(x))) for x in m.element_list)
+    assert abs(abs(g) ** 2 - m.size) < 1e-6
+    return round(cmath.phase(g) / (cmath.pi / 4)) % 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(range(len(COMPONENTS))), min_size=1, max_size=3))
+@example([0])  # Z/3: |D| = 3
+@example([6, 0, 2])  # Z/2 + Z/3 + Z/5: |D| = 30
+@example([8, 9])  # Z/4 + Z/4: |D| = 16
+def test_signature_against_float_oracle(picks):
+    parts = [COMPONENTS[i] for i in picks]
+    m = reduce(direct_sum, parts)
+    s = m.signature_mod8()
+    assert s == _float_signature(m)
+    assert s == sum(p.signature_mod8() for p in parts) % 8
 
 
 def test_direct_sum_block_structure():

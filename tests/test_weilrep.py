@@ -124,8 +124,14 @@ def test_averaging_report():
 
 
 def test_env_var_bound_governs_dense_tables(monkeypatch):
-    # |D| = 16 is over a bound of 10, so the dense tables are never built
+    # |D| = 16 is over a bound of 10, so the dense tables are refused
+    m = hyperbolic_pair(4, 1)
     monkeypatch.setenv("WEILREP_MAX_D", "10")
-    W._pack.cache_clear()
     with pytest.raises(EnumerationBoundError):
-        W.weil_relations_report(hyperbolic_pair(4, 1))
+        W.weil_relations_report(m)
+    # also when the tables were built before the bound was lowered
+    monkeypatch.delenv("WEILREP_MAX_D")
+    assert W.weil_relations_report(m)["s4"]
+    monkeypatch.setenv("WEILREP_MAX_D", "10")
+    with pytest.raises(EnumerationBoundError):
+        W.weil_relations_report(m)
