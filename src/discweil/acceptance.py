@@ -30,6 +30,7 @@ from .subgroups import (
     complement,
     enumerate_self_dual_isotropic,
     enumerate_subgroups,
+    isotropic_rows,
 )
 from .weilrep import check_vH_action, invariant_space, verify_selfdual_span, weil_relations_report
 
@@ -38,16 +39,11 @@ PRIME_PAIRS = [(2, 2), (3, 3), (4, 2), (6, 2), (6, 3)]
 
 def _family_rank_rank1(N):
     m = hyperbolic_pair(N, 1)
-    iso = list(m.isotropic_indices)
-    pos = {g: c for c, g in enumerate(iso)}
-    rows = []
-    for d in divisors(N):
-        spec = SelfDualSpec(N, 1, (d, 0, N // d), (1, 0, 1), (0, 0), (0, 0))
-        v = [0] * len(iso)
-        for i in assemble(spec).indices:
-            v[pos[i]] = 1
-        rows.append(v)
-    return rational_rank(rows)
+    members = [
+        assemble(SelfDualSpec(N, 1, (d, 0, N // d), (1, 0, 1), (0, 0), (0, 0)))
+        for d in divisors(N)
+    ]
+    return rational_rank(isotropic_rows(m, members))
 
 
 def check_invariant_dimensions_rank1():
@@ -164,15 +160,7 @@ def check_catalog_enumeration():
 
 
 def _catalog_rank(m, cat):
-    iso = list(m.isotropic_indices)
-    pos = {g: c for c, g in enumerate(iso)}
-    rows = []
-    for s in cat:
-        v = [0] * len(iso)
-        for i in assemble(s).indices:
-            v[pos[i]] = 1
-        rows.append(v)
-    return rational_rank(rows)
+    return rational_rank(isotropic_rows(m, [assemble(s) for s in cat]))
 
 
 def check_weil_matrix_relations():

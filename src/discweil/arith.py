@@ -55,16 +55,6 @@ def is_prime(n):
     return True
 
 
-def squarefree_part(n):
-    """The squarefree kernel: n divided by the largest square divisor."""
-    assert n >= 1
-    out = 1
-    for p, e in factorize(n):
-        if e % 2:
-            out *= p
-    return out
-
-
 def is_rational_square(fr):
     """True if the Fraction (or int) fr is a square in Q."""
     from fractions import Fraction
@@ -95,39 +85,3 @@ def prime_one_mod(m, min_bits=20):
     while not is_prime(q):
         q += m
     return q
-
-
-def crt_idempotents(parts):
-    """Given pairwise coprime moduli, scalars e_i with e_i = 1 mod m_i, 0 mod m_j.
-
-    Returns a list of ints, one per modulus, taken mod the product.
-    """
-    from math import prod
-
-    m = prod(parts)
-    out = []
-    for mi in parts:
-        rest = m // mi
-        if mi == 1:
-            out.append(0)
-            continue
-        inv = pow(rest, -1, mi)
-        out.append(rest * inv % m)
-    return out
-
-
-def lcm(*xs):
-    from math import lcm as _lcm
-
-    return _lcm(*xs)
-
-
-def xgcd(a, b):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0

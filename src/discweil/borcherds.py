@@ -26,6 +26,7 @@ from .qseries import (
     first_mismatch,
     product_terms,
 )
+from .subgroups import isotropic_rows
 from .weilrep import apply_S
 
 
@@ -269,14 +270,9 @@ def catalog_for(N, Np):
 def decompose(f):
     """Integer coordinates of f over the catalog, or unsupported-input."""
     members = catalog_for(f.N, f.Nprime)
-    subs = [assemble(s) for s in members]
-    cols = []
     m = f.module
-    iso = sorted(m.isotropic_indices)
-    for h in subs:
-        idx = h.indices
-        cols.append([1 if i in idx else 0 for i in iso])
-    b = [f.dense[i] for i in iso]
+    cols = isotropic_rows(m, [assemble(s) for s in members])
+    b = [f.dense[i] for i in m.isotropic_indices]
     sol = _solve_exact(cols, b)
     if sol is None:
         raise ValueError("input is outside the cataloged span")

@@ -23,6 +23,7 @@ from .subgroups import (
     classify,
     enumerate_self_dual_isotropic,
     enumerate_subgroups,
+    isotropic_rows,
 )
 from .weilrep import invariant_space
 
@@ -111,15 +112,7 @@ def cmd_invariants(args):
         sd = None
     rank = None
     if sd is not None:
-        iso = list(m.isotropic_indices)
-        pos = {g: c for c, g in enumerate(iso)}
-        rows = []
-        for h in sd:
-            v = [0] * len(iso)
-            for i in h.indices:
-                v[pos[i]] = 1
-            rows.append(v)
-        rank = rational_rank(rows)
+        rank = rational_rank(isotropic_rows(m, sd))
     _emit(
         {
             "dimension": len(basis),

@@ -13,7 +13,7 @@ power-basis sum.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .arith import divisors
 
@@ -106,20 +106,6 @@ def _make(M, coords, den):
     x = object.__new__(CycNumber)
     x._set(M, coords, den)
     return x
-
-
-class NotASquareError(ValueError):
-    pass
-
-
-def rational_sqrt(n):
-    """Exact square root of a positive integer, or NotASquareError."""
-    if n < 1:
-        raise ValueError("expected a positive integer")
-    r = isqrt(n)
-    if r * r != n:
-        raise NotASquareError("%d is not a perfect square" % n)
-    return r
 
 
 class CycNumber:

@@ -5,6 +5,16 @@ values Q(g_i) and B(g_i, g_j) of the quadratic form and its polarization
 B(x, y) = Q(x+y) - Q(x) - Q(y).  Values live in Q/Z and are stored as
 Fractions reduced into [0, 1).  Everything here is exact: the signature is
 read off the Gauss sum in a cyclotomic field, with no floating point.
+
+Element x = (x_1, ..., x_k) has index sum_i x_i * d_{i+1} * ... * d_k (a
+mixed radix, first coordinate most significant), and every per-element
+computation reads one integer element table built with numpy in index
+order and cached on the module: the coordinate rows ``coords`` and the
+values ``q_ints`` = L*Q(x) in [0, L), L the level.  ``indices_of`` maps
+coordinate rows back to indices.  Table arithmetic is int64 and reduced mod
+L after every product; each product is of a coordinate x_i < d_i and a value
+below L, so no intermediate exceeds d_i * L (at most L^2 when the form is
+non-degenerate, as the exponent of D then divides L).
 """
 
 import itertools
@@ -13,7 +23,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
 
-from .arith import factorize, is_rational_square
+import numpy as np
+
+from .arith import factorize
 from .cyclo import CycNumber, root_of_unity
 
 
@@ -29,6 +41,18 @@ def _frac_str(fr):
 
 class DegenerateFormError(ValueError):
     pass
+
+
+def matmul_mod(A, B, L):
+    """A @ B mod L for non-negative int64 arrays, reduced after every product."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    t = np.empty_like(out)
+    for j in range(A.shape[1]):
+        np.multiply(A[:, j, None], B[None, j], out=t)
+        t %= L
+        out += t
+        out %= L
+    return out
 
 
 class FqModule:
@@ -89,6 +113,51 @@ class FqModule:
         qg = [int(q * L) for q in self.qs]
         bg = [[int(b * L) for b in row] for row in self.bs]
         return L, qg, bg
+
+    @cached_property
+    def _strides(self):
+        """Place values of the mixed radix: index = coords @ strides."""
+        return np.array(
+            [prod(self.orders[j + 1:]) for j in range(len(self.orders))], dtype=np.int64
+        )
+
+    @cached_property
+    def coords(self):
+        """All elements as rows of an int64 array, in index order."""
+        idx = np.arange(self.size, dtype=np.int64)[:, None]
+        X = idx // self._strides % np.array(self.orders, dtype=np.int64)
+        X.flags.writeable = False  # shared by every caller of this module
+        return X
+
+    def indices_of(self, rows):
+        """Indices of coordinate rows (any int array, last axis the coordinates)."""
+        return np.asarray(rows) % np.array(self.orders, dtype=np.int64) @ self._strides
+
+    @cached_property
+    def _gram(self):
+        """B on generators scaled by the level, as an int64 matrix."""
+        k = len(self.orders)
+        return np.array(self._int_tables[2], dtype=np.int64).reshape(k, k)
+
+    @cached_property
+    def q_ints(self):
+        """L*Q(x) in [0, L) for every element, in index order.
+
+        L*Q(x) = sum_i x_i (U x)_i with U upper triangular: L*Q(g_i) on the
+        diagonal and L*B(g_i, g_j) above it.
+        """
+        L, qg, _ = self._int_tables
+        U = np.triu(self._gram, 1) + np.diag(np.array(qg, dtype=np.int64))
+        X = self.coords
+        q = (X * matmul_mod(X, U.T, L) % L).sum(axis=1) % L
+        q.flags.writeable = False
+        return q
+
+    def b_ints(self, x):
+        """L*B(x, y) in [0, L) for every element y, in index order."""
+        L, _, bg = self._int_tables
+        v = [sum(b * int(c) for b, c in zip(row, x)) % L for row in bg]
+        return matmul_mod(self.coords, np.array(v, dtype=np.int64).reshape(-1, 1), L)[:, 0]
 
     def elements(self):
         """All elements as coordinate tuples, lexicographic."""
@@ -166,21 +235,12 @@ class FqModule:
     @cached_property
     def isotropic_indices(self):
         """Indices of all x with Q(x) = 0, ascending."""
-        return tuple(
-            i for i, x in enumerate(self.element_list) if self.q_int(x) == 0
-        )
+        return tuple(np.flatnonzero(self.q_ints == 0).tolist())
 
     def radical_size(self):
         """Number of x with B(x, .) identically zero.  1 means non-degenerate."""
-        L, _, bg = self._int_tables
-        k = len(self.orders)
-        n = 0
-        for x in self.elements():
-            if all(
-                sum(x[i] * bg[i][j] for i in range(k)) % L == 0 for j in range(k)
-            ):
-                n += 1
-        return n
+        R = matmul_mod(self.coords, self._gram, self.level)
+        return int(np.count_nonzero(~R.any(axis=1)))
 
     # -- Gauss sum and signature --------------------------------------------
 
@@ -188,11 +248,7 @@ class FqModule:
         """Sum of e(Q(x)) over D, exact, at conductor lcm(8, level)."""
         L = self.level
         M = lcm(8, L)
-        hist = {}
-        for x in self.elements():
-            e = self.q_int(x) * (M // L) % M
-            hist[e] = hist.get(e, 0) + 1
-        return CycNumber(M, {e: Fraction(c) for e, c in hist.items()})
+        return CycNumber(M, {e * (M // L): c for e, c in q_histogram(self).items()})
 
     def signature_mod8(self):
         """The s in Z/8 with gauss sum = sqrt(|D|) e(s/8) (exact identification).
@@ -243,6 +299,12 @@ class FqModule:
 
     def __repr__(self):
         return "FqModule(orders=%r)" % (self.orders,)
+
+
+def q_histogram(m):
+    """{L*Q(x): number of x with that value}, over the nonzero counts."""
+    hist = np.bincount(m.q_ints, minlength=m.level)
+    return {int(e): int(hist[e]) for e in np.flatnonzero(hist)}
 
 
 def _sqrt_squarefree(m):

@@ -71,13 +71,6 @@ def primitive_integer_vector(v):
     return ints
 
 
-def in_rational_span(vec, basis):
-    """Is vec a rational combination of the basis rows?"""
-    if not basis:
-        return all(Fraction(v) == 0 for v in vec)
-    return rational_rank(list(basis)) == rational_rank(list(basis) + [list(vec)])
-
-
 def same_rational_span(rows_a, rows_b):
     ra = rational_rank(rows_a)
     rb = rational_rank(rows_b)

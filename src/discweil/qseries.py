@@ -16,9 +16,8 @@ alongside; both are kept as independent oracles for the engine.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 
-from .arith import lcm
 from .cyclo import CycNumber, exp_frac
 
 

@@ -2,6 +2,9 @@
 
 Subgroups are stored by their full element-index set; equality and hashing
 use that canonical set, so no normal-form theory is needed at these sizes.
+Index sets are closed by one sumset helper, {x + y : x in A, y in B}, on the
+module's element table: a span, the join <H, x> and the sum of subgroups of
+coprime orders are all sumsets.  The zero element has index 0.
 Enumeration splits into p-primary parts first (the subgroup lattice of a
 finite abelian group is the product of its p-primary lattices), which keeps
 the breadth-first closure tiny even for |D| in the thousands.
@@ -9,8 +12,9 @@ the breadth-first closure tiny even for |D| in the thousands.
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, lcm
+
+import numpy as np
 
 from .arith import factorize
 from .groupring import GroupRingVector
@@ -50,11 +54,6 @@ class Subgroup:
     def from_gens(cls, parent, gen_tuples):
         idx = span_indices(parent, gen_tuples)
         return cls(parent, idx, tuple(parent.index(g) for g in gen_tuples))
-
-    @classmethod
-    def trivial(cls, parent):
-        zero = parent.index(tuple(0 for _ in parent.orders))
-        return cls(parent, {zero})
 
     @property
     def order(self):
@@ -100,29 +99,43 @@ class Subgroup:
 
 
 def element_order(m, x):
-    return lcm(*[d // gcd(d, c) for c, d in zip(x, m.orders)]) if x else 1
+    return lcm(*[d // gcd(d, int(c)) for c, d in zip(x, m.orders)])
+
+
+def _array(s):
+    """An index collection (a set or a sequence) as an int64 array."""
+    return np.fromiter(s, np.int64, len(s))
+
+
+def _sumset(m, a, b):
+    """Index set {x + y : x in A, y in B} for index arrays A and B."""
+    X = m.coords
+    return frozenset(m.indices_of(X[a][:, None] + X[b]).ravel().tolist())
+
+
+def _steps(m, h, x):
+    """Indices of 0, x, ..., (r-1)x, r > 0 least with rx in the index array H.
+
+    These are coset representatives of H in <H, x>: <H, x> is the sumset of
+    H and the steps, with no sum repeated.
+    """
+    mult = m.indices_of(np.arange(element_order(m, x) + 1)[:, None] * np.asarray(x))
+    in_h = np.zeros(m.size, dtype=bool)
+    in_h[h] = True
+    return mult[: 1 + int(np.argmax(in_h[mult[1:]]))]
 
 
 def span_indices(m, gen_tuples):
     """Index set of the subgroup generated by the given element tuples."""
-    zero = tuple(0 for _ in m.orders)
-    cur = {zero}
+    cur = np.zeros(1, dtype=np.int64)
     for g in gen_tuples:
-        n = element_order(m, g)
-        new = set()
-        shift = zero
-        for _ in range(n):
-            for h in cur:
-                new.add(m.add(h, shift))
-            shift = m.add(shift, g)
-        cur = new
-    return frozenset(m.index(x) for x in cur)
+        cur = _array(_sumset(m, cur, _steps(m, cur, g)))
+    return frozenset(cur.tolist())
 
 
 def _greedy_gens(m, indices):
     """A short generating list for an index set, smallest indices first."""
-    zero_idx = m.index(tuple(0 for _ in m.orders))
-    have = frozenset({zero_idx})
+    have = frozenset({0})
     gens = []
     for i in sorted(indices):
         if i in have:
@@ -132,20 +145,6 @@ def _greedy_gens(m, indices):
         if have == indices:
             break
     return gens
-
-
-def _join(m, h_indices, x):
-    """Index set of <H, x> for a subgroup index set H and element tuple x."""
-    at = m.element_at
-    base = [at(i) for i in h_indices]
-    n = element_order(m, x)
-    new = set()
-    shift = tuple(0 for _ in m.orders)
-    for _ in range(n):
-        for h in base:
-            new.add(m.index(m.add(h, shift)))
-        shift = m.add(shift, x)
-    return frozenset(new)
 
 
 def _bound_check(m, bound):
@@ -160,16 +159,17 @@ def _bound_check(m, bound):
 
 def _subgroup_sets_of_subset(m, subset):
     """All subgroup index sets contained in a given subgroup index set."""
-    zero = m.index(tuple(0 for _ in m.orders))
-    seen = {frozenset({zero})}
-    queue = [frozenset({zero})]
+    seen = {frozenset({0})}
+    queue = [frozenset({0})]
     members = sorted(subset)
+    X = m.coords
     while queue:
         h = queue.pop()
+        ha = _array(h)
         for i in members:
             if i in h:
                 continue
-            hx = _join(m, h, m.element_at(i))
+            hx = _sumset(m, ha, _steps(m, ha, X[i]))
             if hx not in seen:
                 seen.add(hx)
                 queue.append(hx)
@@ -177,19 +177,16 @@ def _subgroup_sets_of_subset(m, subset):
 
 
 def _p_primary_index_sets(m):
-    """Index sets of the p-primary parts of D, keyed by prime."""
-    orders = [element_order(m, x) for x in m.element_list]
+    """Index sets of the p-primary parts of D, keyed by prime.
+
+    The p-part of Z/d is the multiples of d / p^e, p^e the p-part of d.
+    """
     primes = sorted({p for d in m.orders for p, _ in factorize(d)})
-    return {
-        p: frozenset(i for i, n in enumerate(orders) if _is_ppower(n, p))
-        for p in primes
-    }
-
-
-def _is_ppower(n, p):
-    while n % p == 0:
-        n //= p
-    return n == 1
+    out = {}
+    for p in primes:
+        step = np.array([d // p ** dict(factorize(d)).get(p, 0) for d in m.orders])
+        out[p] = frozenset(np.flatnonzero((m.coords % step == 0).all(axis=1)).tolist())
+    return out
 
 
 def enumerate_subgroups(m, bound=None):
@@ -200,22 +197,10 @@ def enumerate_subgroups(m, bound=None):
     """
     _bound_check(m, bound)
     parts = _p_primary_index_sets(m)
-    zero = m.index(tuple(0 for _ in m.orders))
-    combined = [frozenset({zero})]
+    combined = [frozenset({0})]
     for p in sorted(parts):
-        psets = _subgroup_sets_of_subset(m, parts[p])
-        at = m.element_at
-        new = []
-        for a in combined:
-            atoms = [at(i) for i in a]
-            for b in psets:
-                s = set()
-                for i in b:
-                    xb = at(i)
-                    for xa in atoms:
-                        s.add(m.index(m.add(xa, xb)))
-                new.append(frozenset(s))
-        combined = new
+        psets = [_array(b) for b in _subgroup_sets_of_subset(m, parts[p])]
+        combined = [_sumset(m, a, b) for a in map(_array, combined) for b in psets]
     uniq = sorted(set(combined), key=lambda s: (len(s), sorted(s)))
     return [Subgroup(m, s) for s in uniq]
 
@@ -223,26 +208,25 @@ def enumerate_subgroups(m, bound=None):
 def enumerate_isotropic_subgroups(m, bound=None):
     """All totally isotropic subgroups (Q vanishes identically on H)."""
     _bound_check(m, bound)
-    iso = set(m.isotropic_indices)
-    zero = m.index(tuple(0 for _ in m.orders))
-    seen = {frozenset({zero})}
-    queue = [frozenset({zero})]
-    at = m.element_at
+    iso = np.array(m.isotropic_indices, dtype=np.int64)
+    X = m.coords
+    seen = {frozenset({0})}
+    queue = [(frozenset({0}), ())]
     while queue:
-        h = queue.pop()
-        gens_t = [at(i) for i in h]
-        for i in iso:
+        h, gens = queue.pop()
+        # x must be orthogonal to H, i.e. to its generators: isotropic +
+        # orthogonal extensions of an isotropic group stay isotropic
+        perp = np.ones(len(iso), dtype=bool)
+        for g in gens:
+            perp &= m.b_ints(X[g])[iso] == 0
+        ha = _array(h)
+        for i in iso[perp].tolist():
             if i in h:
                 continue
-            x = at(i)
-            # x must be orthogonal to H: isotropic + orthogonal extensions
-            # of an isotropic group stay isotropic
-            if any(m.b_int(x, g) for g in gens_t):
-                continue
-            hx = _join(m, h, x)
+            hx = _sumset(m, ha, _steps(m, ha, X[i]))
             if hx not in seen:
                 seen.add(hx)
-                queue.append(hx)
+                queue.append((hx, gens + (i,)))
     uniq = sorted(seen, key=lambda s: (len(s), sorted(s)))
     return [Subgroup(m, s) for s in uniq]
 
@@ -260,13 +244,10 @@ def enumerate_self_dual_isotropic(m, bound=None):
 def complement(h):
     """The orthogonal complement of a subgroup under B."""
     m = h.parent
-    gens = h.gen_tuples()
-    idx = frozenset(
-        i
-        for i, x in enumerate(m.element_list)
-        if all(m.b_int(x, g) == 0 for g in gens)
-    )
-    return Subgroup(m, idx)
+    perp = np.ones(m.size, dtype=bool)
+    for g in h.gen_tuples():
+        perp &= m.b_ints(g) == 0
+    return Subgroup(m, np.flatnonzero(perp).tolist())
 
 
 def classify(h):
@@ -288,3 +269,9 @@ def classify(h):
 def characteristic_vector(h):
     """The 0/1 group-ring vector supported exactly on H."""
     return GroupRingVector.characteristic(h.parent, sorted(h.indices))
+
+
+def isotropic_rows(m, subgroups):
+    """The 0/1 rows of the given subgroups over m.isotropic_indices."""
+    iso = m.isotropic_indices
+    return [[1 if i in h.indices else 0 for i in iso] for h in subgroups]

@@ -5,7 +5,10 @@ heavy identity checking here goes through an integer fast path: entries of
 rho(S) and rho(T) are a common scalar times a single root of unity, so any
 product of them has entries described by exponent histograms.  Histograms
 reduce to power-basis coordinates by one integer matrix multiplication, and
-identity checks become exact integer array comparisons.
+identity checks become exact integer array comparisons.  The integer tables
+are the module's element table (coordinates, L*Q) and, from ``_pack``, the
+tables that need pairs of elements: the |D| x |D| matrix of L*B, held behind
+the enumeration bound, and the reduction rows of the level.
 
 The invariant space is computed with a certificate.  Candidate invariant
 vectors (either characteristic functions of self-dual isotropic subgroups or
@@ -23,6 +26,7 @@ import numpy as np
 
 from .arith import prime_one_mod, primitive_root
 from .cyclo import CycNumber, _reduction_rows, root_of_unity
+from .fqmod import matmul_mod, q_histogram
 from .groupring import GroupRingVector
 from .linalg import (
     modq_rank,
@@ -34,8 +38,8 @@ from .linalg import (
 from .subgroups import (
     EnumerationBoundError,
     _bound_check,
-    enumerate_isotropic_subgroups,
     enumerate_self_dual_isotropic,
+    isotropic_rows,
 )
 
 
@@ -47,9 +51,11 @@ class CertificationError(RuntimeError):
 
 
 def _pack(m):
-    """Integer tables for a module: B-exponent matrix, Q vector, reduction.
+    """The pair tables of a module: B-exponent matrix and the reduction rows.
 
-    The bound is checked on every call; only the tables are cached.
+    Bmat[i, j] = L*B(x_i, x_j) is |D|^2, so the bound is checked on every
+    call; only the tables are cached.  Per-element values (coordinates, Q,
+    negation) come from the module's element table.
     """
     _bound_check(m, None)
     return _tables(m)
@@ -58,16 +64,10 @@ def _pack(m):
 @lru_cache(maxsize=32)
 def _tables(m):
     L = m.level
-    X = np.array(m.element_list, dtype=np.int64)
-    _, qg, bg = m._int_tables
-    Bg = np.array(bg, dtype=np.int64)
-    Bmat = X @ Bg @ X.T % L
-    qvec = np.array([m.q_int(x) for x in m.element_list], dtype=np.int64)
+    X = m.coords
+    Bmat = matmul_mod(matmul_mod(X, m._gram, L), X.T, L)
     RED = np.array(_reduction_rows(L), dtype=np.int64)
-    neg = np.array(
-        [m.index(m.neg(x)) for x in m.element_list], dtype=np.int64
-    )
-    return L, Bmat, qvec, RED, neg
+    return Bmat, RED
 
 
 def _sqrt_size(m):
@@ -250,7 +250,7 @@ def sl2_word(mat):
 
 def apply_T_power(m, k, vec):
     L = m.level
-    qvec = _pack(m)[2]
+    qvec = m.q_ints
     out = []
     for i, v in enumerate(vec):
         e = k * int(qvec[i]) % L
@@ -263,7 +263,8 @@ def apply_T_power(m, k, vec):
 
 def apply_S(m, vec):
     """rho(S) applied to a dense coefficient list, exact."""
-    L, Bmat, _, _, _ = _pack(m)
+    L = m.level
+    Bmat, _ = _pack(m)
     s0 = _s_scalar(m)
     M = L
     for v in vec:
@@ -412,7 +413,10 @@ def weil_relations_report(m):
 
 
 def _relations_fast(m, sqrt_d):
-    L, Bmat, qvec, RED, neg = _pack(m)
+    L = m.level
+    Bmat, RED = _pack(m)
+    qvec = m.q_ints
+    neg = m.indices_of(-m.coords)
     n = m.size
     ES = (-Bmat) % L
     S2 = _hist_mono_product(ES, ES, L)
@@ -479,7 +483,8 @@ def _is_scaled_negation(m, S2):
 
 def check_vH_action(m, h):
     """Exact check of rho(S) v^H = (|H|/sqrt|D|) v^{H perp} via histograms."""
-    L, Bmat, _, RED, _ = _pack(m)
+    L = m.level
+    Bmat, RED = _pack(m)
     n = m.size
     idx = sorted(h.indices)
     counts = np.zeros((n, L), dtype=np.int64)
@@ -494,71 +499,12 @@ def check_vH_action(m, h):
     return bool(np.array_equal(canon, target))
 
 
-def averaging_on_subgroup(m, h):
-    """M v^H as an exact rational vector: (|H|/sqrt|D|) on isotropic H-perp."""
-    r = _sqrt_size(m)
-    if r is None or m.signature_mod8() != 0:
-        raise ValueError("rational averaging needs signature 0 and square |D|")
-    gens = h.gen_tuples()
-    iso = set(m.isotropic_indices)
-    scale = Fraction(h.order, r)
-    out = [Fraction(0)] * m.size
-    for i, x in enumerate(m.element_list):
-        if i in iso and all(m.b_int(x, g) == 0 for g in gens):
-            out[i] = scale
-    return out
-
-
-def averaging_fixed_space_report(m, bound=None):
-    """Fixed vectors of the averaging operator inside span{v^H : H isotropic}.
-
-    Returns the comparison of that fixed space with span of the self-dual
-    isotropic characteristic functions, both as exact rational subspaces.
-    """
-    iso_subs = enumerate_isotropic_subgroups(m, bound)
-    cols = []
-    vhs = []
-    for h in iso_subs:
-        vh = [Fraction(1) if i in h.indices else Fraction(0) for i in range(m.size)]
-        mv = averaging_on_subgroup(m, h)
-        cols.append([a - b for a, b in zip(mv, vh)])
-        vhs.append(vh)
-    # kernel over the coefficient space: combinations fixed by M
-    mat_rows = [[cols[j][i] for j in range(len(cols))] for i in range(m.size)]
-    coeff_kernel = rational_kernel(mat_rows, ncols=len(cols))
-    fixed = []
-    for c in coeff_kernel:
-        vec = [Fraction(0)] * m.size
-        for cj, vh in zip(c, vhs):
-            if cj:
-                for i in range(m.size):
-                    vec[i] += cj * vh[i]
-        fixed.append(vec)
-    sd = enumerate_self_dual_isotropic(m, bound)
-    sd_vecs = [
-        [Fraction(1) if i in h.indices else Fraction(0) for i in range(m.size)]
-        for h in sd
-    ]
-    return {
-        "fixed_dim": rational_rank(fixed) if fixed else 0,
-        "selfdual_rank": rational_rank(sd_vecs) if sd_vecs else 0,
-        "equal": same_rational_span(fixed, sd_vecs),
-        "isotropic_count": len(iso_subs),
-        "selfdual_count": len(sd),
-    }
-
-
 # ------------------------------------------------------- invariant vectors
 
 
 def _gauss_sum_level(m):
     """Gauss sum at conductor exactly the level (it lives there)."""
-    L = m.level
-    hist = {}
-    for x in m.elements():
-        e = m.q_int(x)
-        hist[e] = hist.get(e, 0) + 1
-    return CycNumber(L, {e: Fraction(c) for e, c in hist.items()})
+    return CycNumber(m.level, q_histogram(m))
 
 
 def _invariant_system_rows(m):
@@ -568,7 +514,8 @@ def _invariant_system_rows(m):
     equation  sum_gamma zeta^(-B(beta,gamma)) v_gamma - G [beta iso] v_beta = 0
     (G the Gauss sum, equal to 1/scalar(S)) expands to phi(L) integer rows.
     """
-    L, Bmat, _, RED, _ = _pack(m)
+    L = m.level
+    Bmat, RED = _pack(m)
     iso = list(m.isotropic_indices)
     pos = {g: c for c, g in enumerate(iso)}
     G = _gauss_sum_level(m)
@@ -602,16 +549,11 @@ def _kernel_candidates(m):
 
 def _subgroup_candidates(m, bound=None):
     iso = list(m.isotropic_indices)
-    pos = {g: c for c, g in enumerate(iso)}
     sd = enumerate_self_dual_isotropic(m, bound)
-    vecs = []
     for h in sd:
         if not check_vH_action(m, h):
             raise CertificationError("subgroup candidate fails the exact S-action")
-        v = [0] * len(iso)
-        for i in h.indices:
-            v[pos[i]] = 1
-        vecs.append(v)
+    vecs = isotropic_rows(m, sd)
     # reduce to an independent subfamily over Q, keep primitive integers
     basis = []
     for v in vecs:
@@ -622,7 +564,8 @@ def _subgroup_candidates(m, bound=None):
 
 def _certify_dimension(m, iso, r, tries=3):
     """Prove dim <= r by a mod-q rank bound on the fixed-point system."""
-    L, Bmat, _, _, _ = _pack(m)
+    L = m.level
+    Bmat, _ = _pack(m)
     G = _gauss_sum_level(m)
     need = len(iso) - r
     cols = (-Bmat[:, iso]) % L
@@ -687,15 +630,8 @@ def verify_selfdual_span(m, bound=None):
     if not sd:
         raise ValueError("no self-dual isotropic subgroup; nothing to compare")
     inv = invariant_space(m, method="kernel")
-    iso = list(m.isotropic_indices)
-    pos = {g: c for c, g in enumerate(iso)}
-    fam = []
-    for h in sd:
-        v = [0] * len(iso)
-        for i in h.indices:
-            v[pos[i]] = 1
-        fam.append(v)
-    inv_rows = [[vec.get(g) for g in iso] for vec in inv]
+    fam = isotropic_rows(m, sd)
+    inv_rows = [[vec.get(g) for g in m.isotropic_indices] for vec in inv]
     return {
         "dimension": len(inv),
         "family_size": len(fam),

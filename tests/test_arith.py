@@ -1,8 +1,6 @@
 from fractions import Fraction as F
-from math import gcd, isqrt
 
 from discweil.arith import (
-    crt_idempotents,
     divisors,
     factorize,
     is_prime,
@@ -10,8 +8,6 @@ from discweil.arith import (
     prime_one_mod,
     primitive_root,
     sigma0,
-    squarefree_part,
-    xgcd,
 )
 
 
@@ -44,17 +40,6 @@ def test_is_prime_small():
     assert not is_prime(7917)
 
 
-def test_squarefree_part():
-    for n in range(1, 200):
-        s = squarefree_part(n)
-        assert n % s == 0
-        q = n // s
-        # quotient is a perfect square, and s has no square factor
-        r = isqrt(q)
-        assert r * r == q
-        assert all(e == 1 for _, e in factorize(s)) or s == 1
-
-
 def test_is_rational_square():
     assert is_rational_square(F(4, 9))
     assert is_rational_square(F(0))
@@ -79,22 +64,3 @@ def test_prime_one_mod():
     for m in (1, 2, 24, 360):
         q = prime_one_mod(m)
         assert is_prime(q) and q % m == 1 % m and q > 2**20
-
-
-def test_crt_idempotents():
-    parts = [4, 9, 25]
-    es = crt_idempotents(parts)
-    m = 4 * 9 * 25
-    for i, mi in enumerate(parts):
-        for j, mj in enumerate(parts):
-            assert es[i] % mj == (1 if i == j else 0) % mj
-    assert sum(es) % m == 1
-
-
-def test_xgcd_bezout():
-    for a in range(-12, 13):
-        for b in range(-12, 13):
-            g, s, t = xgcd(a, b)
-            assert s * a + t * b == g
-            if a or b:
-                assert g == gcd(a, b) or g == -gcd(a, b)

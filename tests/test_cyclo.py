@@ -11,7 +11,6 @@ from discweil.cyclo import (
     cyclotomic_poly,
     exp_frac,
     one,
-    rational_sqrt,
     root_of_unity,
     zero,
 )
@@ -101,12 +100,6 @@ def test_equality_against_rationals():
     assert CycNumber(3, {0: F(1, 2)}) == F(1, 2)
 
 
-def test_rational_sqrt():
-    assert rational_sqrt(49) == 7
-    with pytest.raises(Exception):
-        rational_sqrt(8)
-
-
 def test_to_json_shape():
     z = exp_frac(F(1, 8)) * F(3, 2)
     obj = z.to_json()
@@ -168,7 +161,7 @@ def pairs(draw):
     return a, d, False
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(pairs())
 def test_equality_is_equality_of_fields(abs_):
     a, b, same = abs_
@@ -183,7 +176,7 @@ def test_equality_is_equality_of_fields(abs_):
         assert pa.mod_prime(q, t) == pb.mod_prime(q, t)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(numbers(), st.sampled_from([1, 2, 3, 5, 7]))
 def test_promote_keeps_the_value(x, k):
     M = x.conductor * k
@@ -193,7 +186,7 @@ def test_promote_keeps_the_value(x, k):
     assert y.mod_prime(q, t) == x.mod_prime(q, pow(t, k, q))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.sampled_from([48, 168]).flatmap(lambda top: st.tuples(numbers(top), numbers(top))))
 def test_mod_prime_is_a_ring_map(ab):
     a, b = ab
@@ -208,7 +201,7 @@ def test_mod_prime_is_a_ring_map(ab):
     assert image(-a) == -image(a) % q
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(numbers())
 def test_inverse(x):
     if not x:
@@ -228,7 +221,7 @@ def _parse(text, M):
     return total
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(numbers(), st.integers(-3, 3), st.data())
 def test_text_depends_only_on_the_value(x, c, data):
     terms = {e: F(v, x.den) for e, v in enumerate(x.coords)}

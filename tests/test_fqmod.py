@@ -1,12 +1,15 @@
 import cmath
+import random
 from fractions import Fraction as F
 from functools import reduce
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discweil.cyclo import exp_frac, zero
 from discweil.fqmod import (
+    DegenerateFormError,
     FqModule,
     direct_sum,
     hyperbolic,
@@ -89,7 +92,7 @@ def _float_signature(m):
     return round(cmath.phase(g) / (cmath.pi / 4)) % 8
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.sampled_from(range(len(COMPONENTS))), min_size=1, max_size=3))
 @example([0])  # Z/3: |D| = 3
 @example([6, 0, 2])  # Z/2 + Z/3 + Z/5: |D| = 30
@@ -137,3 +140,31 @@ def test_trivial_module():
     m = hyperbolic(1)
     assert m.size == 1
     assert m.gauss_sum() == 1
+
+
+def test_degenerate_forms_are_refused():
+    # Z/4 with Q = x^2/4: B(x, y) = xy/2 vanishes on the radical {0, 2}
+    with pytest.raises(DegenerateFormError):
+        FqModule((4,), [F(1, 4)], [[F(1, 2)]])
+    # (Z/2)^2 with Q = B = 0: everything is radical
+    with pytest.raises(DegenerateFormError):
+        FqModule((2, 2), [0, 0], [[0, 0], [0, 0]])
+    # a radical survives an orthogonal sum
+    z4 = FqModule((4,), [F(1, 4)], [[F(1, 2)]], check=False)
+    assert z4.radical_size() == 2
+    with pytest.raises(DegenerateFormError):
+        direct_sum(hyperbolic(3), z4)
+    with pytest.raises(DegenerateFormError):
+        direct_sum(FqModule((2, 2), [0, 0], [[0, 0], [0, 0]], check=False), COMPONENTS[0])
+
+
+def test_element_table_has_no_overflow():
+    # Z/d with Q = (d-2) x^2 / d and d = 3000017: L*Q(x) = (d-2) x^2 mod d
+    # overflows int64 unless it is reduced between the two products
+    d = 3000017
+    m = FqModule((d,), [F(d - 2, d)], [[F(2 * (d - 2), d)]])
+    assert m.level == d
+    assert m.radical_size() == 1
+    rng = random.Random(1)
+    for i in [rng.randrange(d) for _ in range(2000)]:
+        assert int(m.q_ints[i]) == m.q_int((i,)) == (d - 2) * i * i % d

@@ -170,7 +170,7 @@ eta_factors = st.builds(
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.lists(eta_factors, min_size=1, max_size=4), st.integers(1, 12))
 def test_expand_matches_pentagonal_products(factors, trunc):
     q = EtaQuotient(factors)

@@ -1,8 +1,12 @@
+from functools import reduce
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_fqmod import COMPONENTS
 
-from discweil.fqmod import hyperbolic, hyperbolic_pair
+from discweil.fqmod import FqModule, direct_sum, hyperbolic, hyperbolic_pair
 from discweil.subgroups import (
     EnumerationBoundError,
     Subgroup,
@@ -15,14 +19,24 @@ from discweil.subgroups import (
 )
 
 
+def closure(m, gens):
+    """Test oracle: the index set of <gens>, closed by tuple additions."""
+    zero = tuple(0 for _ in m.orders)
+    seen = {zero}
+    todo = [zero]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = m.add(x, g)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return frozenset(m.index(x) for x in seen)
+
+
 def brute_subgroup_sets(m):
     """All subgroups as index sets, by closing every generating pair."""
-    out = set()
-    els = m.element_list
-    for a, b in product(els, repeat=2):
-        h = Subgroup.from_gens(m, [a, b])
-        out.add(h.indices)
-    return out
+    return {closure(m, [a, b]) for a, b in product(m.element_list, repeat=2)}
 
 
 def test_enumeration_matches_pair_closure():
@@ -109,3 +123,54 @@ def test_subgroup_json():
     obj = h.to_json()
     assert obj["order"] == 2
     assert obj["elements"] == [[0, 0], [1, 1]]
+
+
+def _change_basis(m, ops):
+    """(Z/N)^2 presented on a new basis: e1, e2 under the elementary column
+    operations e2 += t e1 (upper) or e1 += t e2 listed in ops."""
+    e1, e2 = m.smul(1, (1, 0)), m.smul(1, (0, 1))  # reduced, also for N = 1
+    for upper, t in ops:
+        if upper:
+            e2 = m.add(e2, m.smul(t, e1))
+        else:
+            e1 = m.add(e1, m.smul(t, e2))
+    gens = (e1, e2)
+    return FqModule(
+        m.orders,
+        [m.q_value(g) for g in gens],
+        [[m.b_value(g, h) for h in gens] for g in gens],
+    )
+
+
+OPS = st.lists(st.tuples(st.booleans(), st.integers(1, 11)), max_size=4)
+DIRECT_SUMS = st.lists(st.sampled_from(COMPONENTS), min_size=1, max_size=3).map(
+    lambda parts: reduce(direct_sum, parts)
+)
+CHANGED_PAIRS = st.builds(
+    lambda n, n2, a, b: direct_sum(
+        _change_basis(hyperbolic(n), a), _change_basis(hyperbolic(n2), b)
+    ),
+    st.integers(1, 6),
+    st.integers(1, 4),
+    OPS,
+    OPS,
+)
+
+
+@settings(max_examples=40)
+@given(st.one_of(DIRECT_SUMS, CHANGED_PAIRS), st.data())
+def test_element_table_against_tuple_loops(m, data):
+    els = m.element_list
+    assert [tuple(r) for r in m.coords.tolist()] == list(els)
+    assert m.indices_of(m.coords).tolist() == list(range(m.size))
+    assert m.q_ints.tolist() == [m.q_int(x) for x in els]
+    assert m.isotropic_indices == tuple(i for i, x in enumerate(els) if m.q_int(x) == 0)
+    k = len(m.orders)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    assert sum(all(m.b_int(x, u) == 0 for u in units) for x in els) == m.radical_size() == 1
+
+    gens = data.draw(st.lists(st.sampled_from(els), max_size=2))
+    h = Subgroup.from_gens(m, gens)
+    assert h.indices == closure(m, gens)
+    want = {i for i, x in enumerate(els) if all(m.b_int(x, g) == 0 for g in h.element_tuples())}
+    assert complement(h).indices == want

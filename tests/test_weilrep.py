@@ -115,14 +115,6 @@ def test_selfdual_span_report():
     }
 
 
-def test_averaging_report():
-    rep = W.averaging_fixed_space_report(hyperbolic_pair(6, 1))
-    assert rep["equal"]
-    assert rep["fixed_dim"] == rep["selfdual_rank"] == 4
-    with pytest.raises(ValueError):
-        W.averaging_on_subgroup(A1, None)
-
-
 def test_env_var_bound_governs_dense_tables(monkeypatch):
     # |D| = 16 is over a bound of 10, so the dense tables are refused
     m = hyperbolic_pair(4, 1)
