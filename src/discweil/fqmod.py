@@ -20,7 +20,7 @@ non-degenerate, as the exponent of D then divides L).
 import itertools
 import json
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm, prod
 
 import numpy as np
@@ -351,8 +351,13 @@ def direct_sum(a, b):
     return FqModule(a.orders + b.orders, a.qs + b.qs, bs)
 
 
+@lru_cache(maxsize=32)
 def hyperbolic_pair(N, Nprime):
-    """The rank 4 module (Z/N)^2 + (Z/N')^2 with Q = x1 x2/N + x3 x4/N'."""
+    """The rank 4 module (Z/N)^2 + (Z/N')^2 with Q = x1 x2/N + x3 x4/N'.
+
+    Cached, as modules are immutable and the catalogs ask for the same pair
+    once per member: each build re-validates the presentation.
+    """
     return direct_sum(hyperbolic(N), hyperbolic(Nprime))
 
 

@@ -1,14 +1,14 @@
 """The Weil representation on C[D] and its invariant vectors, exactly.
 
-Matrices over the cyclotomic field are fine for small modules, but all the
-heavy identity checking here goes through an integer fast path: entries of
-rho(S) and rho(T) are a common scalar times a single root of unity, so any
-product of them has entries described by exponent histograms.  Histograms
-reduce to power-basis coordinates by one integer matrix multiplication, and
-identity checks become exact integer array comparisons.  The integer tables
-are the module's element table (coordinates, L*Q) and, from ``_pack``, the
-tables that need pairs of elements: the |D| x |D| matrix of L*B, held behind
-the enumeration bound, and the reduction rows of the level.
+rho(S) is the scalar conj(G)/|D| (G the Gauss sum) times the monomial matrix
+zeta_L^E, E = -L*B mod L the exponent table, and rho(T) is the diagonal
+zeta_L^(L*Q).  So rho(S) applied to a vector, and every product of the
+generators, is a scalar times sums of roots of unity described by integer
+exponent histograms.  Histograms reduce to power-basis coordinates by one
+integer matrix multiplication, and every identity check is an exact integer
+array comparison, for modules of any signature.  The integer tables are the
+module's element table (coordinates, L*Q) and, from ``_pack``, the |D| x |D|
+exponent table, held behind the enumeration bound.
 
 The invariant space is computed with a certificate.  Candidate invariant
 vectors (either characteristic functions of self-dual isotropic subgroups or
@@ -20,12 +20,12 @@ the answer is proven, with no floating point and no unverified heuristics.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 
 import numpy as np
 
 from .arith import prime_one_mod, primitive_root
-from .cyclo import CycNumber, _reduction_rows, root_of_unity
+from .cyclo import CycNumber, _make, _reduction_rows, root_of_unity
 from .fqmod import matmul_mod, q_histogram
 from .groupring import GroupRingVector
 from .linalg import (
@@ -33,7 +33,7 @@ from .linalg import (
     primitive_integer_vector,
     rational_kernel,
     rational_rank,
-    same_rational_span,
+    rational_rref,
 )
 from .subgroups import (
     EnumerationBoundError,
@@ -51,103 +51,38 @@ class CertificationError(RuntimeError):
 
 
 def _pack(m):
-    """The pair tables of a module: B-exponent matrix and the reduction rows.
+    """The exponent table of a module: E[i, k] = -L*B(x_i, x_k) mod L.
 
-    Bmat[i, j] = L*B(x_i, x_j) is |D|^2, so the bound is checked on every
-    call; only the tables are cached.  Per-element values (coordinates, Q,
-    negation) come from the module's element table.
+    E is |D|^2, so the bound is checked on every call; only the table is
+    cached.  B is symmetric, so E is too: row k of E is its column k.
+    Per-element values (coordinates, Q, negation) come from the module's
+    element table.
     """
     _bound_check(m, None)
-    return _tables(m)
+    return _exponents(m)
 
 
 @lru_cache(maxsize=32)
-def _tables(m):
+def _exponents(m):
     L = m.level
     X = m.coords
-    Bmat = matmul_mod(matmul_mod(X, m._gram, L), X.T, L)
-    RED = np.array(_reduction_rows(L), dtype=np.int64)
-    return Bmat, RED
+    E = matmul_mod(matmul_mod(X, m._gram, L), X.T, L)
+    np.negative(E, out=E)
+    E %= L
+    E.flags.writeable = False
+    return E
 
 
-def _sqrt_size(m):
-    r = isqrt(m.size)
-    return r if r * r == m.size else None
-
-
-# --------------------------------------------------------- dense matrices
-
-
-class WeilMatrix:
-    """A dense matrix of CycNumbers indexed by D x D.  Small modules only."""
-
-    def __init__(self, module, rows):
-        self.module = module
-        self.rows = rows
-
-    @property
-    def size(self):
-        return len(self.rows)
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def mul(self, other):
-        n = self.size
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = None
-                for k in range(n):
-                    t = self.rows[i][k] * other.rows[k][j]
-                    acc = t if acc is None else acc + t
-                row.append(acc)
-            out.append(row)
-        return WeilMatrix(self.module, out)
-
-    def apply(self, vec):
-        """vec: list of scalars (Fraction or CycNumber).  Returns CycNumbers."""
-        n = self.size
-        out = []
-        for i in range(n):
-            acc = CycNumber(1, {})
-            for k in range(n):
-                v = vec[k]
-                if v:
-                    acc = acc + self.rows[i][k] * v
-            out.append(acc)
-        return out
-
-    def conj_transpose(self):
-        n = self.size
-        return WeilMatrix(
-            self.module,
-            [[self.rows[j][i].conjugate() for j in range(n)] for i in range(n)],
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, WeilMatrix) or self.size != other.size:
-            return NotImplemented
-        n = self.size
-        return all(
-            self.rows[i][j] == other.rows[i][j] for i in range(n) for j in range(n)
-        )
-
-    __hash__ = None
-
-    def is_identity(self):
-        n = self.size
-        for i in range(n):
-            for j in range(n):
-                want = 1 if i == j else 0
-                if not self.rows[i][j] == want:
-                    return False
-        return True
+@lru_cache(maxsize=None)
+def _reduction_array(M):
+    """The rows of ``_reduction_rows(M)`` as a read-only int64 array."""
+    RED = np.array(_reduction_rows(M), dtype=np.int64)
+    RED.flags.writeable = False
+    return RED
 
 
 def _s_scalar(m):
-    """The scalar in front of rho(S): e(-sig/8)/sqrt(|D|), exactly.
+    """The scalar in front of rho(S): e(-sig/8)/sqrt(|D|) = conj(G)/|D|, exactly.
 
     A plain Fraction whenever the signature is 0 mod 8 (the usual case here);
     that keeps conductors small downstream.
@@ -158,36 +93,33 @@ def _s_scalar(m):
     return s0
 
 
-def rho_T(m):
-    n = m.size
-    L = m.level
-    zero = CycNumber(L, {})
-    rows = []
-    for i, x in enumerate(m.element_list):
-        row = [zero] * n
-        row[i] = root_of_unity(m.q_int(x), L)
-        rows.append(row)
-    return WeilMatrix(m, rows)
+def _s_sums(E, L, V):
+    """Coordinates of sum_k zeta_L^E[i,k] v_k for every i: rho(S) v without its scalar.
 
-
-def rho_S(m):
-    n = m.size
-    L = m.level
-    s0 = _s_scalar(m)
-    rows = []
-    for i, x in enumerate(m.element_list):
-        row = []
-        for j, y in enumerate(m.element_list):
-            row.append(s0 * root_of_unity(-m.b_int(x, y), L))
-        rows.append(row)
-    return WeilMatrix(m, rows)
-
-
-def identity_matrix(m):
-    n = m.size
-    one = CycNumber(1, {0: Fraction(1)})
-    zero = CycNumber(1, {})
-    return WeilMatrix(m, [[one if i == j else zero for j in range(n)] for i in range(n)])
+    E is the exponent table of a module of level L.  Row k of V is the
+    exponent histogram of v_k at a conductor M divisible by L,
+    v_k = sum_j V[k, j] zeta_M^j, with integer entries of any size.  Returns
+    the (|D|, phi(M)) power-basis coordinates, counted in int64 when no sum
+    can reach 2^63 and in Python ints (an object array) otherwise.  The
+    shifted histograms are added a block of nonzero entries of V at a time,
+    so about 2^20 indices are held at once whatever |D|.
+    """
+    n, M = V.shape
+    stretch = M // L
+    RED = _reduction_array(M)
+    if int(np.abs(V).sum()) * int(np.abs(RED).max()) < 2**63:
+        V = V.astype(np.int64, copy=False)
+    else:
+        V, RED = V.astype(object), RED.astype(object)
+    out = np.zeros_like(V)
+    rows = np.arange(0, n * M, M)
+    ks, js = np.nonzero(V)
+    block = max(1, 2**20 // n)
+    for at in range(0, len(ks), block):
+        k, j = ks[at:at + block], js[at:at + block]
+        # out[i, (j + stretch E[k, i]) mod M] += V[k, j]; E is symmetric
+        np.add.at(out.reshape(-1), rows + (j[:, None] + stretch * E[k]) % M, V[k, j][:, None])
+    return out @ RED
 
 
 # ------------------------------------------------------------ SL2 words
@@ -262,36 +194,22 @@ def apply_T_power(m, k, vec):
 
 
 def apply_S(m, vec):
-    """rho(S) applied to a dense coefficient list, exact."""
-    L = m.level
-    Bmat, _ = _pack(m)
-    s0 = _s_scalar(m)
-    M = L
-    for v in vec:
-        if isinstance(v, CycNumber):
-            M = lcm(M, v.conductor)
-    stretch = M // L
+    """rho(S) applied to a dense list of ints, Fractions or CycNumbers, exact."""
     n = m.size
-    zero = Fraction(0)
-    out = []
-    for i in range(n):
-        terms = {}
-        row = Bmat[i]
-        for k in range(n):
-            v = vec[k]
-            if not v:
-                continue
-            sh = (int(-row[k]) % L) * stretch
-            if isinstance(v, CycNumber):
-                step = M // v.conductor
-                for j, c in enumerate(v.coords):
-                    if c:
-                        e = (j * step + sh) % M
-                        terms[e] = terms.get(e, zero) + Fraction(c, v.den)
-            else:
-                terms[sh] = terms.get(sh, zero) + Fraction(v)
-        out.append(s0 * CycNumber(M, terms))
-    return out
+    M = lcm(m.level, *(v.conductor for v in vec if isinstance(v, CycNumber)))
+    vals = [v if isinstance(v, CycNumber) else Fraction(v) for v in vec]
+    den = lcm(*(v.den if isinstance(v, CycNumber) else v.denominator for v in vals))
+    V = np.zeros((n, M), dtype=object)
+    for k, v in enumerate(vals):
+        if isinstance(v, CycNumber):
+            step, f = M // v.conductor, den // v.den
+            for j, c in enumerate(v.coords):
+                if c:
+                    V[k, j * step] = c * f
+        elif v:
+            V[k, 0] = v.numerator * (den // v.denominator)
+    s0 = _s_scalar(m)
+    return [_make(M, coords, den) * s0 for coords in _s_sums(_pack(m), m.level, V).tolist()]
 
 
 def apply_word(m, word, vec):
@@ -302,28 +220,6 @@ def apply_word(m, word, vec):
         else:
             vec = apply_T_power(m, tok[1], vec)
     return vec
-
-
-def rho(m, mat):
-    """rho of an arbitrary SL2(Z) matrix via its word.  Dense; small modules."""
-    word = sl2_word(mat)
-    out = identity_matrix(m)
-    for tok in word:
-        step = rho_S(m) if tok == "S" else _t_power_matrix(m, tok[1])
-        out = out.mul(step)
-    return out
-
-
-def _t_power_matrix(m, k):
-    n = m.size
-    L = m.level
-    zero = CycNumber(L, {})
-    rows = []
-    for i, x in enumerate(m.element_list):
-        row = [zero] * n
-        row[i] = root_of_unity(k * m.q_int(x), L)
-        rows.append(row)
-    return WeilMatrix(m, rows)
 
 
 def mu_matrix(u, N):
@@ -365,7 +261,7 @@ def verify_mu(m, u):
     return {"matrix": [list(r) for r in mat], "ok": not violations, "violations": violations}
 
 
-# ------------------------------------------------- exact fast identity checks
+# ------------------------------------------------- exact identity checks
 
 
 def _hist_mono_product(E1, E2, L):
@@ -401,39 +297,42 @@ def _canon(H, RED):
 
 
 def weil_relations_report(m):
-    """Exact verification of the defining relations and unitarity.
+    """Exact verification of the defining relations and unitarity, any signature.
 
-    Fast integer path for the signature-0, square-|D| modules the catalogs
-    live on; small modules of any signature fall back to dense matrices.
+    rho(S) = s0 zeta^E and rho(T) = diag(zeta^(L*Q)) with s0 = conj(G)/|D|,
+    G the Gauss sum, and G conj(G) = |D| (``signature_mod8`` proves it
+    exactly).  Every relation is then one between integer histograms of
+    products of the monomial matrices zeta^E and A = zeta^(E + L*Q), compared
+    in power-basis coordinates:
+
+    - rho(S)^2 = e(-sig/4) P_neg, P_neg the negation permutation, exactly
+      when (zeta^E)^2 = |D| P_neg;
+    - rho(S)^4 is then e(-sig/2), the identity exactly for even signature;
+    - (ST)^3 = S^2 exactly when A^3 = G (zeta^E)^2, as s0 G = 1;
+    - rho(S) is unitary exactly when zeta^E conj(zeta^E)^t = |D|.
     """
-    r = _sqrt_size(m)
-    if r is not None and m.signature_mod8() == 0:
-        return _relations_fast(m, r)
-    return _relations_dense(m)
-
-
-def _relations_fast(m, sqrt_d):
     L = m.level
-    Bmat, RED = _pack(m)
-    qvec = m.q_ints
-    neg = m.indices_of(-m.coords)
+    E = _pack(m)
+    RED = _reduction_array(L)
     n = m.size
-    ES = (-Bmat) % L
-    S2 = _hist_mono_product(ES, ES, L)
-    s2c = _canon(S2, RED)
+    neg = m.indices_of(-m.coords)
+    s2c = _canon(_hist_mono_product(E, E, L), RED)
     target = np.zeros_like(s2c)
-    target[np.arange(n), neg, 0] = n  # rho(S)^2 = (1/|D|) * hist, so hist = |D| P_neg
+    target[np.arange(n), neg, 0] = n
     s2_ok = bool(np.array_equal(s2c, target))
 
-    EA = (ES + qvec[None, :]) % L
-    H2 = _hist_mono_product(EA, EA, L)
-    H3 = _hist_times_mono(H2, EA, L)
-    st3_ok = bool(np.array_equal(_canon(H3, RED), sqrt_d * s2c))
+    A = (E + m.q_ints[None, :]) % L
+    H3 = _hist_times_mono(_hist_mono_product(A, A, L), A, L)
+    G = _gauss_sum_level(m)  # counts of roots of unity: integral, so G.den == 1
+    Gmat = np.array(
+        [(root_of_unity(t, L) * G).coords for t in range(RED.shape[1])], dtype=np.int64
+    )
+    st3_ok = bool(np.array_equal(_canon(H3, RED), s2c @ Gmat))
 
     U = np.zeros((n * n, L), dtype=np.int64)
     rows = np.arange(n * n)
     for k in range(n):
-        e = (Bmat[None, :, k] - Bmat[:, k][:, None]) % L
+        e = (E[k][:, None] - E[k][None, :]) % L
         U[rows, e.ravel()] += 1
     uc = _canon(U.reshape(n, n, L), RED)
     ut = np.zeros_like(uc)
@@ -442,7 +341,7 @@ def _relations_fast(m, sqrt_d):
 
     return {
         "s2_is_negation": s2_ok,
-        "s4": s2_ok,  # P_neg squared is the identity permutation
+        "s4": s2_ok and m.signature_mod8() % 2 == 0,
         "st3": st3_ok,
         "s_unitary": s_unitary,
         "t_unitary": True,  # diagonal of roots of unity
@@ -450,53 +349,16 @@ def _relations_fast(m, sqrt_d):
     }
 
 
-def _relations_dense(m):
-    S = rho_S(m)
-    T = rho_T(m)
-    S2 = S.mul(S)
-    S4 = S2.mul(S2)
-    ST = S.mul(T)
-    ST3 = ST.mul(ST).mul(ST)
-    return {
-        "s2_is_negation": _is_scaled_negation(m, S2),
-        "s4": S4.is_identity(),
-        "st3": ST3 == S2,
-        "s_unitary": S.mul(S.conj_transpose()).is_identity(),
-        "t_unitary": T.mul(T.conj_transpose()).is_identity(),
-        "method": "dense",
-    }
-
-
-def _is_scaled_negation(m, S2):
-    """Is rho(S)^2 equal to e(-sig/4) times the negation permutation?"""
-    sig = m.signature_mod8()
-    scale = root_of_unity(-sig, 4).promote(lcm(8, m.level))
-    n = m.size
-    for i in range(n):
-        tgt = m.index(m.neg(m.element_at(i)))
-        for j in range(n):
-            want = scale if j == tgt else 0
-            if not S2.rows[i][j] == want:
-                return False
-    return True
-
-
 def check_vH_action(m, h):
-    """Exact check of rho(S) v^H = (|H|/sqrt|D|) v^{H perp} via histograms."""
-    L = m.level
-    Bmat, RED = _pack(m)
-    n = m.size
-    idx = sorted(h.indices)
-    counts = np.zeros((n, L), dtype=np.int64)
-    rows = np.arange(n)
-    for j in idx:
-        e = (-Bmat[:, j]) % L
-        counts[rows, e] += 1
-    canon = counts @ RED
-    perp = np.all(Bmat[:, idx] == 0, axis=1)
-    target = np.zeros_like(canon)
-    target[perp, 0] = len(idx)
-    return bool(np.array_equal(canon, target))
+    """Exact check of rho(S) v^H = s0 |H| v^{H perp}, s0 the scalar of rho(S)."""
+    E = _pack(m)
+    idx = list(h.indices)
+    V = np.zeros((m.size, m.level), dtype=np.int64)
+    V[idx, 0] = 1
+    got = _s_sums(E, m.level, V)
+    target = np.zeros_like(got)
+    target[~E[idx].any(axis=0), 0] = len(idx)
+    return bool(np.array_equal(got, target))
 
 
 # ------------------------------------------------------- invariant vectors
@@ -512,33 +374,17 @@ def _invariant_system_rows(m):
 
     Unknowns are v_gamma for isotropic gamma.  For every beta in D the
     equation  sum_gamma zeta^(-B(beta,gamma)) v_gamma - G [beta iso] v_beta = 0
-    (G the Gauss sum, equal to 1/scalar(S)) expands to phi(L) integer rows.
+    (G the Gauss sum, equal to 1/scalar(S)) expands to phi(L) integer rows,
+    of which the nonzero ones are kept, in the order (beta, coordinate).
     """
-    L = m.level
-    Bmat, RED = _pack(m)
+    E = _pack(m)
+    RED = _reduction_array(m.level)
     iso = list(m.isotropic_indices)
-    pos = {g: c for c, g in enumerate(iso)}
-    G = _gauss_sum_level(m)
-    gcan = G.coords  # counts of roots of unity: integral, so G.den == 1
-    phi = RED.shape[1]
-    red = _reduction_rows(L)
-    rows = []
-    for beta in range(m.size):
-        block = [[0] * len(iso) for _ in range(phi)]
-        for c, g in enumerate(iso):
-            coord = red[int(-Bmat[beta, g]) % L]
-            for t in range(phi):
-                if coord[t]:
-                    block[t][c] += coord[t]
-        if beta in pos:
-            c = pos[beta]
-            for t in range(phi):
-                if gcan[t]:
-                    block[t][c] -= gcan[t]
-        for row in block:
-            if any(row):
-                rows.append(row)
-    return rows, iso
+    gcan = np.array(_gauss_sum_level(m).coords, dtype=np.int64)  # integral: den == 1
+    A = RED[E[:, iso]]  # (|D|, |iso|, phi): coordinates of zeta^E[beta, gamma]
+    A[iso, np.arange(len(iso))] -= gcan
+    A = A.transpose(0, 2, 1).reshape(-1, len(iso))
+    return A[A.any(axis=1)].tolist(), iso
 
 
 def _kernel_candidates(m):
@@ -554,21 +400,19 @@ def _subgroup_candidates(m, bound=None):
         if not check_vH_action(m, h):
             raise CertificationError("subgroup candidate fails the exact S-action")
     vecs = isotropic_rows(m, sd)
-    # reduce to an independent subfamily over Q, keep primitive integers
-    basis = []
-    for v in vecs:
-        if not basis or rational_rank(basis + [v]) > len(basis):
-            basis.append(v)
-    return [primitive_integer_vector([Fraction(x) for x in v]) for v in basis], iso
+    # the greedy independent subfamily over Q (each vector kept when it is
+    # not in the span of those before it) is the pivot columns of the family
+    # written as columns; keep primitive integers
+    _, pivots = rational_rref([list(col) for col in zip(*vecs)])
+    return [primitive_integer_vector([Fraction(x) for x in vecs[c]]) for c in pivots], iso
 
 
 def _certify_dimension(m, iso, r, tries=3):
     """Prove dim <= r by a mod-q rank bound on the fixed-point system."""
     L = m.level
-    Bmat, _ = _pack(m)
     G = _gauss_sum_level(m)
     need = len(iso) - r
-    cols = (-Bmat[:, iso]) % L
+    cols = _pack(m)[:, iso]
     for attempt in range(tries):
         q = prime_one_mod(L, 20 + attempt)
         g = primitive_root(q)
@@ -632,9 +476,10 @@ def verify_selfdual_span(m, bound=None):
     inv = invariant_space(m, method="kernel")
     fam = isotropic_rows(m, sd)
     inv_rows = [[vec.get(g) for g in m.isotropic_indices] for vec in inv]
+    rank = rational_rank(fam)
     return {
         "dimension": len(inv),
         "family_size": len(fam),
-        "family_rank": rational_rank(fam),
-        "span_equal": same_rational_span(fam, inv_rows),
+        "family_rank": rank,
+        "span_equal": rank == rational_rank(inv_rows) and rational_rank(fam + inv_rows) == rank,
     }

@@ -1,14 +1,112 @@
 from fractions import Fraction as F
+from functools import reduce
+from itertools import combinations_with_replacement
+from math import prod
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_fqmod import COMPONENTS
 
 from discweil import weilrep as W
-from discweil.fqmod import FqModule, hyperbolic_pair
+from discweil.cyclo import CycNumber, root_of_unity, zero
+from discweil.fqmod import FqModule, direct_sum, hyperbolic_pair
 from discweil.groupring import GroupRingVector
 from discweil.subgroups import EnumerationBoundError, enumerate_subgroups
 
 A1 = FqModule((2,), [F(1, 4)], [[F(1, 2)]])  # signature 1
 A2 = FqModule((3,), [F(1, 3)], [[F(2, 3)]])  # signature 2
+
+
+# ------------------------------------------------------------- dense oracle
+# rho(S), rho(T^k) and their products as dense matrices of CycNumbers, built
+# entry by entry from the module's tuple arithmetic: the reference for the
+# histogram route of the library.
+
+
+def dense_scalar(m):
+    """e(-sig/8)/sqrt|D| = conj(G)/|D|."""
+    return m.gauss_sum().conjugate() * F(1, m.size)
+
+
+def dense_S(m):
+    s0 = dense_scalar(m)
+    els = m.element_list
+    return [[s0 * root_of_unity(-m.b_int(x, y), m.level) for y in els] for x in els]
+
+
+def dense_T(m, k=1):
+    L = m.level
+    return [
+        [root_of_unity(k * m.q_int(x), L) if i == j else zero(L) for j in range(m.size)]
+        for i, x in enumerate(m.element_list)
+    ]
+
+
+def identity(n):
+    return [[CycNumber.rational(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = zero()
+            for k in range(n):
+                if a[i][k] and b[k][j]:
+                    acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def mat_apply(a, vec):
+    return [sum((row[k] * v for k, v in enumerate(vec) if v), zero()) for row in a]
+
+
+def conj_transpose(a):
+    return [[a[j][i].conjugate() for j in range(len(a))] for i in range(len(a))]
+
+
+def dense_rho(m, mat):
+    out = identity(m.size)
+    for tok in W.sl2_word(mat):
+        out = mat_mul(out, dense_S(m) if tok == "S" else dense_T(m, tok[1]))
+    return out
+
+
+def dense_relations(m):
+    """The flags of weil_relations_report, from the dense matrices."""
+    S, T = dense_S(m), dense_T(m)
+    S2 = mat_mul(S, S)
+    ST = mat_mul(S, T)
+    scale = root_of_unity(-m.signature_mod8(), 4)  # e(-sig/4)
+    neg = [m.index(m.neg(x)) for x in m.element_list]
+    n = m.size
+    return {
+        "s2_is_negation": all(
+            S2[i][j] == (scale if j == neg[i] else 0) for i in range(n) for j in range(n)
+        ),
+        "s4": mat_mul(S2, S2) == identity(n),
+        "st3": mat_mul(mat_mul(ST, ST), ST) == S2,
+        "s_unitary": mat_mul(S, conj_transpose(S)) == identity(n),
+        "t_unitary": mat_mul(T, conj_transpose(T)) == identity(n),
+    }
+
+
+def dense_vH(m, S, indices):
+    """Is rho(S) 1_X = s0 |X| 1_{X perp}?  (True for every subgroup X.)"""
+    els = m.element_list
+    got = mat_apply(S, [1 if i in indices else 0 for i in range(m.size)])
+    want = dense_scalar(m) * len(indices)
+    for x, g in zip(els, got):
+        perp = all(m.b_int(x, els[k]) == 0 for k in indices)
+        if g != (want if perp else 0):
+            return False
+    return True
 
 
 def test_relations_small_modules_any_signature():
@@ -24,7 +122,7 @@ def test_relations_small_modules_any_signature():
 def test_relations_fast_path_matches_dense():
     m = hyperbolic_pair(4, 1)
     fast = W.weil_relations_report(m)
-    dense = W._relations_dense(m)
+    dense = dense_relations(m)
     for k in ("s4", "st3", "s_unitary", "t_unitary"):
         assert fast[k] == dense[k] is True
 
@@ -50,7 +148,7 @@ def test_apply_T_phases():
 def test_apply_S_matches_matrix():
     m = hyperbolic_pair(3, 1)
     vec = [F(i % 4 - 1) for i in range(m.size)]
-    by_mat = W.rho_S(m).apply(vec)
+    by_mat = mat_apply(dense_S(m), vec)
     by_fn = W.apply_S(m, vec)
     assert all(a == b for a, b in zip(by_mat, by_fn))
 
@@ -66,7 +164,7 @@ def test_rho_is_a_homomorphism_through_words():
     m = hyperbolic_pair(2, 1)
     mat = ((2, 1), (7, 4))
     vec = [F(1), F(0), F(2), F(0)]
-    direct = W.rho(m, mat).apply(vec)
+    direct = mat_apply(dense_rho(m, mat), vec)
     word = W.sl2_word(mat)
     assert W.apply_word(m, word, vec) == direct
 
@@ -127,3 +225,70 @@ def test_env_var_bound_governs_dense_tables(monkeypatch):
     monkeypatch.setenv("WEILREP_MAX_D", "10")
     with pytest.raises(EnumerationBoundError):
         W.weil_relations_report(m)
+
+
+def test_bound_governs_relations_on_every_module(monkeypatch):
+    # Z/5 with Q = x^2/5: |D| = 5 is not a square, and over a bound of 3
+    m = FqModule((5,), [F(1, 5)], [[F(2, 5)]])
+    monkeypatch.setenv("WEILREP_MAX_D", "3")
+    with pytest.raises(EnumerationBoundError):
+        W.weil_relations_report(m)
+
+
+# every direct sum of one to three Jordan components with |D| <= 12
+SMALL_SUMS = [
+    picks
+    for r in (1, 2, 3)
+    for picks in combinations_with_replacement(range(len(COMPONENTS)), r)
+    if prod(COMPONENTS[i].size for i in picks) <= 12
+]
+CONDUCTORS = (1, 3, 4, 5, 8, 12)
+CYC = st.builds(
+    lambda M, terms: CycNumber(M, dict(terms)),
+    st.sampled_from(CONDUCTORS),
+    st.lists(st.tuples(st.integers(0, 23), st.fractions(max_denominator=6)), max_size=3),
+)
+ENTRIES = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(max_denominator=7, min_value=-3, max_value=3),
+    st.integers(-(2**70), 2**70),
+    CYC,
+)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(SMALL_SUMS), st.data())
+@example((6,), None)  # Z/2 with x^2/4: signature 1
+@example((0,), None)  # Z/3 with x^2/3: signature 2, |D| not a square
+@example((2,), None)  # Z/5 with x^2/5
+@example((8,), None)  # Z/4 with x^2/8
+@example((9,), None)  # Z/4 with 3x^2/8
+def test_histogram_route_matches_dense_oracle(picks, data):
+    m = reduce(direct_sum, [COMPONENTS[i] for i in picks])
+    rep = W.weil_relations_report(m)
+    assert rep["method"] == "integer-histogram"
+    assert {k: rep[k] for k in ("s2_is_negation", "s4", "st3", "s_unitary", "t_unitary")} == (
+        dense_relations(m)
+    )
+    S = dense_S(m)
+    for h in enumerate_subgroups(m):
+        assert W.check_vH_action(m, h) is dense_vH(m, S, h.indices) is True
+    if data is None:
+        return
+    # an arbitrary subset: the identity holds exactly when the oracle says so
+    subset = data.draw(st.sets(st.integers(0, m.size - 1), min_size=1))
+    assert W.check_vH_action(m, SimpleNamespace(indices=subset)) is dense_vH(m, S, subset)
+    vec = data.draw(st.lists(ENTRIES, min_size=m.size, max_size=m.size))
+    assert W.apply_S(m, vec) == mat_apply(S, vec)
+
+
+def test_apply_S_exact_beyond_int64():
+    # Z/3 + Z/4 (level 24) with an entry of conductor 5 and a 2^70 coefficient
+    m = direct_sum(COMPONENTS[0], COMPONENTS[8])
+    vec = [F(0)] * m.size
+    vec[1] = 2**70
+    vec[4] = CycNumber(5, {1: 2**70 + 1, 3: F(-1, 3)})
+    vec[7] = F(5, 2)
+    got = W.apply_S(m, vec)
+    assert got == mat_apply(dense_S(m), vec)
+    assert W.apply_S(m, [v * -1 for v in vec]) == [-g for g in got]
