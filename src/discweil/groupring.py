@@ -46,16 +46,6 @@ class GroupRingVector:
         """Dense coefficient list over all of D."""
         return [self.get(i) for i in range(self.parent.size)]
 
-    def dense_rational(self):
-        out = []
-        for i in range(self.parent.size):
-            v = self.get(i)
-            if isinstance(v, Fraction):
-                out.append(v)
-            else:
-                out.append(v.rational_value())
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, GroupRingVector) or self.parent != other.parent:
             return NotImplemented

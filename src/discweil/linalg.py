@@ -1,33 +1,35 @@
-"""Exact linear algebra over Q plus a mod-q rank bound for certification."""
+"""Exact linear algebra over Q by one elimination: the RREF over F_q.
+
+``_rref_mod`` reduces an integer matrix over F_q, q < 2^31 prime, so that the
+product of two residues fits in int64; ``modq_rank`` is its rank, a lower
+bound for the rank over Q.  ``_certified`` lifts it to Q with a proof.  Rows
+are scaled to integers and reduced mod primes counting down from 2^31 - 1.
+A prime's pivots are ranked by the key (-rank, pivots): the pivots over Q
+have the least key, so a larger key is skipped, a smaller one restarts the
+accumulation, and only the finitely many unlucky primes delay the answer.
+The residues of the primes that share the least key are combined by the CRT
+and lifted by rational reconstruction (von zur Gathen & Gerhard, Modern
+Computer Algebra, 5.10).  The lift is accepted only when each kernel vector
+it gives, one per free column, is an exact integer solution of rows . v = 0:
+ncols - rank_q independent solutions and rank_q <= rank_Q prove that they
+span the kernel, and the lifted rows, which annihilate them, are then the
+RREF over Q.
+"""
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from itertools import count
+from math import gcd, isqrt, lcm
 
 import numpy as np
+
+from .arith import is_prime
 
 
 def rational_rref(rows):
     """Reduced row echelon form over Q.  Returns (rref rows, pivot columns)."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    rref, pivots, _ = _certified(rows, len(rows[0]) if rows else 0)
+    return rref, pivots
 
 
 def rational_rank(rows):
@@ -42,22 +44,11 @@ def rational_kernel(rows, ncols=None):
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    rref, pivots = rational_rref(rows) if rows else ([], [])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(primitive_integer_vector(v))
-    return basis
+    return _certified(rows, ncols)[2]
 
 
 def primitive_integer_vector(v):
     """Scale a rational vector to coprime integers with positive leading entry."""
-    from math import lcm
-
     den = lcm(*[f.denominator for f in v]) if v else 1
     ints = [int(f * den) for f in v]
     g = 0
@@ -71,37 +62,103 @@ def primitive_integer_vector(v):
     return ints
 
 
-def same_rational_span(rows_a, rows_b):
-    ra = rational_rank(rows_a)
-    rb = rational_rank(rows_b)
-    if ra != rb:
-        return False
-    return rational_rank(list(rows_a) + list(rows_b)) == ra
-
-
 def modq_rank(mat, q):
     """Rank of an integer matrix over F_q (q prime, q^2 within int64)."""
     a = np.array(mat, dtype=np.int64) % q
     if a.size == 0:
         return 0
+    return len(_rref_mod(a, q))
+
+
+def _rref_mod(a, q):
+    """RREF over F_q of the int64 array ``a`` (entries in [0, q)), in place: the pivots."""
     nrows, ncols = a.shape
-    rank = 0
+    pivots = []
     for c in range(ncols):
-        sub = a[rank:, c]
-        nz = np.nonzero(sub)[0]
+        r = len(pivots)
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
-        p = rank + int(nz[0])
-        if p != rank:
-            a[[rank, p]] = a[[p, rank]]
-        inv = pow(int(a[rank, c]), -1, q)
-        a[rank] = a[rank] * inv % q
+        p = r + int(nz[0])
+        a[[r, p]] = a[[p, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, q) % q
         col = a[:, c].copy()
-        col[rank] = 0
+        col[r] = 0
         rows = np.nonzero(col)[0]
         if rows.size:
-            a[rows] = (a[rows] - np.outer(col[rows], a[rank])) % q
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+            a[rows] = (a[rows] - np.outer(col[rows], a[r])) % q
+        pivots.append(c)
+    return pivots
+
+
+@lru_cache(maxsize=None)
+def _prime(i):
+    """The i-th prime below 2^31, counting down from 2^31 - 1 (i = 0)."""
+    q = _prime(i - 1) - 2 if i else 2**31 - 1
+    while not is_prime(q):
+        q -= 2
+    return q
+
+
+def _integer_row(row):
+    """The row times the common denominator of its Fractions; rows of ints as they are."""
+    if not any(isinstance(x, Fraction) for x in row):
+        return row
+    den = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+    return [int(x * den) for x in row]
+
+
+def _rational(r, M):
+    """The fraction n/d = r mod M with |n|, d <= sqrt(M/2), or None."""
+    bound = isqrt(M // 2)
+    r0, r1, t0, t1 = M, r, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    return Fraction(r1, t1) if abs(t1) <= bound else None
+
+
+def _annihilates(A, kernel):
+    """A . v == 0 for every v in ``kernel``, in exact integer arithmetic."""
+    ncols = A.shape[1]
+    amax = int(np.abs(A).max()) if A.size else 0
+    vmax = max((abs(x) for v in kernel for x in v), default=1)
+    exact = np.int64 if ncols * amax * vmax < 2**63 else object
+    K = np.array(kernel, dtype=exact).reshape(len(kernel), ncols)
+    return not (A.astype(exact) @ K.T).any()
+
+
+def _certified(rows, ncols):
+    """(rref, pivots, kernel basis) of the rows over Q, proven as the module says."""
+    ints = [_integer_row(row) for row in rows]
+    try:
+        A = np.array(ints, dtype=np.int64).reshape(len(ints), ncols)
+    except OverflowError:
+        A = np.array(ints, dtype=object).reshape(len(ints), ncols)
+    best = None
+    for i in count():
+        q = _prime(i)
+        a = (A % q).astype(np.int64)
+        pivots = _rref_mod(a, q)
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, M, R = key, q, a[: len(pivots)].astype(object)
+        elif key > best:
+            continue
+        else:
+            R = R + M * ((a[: len(pivots)] - R) * pow(M, -1, q) % q)
+            M *= q
+        rref = [[_rational(x, M) for x in row] for row in R.tolist()]
+        if any(None in row for row in rref):
+            continue
+        kernel = []
+        for fc in sorted(set(range(ncols)) - set(pivots)):
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = -rref[r][fc]
+            kernel.append(primitive_integer_vector(v))
+        if _annihilates(A, kernel):
+            return rref, pivots, kernel

@@ -54,12 +54,6 @@ class HxyzParams:
         return {"N": self.N, "x": self.x, "y": self.y, "z": self.z}
 
 
-def normalize_params(N, x, y, z):
-    """Echelon coordinates of <(x,y),(0,z)> for arbitrary x, y, z."""
-    h = Subgroup.from_gens(hyperbolic(N), [(x % N, y % N), (0, z % N)])
-    return canonical_params(h)
-
-
 def hxyz_subgroup(p, N=None):
     """The subgroup <(x,y),(0,z)> of (Z/N)^2.
 

@@ -64,11 +64,6 @@ class FracQSeries:
     def _lead_or_trunc(self):
         return self.trunc if not self.terms else Fraction(min(self.terms), self.exp_den)
 
-    def leading_coefficient(self):
-        if not self.terms:
-            raise ValueError("series has no terms below its truncation")
-        return self.terms[min(self.terms)]
-
     def coefficient(self, expo):
         expo = Fraction(expo)
         if expo >= self.trunc:

@@ -11,11 +11,12 @@ module's element table (coordinates, L*Q) and, from ``_pack``, the |D| x |D|
 exponent table, held behind the enumeration bound.
 
 The invariant space is computed with a certificate.  Candidate invariant
-vectors (either characteristic functions of self-dual isotropic subgroups or
-the rational kernel of the fixed-point system expanded over the power basis)
-are verified exactly; a mod-q specialization bounds the rank of the system
-from below, which bounds the dimension from above.  When the two bounds meet
-the answer is proven, with no floating point and no unverified heuristics.
+vectors are characteristic functions of self-dual isotropic subgroups, each
+checked by the exact S-action, or the kernel of the fixed-point system over
+the power basis, which ``linalg`` lifts from F_q and checks in integers.  A
+mod-q specialization bounds the rank of the system from below, which bounds
+the dimension from above.  When the two bounds meet the answer is proven,
+with no floating point and no unverified heuristics.
 """
 
 from fractions import Fraction
@@ -28,13 +29,7 @@ from .arith import prime_one_mod, primitive_root
 from .cyclo import CycNumber, _make, _reduction_rows, root_of_unity
 from .fqmod import matmul_mod, q_histogram
 from .groupring import GroupRingVector
-from .linalg import (
-    modq_rank,
-    primitive_integer_vector,
-    rational_kernel,
-    rational_rank,
-    rational_rref,
-)
+from .linalg import modq_rank, rational_kernel, rational_rank, rational_rref
 from .subgroups import (
     EnumerationBoundError,
     _bound_check,
@@ -222,45 +217,6 @@ def apply_word(m, word, vec):
     return vec
 
 
-def mu_matrix(u, N):
-    """An SL2(Z) matrix with bottom row (N, u), acting like multiplication by u.
-
-    Takes the smallest non-negative a with a u = 1 mod N; the top row is then
-    (a, (a u - 1)/N).
-    """
-    if N == 1:
-        return ((1, 0), (0, 1))
-    from math import gcd
-
-    if gcd(u, N) != 1:
-        raise ValueError("u must be a unit modulo N")
-    a = pow(u, -1, N)
-    b = (a * u - 1) // N
-    return ((a, b), (N, u))
-
-
-def verify_mu(m, u):
-    """Check rho(M_u) e_gamma = e_{u gamma} on every isotropic gamma."""
-    N = m.level
-    mat = mu_matrix(u % N if N > 1 else 1, N)
-    word = sl2_word(mat)
-    n = m.size
-    violations = []
-    for i in m.isotropic_indices:
-        vec = [Fraction(0)] * n
-        vec[i] = Fraction(1)
-        got = apply_word(m, word, vec)
-        target = m.index(m.smul(u, m.element_at(i)))
-        for j in range(n):
-            want = 1 if j == target else 0
-            if not got[j] == want:
-                violations.append(
-                    {"gamma": list(m.element_at(i)), "at": list(m.element_at(j))}
-                )
-                break
-    return {"matrix": [list(r) for r in mat], "ok": not violations, "violations": violations}
-
-
 # ------------------------------------------------- exact identity checks
 
 
@@ -393,18 +349,18 @@ def _kernel_candidates(m):
     return basis, iso
 
 
-def _subgroup_candidates(m, bound=None):
+def _subgroup_candidates(m):
     iso = list(m.isotropic_indices)
-    sd = enumerate_self_dual_isotropic(m, bound)
+    sd = enumerate_self_dual_isotropic(m)
     for h in sd:
         if not check_vH_action(m, h):
             raise CertificationError("subgroup candidate fails the exact S-action")
     vecs = isotropic_rows(m, sd)
     # the greedy independent subfamily over Q (each vector kept when it is
     # not in the span of those before it) is the pivot columns of the family
-    # written as columns; keep primitive integers
+    # written as columns; 0/1 rows holding the zero element are primitive
     _, pivots = rational_rref([list(col) for col in zip(*vecs)])
-    return [primitive_integer_vector([Fraction(x) for x in vecs[c]]) for c in pivots], iso
+    return [vecs[c] for c in pivots], iso
 
 
 def _certify_dimension(m, iso, r, tries=3):
@@ -433,7 +389,7 @@ def _certify_dimension(m, iso, r, tries=3):
     raise CertificationError("could not certify the invariant dimension")
 
 
-def invariant_space(m, method="auto", bound=None):
+def invariant_space(m, method="auto"):
     """A certified basis of the SL2(Z)-invariant vectors, as integer vectors.
 
     method "kernel": exact rational kernel of the full fixed-point system.
@@ -445,12 +401,12 @@ def invariant_space(m, method="auto", bound=None):
     """
     if method == "auto":
         try:
-            sd = enumerate_self_dual_isotropic(m, bound)
+            sd = enumerate_self_dual_isotropic(m)
         except EnumerationBoundError:
             sd = []
         method = "subgroups" if sd else "kernel"
     if method == "subgroups":
-        cand, iso = _subgroup_candidates(m, bound)
+        cand, iso = _subgroup_candidates(m)
     elif method == "kernel":
         cand, iso = _kernel_candidates(m)
     else:
@@ -464,13 +420,13 @@ def invariant_space(m, method="auto", bound=None):
     return basis
 
 
-def invariant_dimension(m, method="auto", bound=None):
-    return len(invariant_space(m, method, bound))
+def invariant_dimension(m, method="auto"):
+    return len(invariant_space(m, method))
 
 
-def verify_selfdual_span(m, bound=None):
+def verify_selfdual_span(m):
     """Compare span{v^H : H self-dual isotropic} with the invariant space."""
-    sd = enumerate_self_dual_isotropic(m, bound)
+    sd = enumerate_self_dual_isotropic(m)
     if not sd:
         raise ValueError("no self-dual isotropic subgroup; nothing to compare")
     inv = invariant_space(m, method="kernel")
@@ -481,5 +437,5 @@ def verify_selfdual_span(m, bound=None):
         "dimension": len(inv),
         "family_size": len(fam),
         "family_rank": rank,
-        "span_equal": rank == rational_rank(inv_rows) and rational_rank(fam + inv_rows) == rank,
+        "span_equal": rank == len(inv) and rational_rank(fam + inv_rows) == rank,
     }

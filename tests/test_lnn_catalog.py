@@ -16,7 +16,6 @@ from discweil.lnn_catalog import (
     family_exy_y,
     hxyz_complement,
     hxyz_subgroup,
-    normalize_params,
     reconstruct_spec,
     relations_Np,
     selfdual_list_Np,
@@ -46,7 +45,6 @@ def test_closed_forms_against_brute_force():
 
 
 def test_normalization_of_raw_triples():
-    assert normalize_params(6, 2, 4, 3).as_tuple() == (2, 1, 3)
     assert hxyz_subgroup((2, 4, 3), N=6) == hxyz_subgroup(HxyzParams(6, 2, 1, 3))
 
 
