@@ -20,10 +20,13 @@ from .arith import factorize
 from .groupring import GroupRingVector
 
 DEFAULT_BOUND = 10**4
+# Bytes one dense table may take.  Tables too large for it are refused
+# before they are allocated, like modules over the element bound.
+BYTE_BUDGET = 2**31
 
 
 class EnumerationBoundError(RuntimeError):
-    """|D| exceeds the configured enumeration bound."""
+    """|D| exceeds the configured enumeration bound, or a table the byte budget."""
 
 
 @dataclass(frozen=True)
@@ -154,6 +157,15 @@ def _bound_check(m, bound):
     if m.size > bound:
         raise EnumerationBoundError(
             "|D| = %d exceeds enumeration bound %d" % (m.size, bound)
+        )
+
+
+def _byte_check(entries, width, what):
+    """Refuse a table of ``entries`` values of ``width`` bytes each over BYTE_BUDGET."""
+    need = entries * width
+    if need > BYTE_BUDGET:
+        raise EnumerationBoundError(
+            "%s needs about %d bytes, over the budget of %d" % (what, need, BYTE_BUDGET)
         )
 
 

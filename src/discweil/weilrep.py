@@ -4,19 +4,24 @@ rho(S) is the scalar conj(G)/|D| (G the Gauss sum) times the monomial matrix
 zeta_L^E, E = -L*B mod L the exponent table, and rho(T) is the diagonal
 zeta_L^(L*Q).  So rho(S) applied to a vector, and every product of the
 generators, is a scalar times sums of roots of unity described by integer
-exponent histograms.  Histograms reduce to power-basis coordinates by one
-integer matrix multiplication, and every identity check is an exact integer
-array comparison, for modules of any signature.  The integer tables are the
-module's element table (coordinates, L*Q) and, from ``_pack``, the |D| x |D|
-exponent table, held behind the enumeration bound.
+exponent histograms.  One routine, ``_s_sums``, applies zeta^E to a batch of
+vectors given as histograms and reduces the result to power-basis
+coordinates by one integer matrix multiplication; ``apply_S``, the v^H
+check and the relations of ``weil_relations_report`` go through it, a
+block of columns at a time, and compare exact integer arrays, for modules of
+any signature; unitarity then follows from S^2 and the symmetry of E.  The
+integer tables are the module's element table (coordinates, L*Q) and, from
+``_pack``, the |D| x |D| int32 exponent table, held behind the enumeration
+bound and the byte budget.
 
-The invariant space is computed with a certificate.  Candidate invariant
+The invariant space is computed with a certificate.  Either the candidate
 vectors are characteristic functions of self-dual isotropic subgroups, each
-checked by the exact S-action, or the kernel of the fixed-point system over
-the power basis, which ``linalg`` lifts from F_q and checks in integers.  A
-mod-q specialization bounds the rank of the system from below, which bounds
-the dimension from above.  When the two bounds meet the answer is proven,
-with no floating point and no unverified heuristics.
+checked by the exact S-action, and a mod-q specialization bounds the rank of
+the fixed-point system from below, which bounds the dimension from above;
+when the two bounds meet the answer is proven.  Or the basis is the kernel
+of the fixed-point system over the power basis, which ``linalg`` lifts from
+F_q and proves complete itself.  No floating point and no unverified
+heuristics.
 """
 
 from fractions import Fraction
@@ -33,6 +38,7 @@ from .linalg import modq_rank, rational_kernel, rational_rank, rational_rref
 from .subgroups import (
     EnumerationBoundError,
     _bound_check,
+    _byte_check,
     enumerate_self_dual_isotropic,
     isotropic_rows,
 )
@@ -44,16 +50,24 @@ class CertificationError(RuntimeError):
 
 # --------------------------------------------------------------- numpy pack
 
+# The scatter step of ``_s_sums`` and the histogram batches of
+# ``weil_relations_report`` hold about this many indices at once, which keeps
+# their temporaries at a few MB whatever |D|.  Larger blocks only raise the
+# peak memory; smaller ones add per-step overhead on large modules.
+_BLOCK = 2**16
+
 
 def _pack(m):
     """The exponent table of a module: E[i, k] = -L*B(x_i, x_k) mod L.
 
-    E is |D|^2, so the bound is checked on every call; only the table is
-    cached.  B is symmetric, so E is too: row k of E is its column k.
-    Per-element values (coordinates, Q, negation) come from the module's
-    element table.
+    E is |D|^2, so the element bound and the byte budget are checked on every
+    call, before the table is built (in int64 work arrays, stored as int32);
+    only the table is cached.  B is symmetric, so E is too: row k of E is
+    its column k.  Per-element values (coordinates, Q, negation) come from
+    the module's element table.
     """
     _bound_check(m, None)
+    _byte_check(m.size**2, 16, "the exponent table")
     return _exponents(m)
 
 
@@ -64,6 +78,7 @@ def _exponents(m):
     E = matmul_mod(matmul_mod(X, m._gram, L), X.T, L)
     np.negative(E, out=E)
     E %= L
+    E = E.astype(np.int32)
     E.flags.writeable = False
     return E
 
@@ -89,17 +104,23 @@ def _s_scalar(m):
 
 
 def _s_sums(E, L, V):
-    """Coordinates of sum_k zeta_L^E[i,k] v_k for every i: rho(S) v without its scalar.
+    """rho(S) without its scalar on a batch of b vectors: sum_k zeta_L^E[i,k] v_c[k].
 
-    E is the exponent table of a module of level L.  Row k of V is the
-    exponent histogram of v_k at a conductor M divisible by L,
-    v_k = sum_j V[k, j] zeta_M^j, with integer entries of any size.  Returns
-    the (|D|, phi(M)) power-basis coordinates, counted in int64 when no sum
-    can reach 2^63 and in Python ints (an object array) otherwise.  The
-    shifted histograms are added a block of nonzero entries of V at a time,
-    so about 2^20 indices are held at once whatever |D|.
+    E is the exponent table of a module of level L.  V[k, c] is the exponent
+    histogram of entry k of vector c at a conductor M divisible by L,
+    v_c[k] = sum_j V[k, c, j] zeta_M^j, with integer entries of any size.
+    Returns the (|D|, b, phi(M)) power-basis coordinates, counted in int64
+    when no sum can reach 2^63 and in Python ints (an object array)
+    otherwise.  The shifted histograms are scattered a block of nonzero
+    entries of V at a time, about ``_BLOCK`` indices at once whatever |D|.
+    The indices are int32, like E: on (6,3) that takes about 30% off the
+    time of ``weil_relations_report`` against intp indices (2 cores).  V of
+    more than 2^30 entries, 8 GiB as int64, is refused, so no index or
+    intermediate sum reaches 2^31.
     """
-    n, M = V.shape
+    n, b, M = V.shape
+    if V.size > 2**30:
+        raise EnumerationBoundError("%d histogram entries overflow int32 indices" % V.size)
     stretch = M // L
     RED = _reduction_array(M)
     if int(np.abs(V).sum()) * int(np.abs(RED).max()) < 2**63:
@@ -107,72 +128,18 @@ def _s_sums(E, L, V):
     else:
         V, RED = V.astype(object), RED.astype(object)
     out = np.zeros_like(V)
-    rows = np.arange(0, n * M, M)
-    ks, js = np.nonzero(V)
-    block = max(1, 2**20 // n)
-    for at in range(0, len(ks), block):
-        k, j = ks[at:at + block], js[at:at + block]
-        # out[i, (j + stretch E[k, i]) mod M] += V[k, j]; E is symmetric
-        np.add.at(out.reshape(-1), rows + (j[:, None] + stretch * E[k]) % M, V[k, j][:, None])
+    rows = np.arange(0, n * b * M, b * M, dtype=np.int32)
+    ks, cs, js = (a.astype(np.int32) for a in np.nonzero(V))
+    step = max(1, _BLOCK // n)
+    for at in range(0, len(ks), step):
+        k, c, j = (a[at:at + step] for a in (ks, cs, js))
+        # out[i, c, (j + stretch E[k, i]) mod M] += V[k, c, j]; E is symmetric
+        at_ic = rows + (c * M)[:, None] + (j[:, None] + stretch * E[k]) % M
+        np.add.at(out.reshape(-1), at_ic, V[k, c, j][:, None])
     return out @ RED
 
 
-# ------------------------------------------------------------ SL2 words
-
-
-S_MAT = ((0, -1), (1, 0))
-
-
-def _mat_mul(a, b):
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
-def _t_mat(k):
-    return ((1, k), (0, 1))
-
-
-def evaluate_word(word):
-    out = ((1, 0), (0, 1))
-    for tok in word:
-        out = _mat_mul(out, S_MAT if tok == "S" else _t_mat(tok[1]))
-    return out
-
-
-def sl2_word(mat):
-    """Decompose an SL2(Z) matrix into S and T^k tokens (left to right product).
-
-    Tokens are the string "S" or a pair ("T", k).  Standard Euclidean descent
-    on the bottom-left entry; the result is verified by round-trip before
-    being returned.
-    """
-    a, b = mat[0]
-    c, d = mat[1]
-    if a * d - b * c != 1:
-        raise ValueError("determinant must be 1")
-    word = []
-    # peel T^q S from the left while the bottom-left entry is nonzero
-    while c != 0:
-        q = a // c
-        word.append(("T", q))
-        word.append("S")
-        # multiply on the left by S^-1 T^-q:  S^-1 = [[0,1],[-1,0]]
-        a, b, c, d = c, d, -(a - q * c), -(b - q * d)
-    # now the matrix is [[a, b], [0, d]] with ad = 1
-    if a == 1:
-        if b:
-            word.append(("T", b))
-    else:
-        # a = d = -1: this is -I times T^(-b); -I = S^2
-        word.append("S")
-        word.append("S")
-        if b:
-            word.append(("T", -b))
-    got = evaluate_word(word)
-    assert got == (tuple(mat[0]), tuple(mat[1])), (got, mat)
-    return word
+# ------------------------------------------------------------ SL2 action
 
 
 def apply_T_power(m, k, vec):
@@ -194,62 +161,28 @@ def apply_S(m, vec):
     M = lcm(m.level, *(v.conductor for v in vec if isinstance(v, CycNumber)))
     vals = [v if isinstance(v, CycNumber) else Fraction(v) for v in vec]
     den = lcm(*(v.den if isinstance(v, CycNumber) else v.denominator for v in vals))
-    V = np.zeros((n, M), dtype=object)
+    V = np.zeros((n, 1, M), dtype=object)
     for k, v in enumerate(vals):
         if isinstance(v, CycNumber):
             step, f = M // v.conductor, den // v.den
             for j, c in enumerate(v.coords):
                 if c:
-                    V[k, j * step] = c * f
+                    V[k, 0, j * step] = c * f
         elif v:
-            V[k, 0] = v.numerator * (den // v.denominator)
+            V[k, 0, 0] = v.numerator * (den // v.denominator)
     s0 = _s_scalar(m)
-    return [_make(M, coords, den) * s0 for coords in _s_sums(_pack(m), m.level, V).tolist()]
-
-
-def apply_word(m, word, vec):
-    """Apply rho(word), word evaluated left to right as a matrix product."""
-    for tok in reversed(word):
-        if tok == "S":
-            vec = apply_S(m, vec)
-        else:
-            vec = apply_T_power(m, tok[1], vec)
-    return vec
+    sums = _s_sums(_pack(m), m.level, V)[:, 0]
+    return [_make(M, coords, den) * s0 for coords in sums.tolist()]
 
 
 # ------------------------------------------------- exact identity checks
 
 
-def _hist_mono_product(E1, E2, L):
-    """Exponent histograms of (zeta^E1) (zeta^E2): out[i,j,e] = #{k: E1[i,k]+E2[k,j]=e}."""
-    n = E1.shape[0]
-    out = np.zeros((n * n, L), dtype=np.int64)
-    rows = np.arange(n * n)
-    for k in range(n):
-        e = (E1[:, k][:, None] + E2[k, :][None, :]) % L
-        out[rows, e.ravel()] += 1
-    return out.reshape(n, n, L)
-
-
-def _hist_times_mono(H, E2, L):
-    """Histogram matrix times monomial matrix: C[i,j] = sum_k H[i,k] shifted by E2[k,j]."""
-    n = H.shape[0]
-    out = np.zeros_like(H)
-    for k in range(n):
-        col = H[:, k, :]
-        rolled = [np.roll(col, s, axis=-1) for s in range(L)]
-        for s in range(L):
-            js = np.nonzero(E2[k] == s)[0]
-            if js.size:
-                out[:, js, :] += rolled[s][:, None, :]
-    return out
-
-
-def _canon(H, RED):
-    """Reduce histograms to power-basis coordinates: (..., L) -> (..., phi)."""
-    shape = H.shape[:-1]
-    flat = H.reshape(-1, H.shape[-1])
-    return (flat @ RED).reshape(*shape, RED.shape[1])
+def _one_hot(exps, L):
+    """Histograms at conductor L of the roots of unity zeta_L^exps, one per entry."""
+    H = np.zeros(exps.shape + (L,), dtype=np.int64)
+    np.put_along_axis(H, (exps % L)[..., None], 1, axis=-1)
+    return H
 
 
 def weil_relations_report(m):
@@ -257,49 +190,57 @@ def weil_relations_report(m):
 
     rho(S) = s0 zeta^E and rho(T) = diag(zeta^(L*Q)) with s0 = conj(G)/|D|,
     G the Gauss sum, and G conj(G) = |D| (``signature_mod8`` proves it
-    exactly).  Every relation is then one between integer histograms of
-    products of the monomial matrices zeta^E and A = zeta^(E + L*Q), compared
-    in power-basis coordinates:
+    exactly).  Every relation is then one between products of the monomial
+    matrices zeta^E and T = rho(T), checked column by column: ``_s_sums``
+    applies zeta^E to a batch of b columns given as integer histograms, and
+    the power-basis coordinates it returns are compared exactly.
 
     - rho(S)^2 = e(-sig/4) P_neg, P_neg the negation permutation, exactly
-      when (zeta^E)^2 = |D| P_neg;
+      when (zeta^E)^2 e_c = |D| e_(-c): zeta^E on the columns of zeta^E;
     - rho(S)^4 is then e(-sig/2), the identity exactly for even signature;
-    - (ST)^3 = S^2 exactly when A^3 = G (zeta^E)^2, as s0 G = 1;
-    - rho(S) is unitary exactly when zeta^E conj(zeta^E)^t = |D|.
+    - (ST)^3 = S^2 exactly when (zeta^E T)^3 = G (zeta^E)^2, as s0 G = 1:
+      zeta^E twice on T zeta^E T e_c, with T between the two;
+    - rho(S) is unitary once S^2 holds and the table is that of a symmetric
+      bilinear form, E = E^t and E[:, -c] = -E[:, c] mod L, checked on E:
+      then conj(zeta^E)^t = zeta^E P_neg, so zeta^E conj(zeta^E)^t =
+      (zeta^E)^2 P_neg = |D| P_neg^2 = |D| I.
+
+    The histograms of one batch hold about max(``_BLOCK``, |D| L) entries;
+    nothing but E is |D|^2.
     """
     L = m.level
     E = _pack(m)
-    RED = _reduction_array(L)
     n = m.size
+    q = m.q_ints
     neg = m.indices_of(-m.coords)
-    s2c = _canon(_hist_mono_product(E, E, L), RED)
-    target = np.zeros_like(s2c)
-    target[np.arange(n), neg, 0] = n
-    s2_ok = bool(np.array_equal(s2c, target))
-
-    A = (E + m.q_ints[None, :]) % L
-    H3 = _hist_times_mono(_hist_mono_product(A, A, L), A, L)
     G = _gauss_sum_level(m)  # counts of roots of unity: integral, so G.den == 1
-    Gmat = np.array(
-        [(root_of_unity(t, L) * G).coords for t in range(RED.shape[1])], dtype=np.int64
-    )
-    st3_ok = bool(np.array_equal(_canon(H3, RED), s2c @ Gmat))
+    phi = _reduction_array(L).shape[1]
+    Gmat = np.array([(root_of_unity(t, L) * G).coords for t in range(phi)], dtype=np.int64)
+    shift_t = ((np.arange(phi) + q[:, None]) % L)[:, None, :]  # T on coordinates
+    s2_ok = st3_ok = table_ok = True
+    width = max(1, _BLOCK // (n * L))
+    for c0 in range(0, n, width):
+        cols = np.arange(c0, min(n, c0 + width))
+        at = np.arange(len(cols))
+        blk = E[:, cols]
+        s2 = _s_sums(E, L, _one_hot(blk, L))
+        want = np.zeros_like(s2)
+        want[neg[cols], at, 0] = n
+        s2_ok &= bool(np.array_equal(s2, want))
 
-    U = np.zeros((n * n, L), dtype=np.int64)
-    rows = np.arange(n * n)
-    for k in range(n):
-        e = (E[k][:, None] - E[k][None, :]) % L
-        U[rows, e.ravel()] += 1
-    uc = _canon(U.reshape(n, n, L), RED)
-    ut = np.zeros_like(uc)
-    ut[np.arange(n), np.arange(n), 0] = n
-    s_unitary = bool(np.array_equal(uc, ut))
+        table_ok &= bool(np.array_equal(blk, E[cols].T))
+        table_ok &= bool(np.array_equal(E[:, neg[cols]], -blk % L))
+
+        x = _s_sums(E, L, _one_hot(blk + q[:, None] + q[cols], L))
+        H = np.zeros(x.shape[:2] + (L,), dtype=x.dtype)
+        np.put_along_axis(H, shift_t, x, axis=-1)
+        st3_ok &= bool(np.array_equal(_s_sums(E, L, H), s2 @ Gmat))
 
     return {
         "s2_is_negation": s2_ok,
         "s4": s2_ok and m.signature_mod8() % 2 == 0,
         "st3": st3_ok,
-        "s_unitary": s_unitary,
+        "s_unitary": s2_ok and table_ok,
         "t_unitary": True,  # diagonal of roots of unity
         "method": "integer-histogram",
     }
@@ -309,9 +250,9 @@ def check_vH_action(m, h):
     """Exact check of rho(S) v^H = s0 |H| v^{H perp}, s0 the scalar of rho(S)."""
     E = _pack(m)
     idx = list(h.indices)
-    V = np.zeros((m.size, m.level), dtype=np.int64)
-    V[idx, 0] = 1
-    got = _s_sums(E, m.level, V)
+    V = np.zeros((m.size, 1, m.level), dtype=np.int64)
+    V[idx, 0, 0] = 1
+    got = _s_sums(E, m.level, V)[:, 0]
     target = np.zeros_like(got)
     target[~E[idx].any(axis=0), 0] = len(idx)
     return bool(np.array_equal(got, target))
@@ -332,10 +273,14 @@ def _invariant_system_rows(m):
     equation  sum_gamma zeta^(-B(beta,gamma)) v_gamma - G [beta iso] v_beta = 0
     (G the Gauss sum, equal to 1/scalar(S)) expands to phi(L) integer rows,
     of which the nonzero ones are kept, in the order (beta, coordinate).
+    The system is checked against the byte budget before it is built: each of
+    its |D| phi(L) |iso| entries is held as int64 in the gathered array, its
+    transposed copy, the array ``linalg`` rebuilds, and as a list slot.
     """
     E = _pack(m)
     RED = _reduction_array(m.level)
     iso = list(m.isotropic_indices)
+    _byte_check(m.size * RED.shape[1] * len(iso), 32, "the fixed-point system")
     gcan = np.array(_gauss_sum_level(m).coords, dtype=np.int64)  # integral: den == 1
     A = RED[E[:, iso]]  # (|D|, |iso|, phi): coordinates of zeta^E[beta, gamma]
     A[iso, np.arange(len(iso))] -= gcan
@@ -349,9 +294,9 @@ def _kernel_candidates(m):
     return basis, iso
 
 
-def _subgroup_candidates(m):
+def _subgroup_candidates(m, sd):
+    """The greedy independent subfamily of the v^H for the self-dual isotropic H in sd."""
     iso = list(m.isotropic_indices)
-    sd = enumerate_self_dual_isotropic(m)
     for h in sd:
         if not check_vH_action(m, h):
             raise CertificationError("subgroup candidate fails the exact S-action")
@@ -393,12 +338,20 @@ def invariant_space(m, method="auto"):
     """A certified basis of the SL2(Z)-invariant vectors, as integer vectors.
 
     method "kernel": exact rational kernel of the full fixed-point system.
+    ``rational_kernel`` proves it complete: its ncols - rank_q vectors are
+    independent exact solutions, and rank_q <= rank_Q, so no second rank
+    bound is needed.  It is the whole invariant space because the invariants
+    of rho_D have a basis of rational vectors (McGraw, "The rationality of
+    vector valued modular forms associated with the Weil representation",
+    Math. Ann. 2003).
     method "subgroups": span of verified self-dual isotropic characteristic
-    functions (raises if the certificate cannot close over that span).
+    functions, proven complete by a mod-q rank bound on the fixed-point
+    system (raises if the certificate cannot close over that span).
     method "auto": subgroups when any exist, else kernel.
 
     Returns a list of GroupRingVectors with primitive integer coefficients.
     """
+    sd = None
     if method == "auto":
         try:
             sd = enumerate_self_dual_isotropic(m)
@@ -406,12 +359,14 @@ def invariant_space(m, method="auto"):
             sd = []
         method = "subgroups" if sd else "kernel"
     if method == "subgroups":
-        cand, iso = _subgroup_candidates(m)
+        if sd is None:
+            sd = enumerate_self_dual_isotropic(m)
+        cand, iso = _subgroup_candidates(m, sd)
+        _certify_dimension(m, iso, len(cand))
     elif method == "kernel":
         cand, iso = _kernel_candidates(m)
     else:
         raise ValueError("unknown method %r" % (method,))
-    _certify_dimension(m, iso, len(cand))
     basis = []
     for v in sorted(cand):
         basis.append(

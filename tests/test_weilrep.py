@@ -23,7 +23,7 @@ A2 = FqModule((3,), [F(1, 3)], [[F(2, 3)]])  # signature 2
 # ------------------------------------------------------------- dense oracle
 # rho(S), rho(T^k) and their products as dense matrices of CycNumbers, built
 # entry by entry from the module's tuple arithmetic: the reference for the
-# histogram route of the library.
+# histogram route of the library.  SL2(Z) matrices enter as words in S and T^k.
 
 
 def dense_scalar(m):
@@ -72,9 +72,74 @@ def conj_transpose(a):
     return [[a[j][i].conjugate() for j in range(len(a))] for i in range(len(a))]
 
 
+S_MAT = ((0, -1), (1, 0))
+
+
+def _mat_mul(a, b):
+    return (
+        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+    )
+
+
+def _t_mat(k):
+    return ((1, k), (0, 1))
+
+
+def evaluate_word(word):
+    out = ((1, 0), (0, 1))
+    for tok in word:
+        out = _mat_mul(out, S_MAT if tok == "S" else _t_mat(tok[1]))
+    return out
+
+
+def sl2_word(mat):
+    """Decompose an SL2(Z) matrix into S and T^k tokens (left to right product).
+
+    Tokens are the string "S" or a pair ("T", k).  Standard Euclidean descent
+    on the bottom-left entry; the result is verified by round-trip before
+    being returned.
+    """
+    a, b = mat[0]
+    c, d = mat[1]
+    if a * d - b * c != 1:
+        raise ValueError("determinant must be 1")
+    word = []
+    # peel T^q S from the left while the bottom-left entry is nonzero
+    while c != 0:
+        q = a // c
+        word.append(("T", q))
+        word.append("S")
+        # multiply on the left by S^-1 T^-q:  S^-1 = [[0,1],[-1,0]]
+        a, b, c, d = c, d, -(a - q * c), -(b - q * d)
+    # now the matrix is [[a, b], [0, d]] with ad = 1
+    if a == 1:
+        if b:
+            word.append(("T", b))
+    else:
+        # a = d = -1: this is -I times T^(-b); -I = S^2
+        word.append("S")
+        word.append("S")
+        if b:
+            word.append(("T", -b))
+    got = evaluate_word(word)
+    assert got == (tuple(mat[0]), tuple(mat[1])), (got, mat)
+    return word
+
+
+def apply_word(m, word, vec):
+    """Apply rho(word) with the library's apply_S and apply_T_power, right to left."""
+    for tok in reversed(word):
+        if tok == "S":
+            vec = W.apply_S(m, vec)
+        else:
+            vec = W.apply_T_power(m, tok[1], vec)
+    return vec
+
+
 def dense_rho(m, mat):
     out = identity(m.size)
-    for tok in W.sl2_word(mat):
+    for tok in sl2_word(mat):
         out = mat_mul(out, dense_S(m) if tok == "S" else dense_T(m, tok[1]))
     return out
 
@@ -157,8 +222,8 @@ def test_apply_S_matches_matrix():
 def test_sl2_word_round_trip():
     mats = [((2, 1), (7, 4)), ((1, 0), (0, 1)), ((0, -1), (1, 0)), ((5, 2), (12, 5))]
     for mat in mats:
-        word = W.sl2_word(mat)
-        assert W.evaluate_word(word) == mat
+        word = sl2_word(mat)
+        assert evaluate_word(word) == mat
 
 
 def test_rho_is_a_homomorphism_through_words():
@@ -166,8 +231,8 @@ def test_rho_is_a_homomorphism_through_words():
     mat = ((2, 1), (7, 4))
     vec = [F(1), F(0), F(2), F(0)]
     direct = mat_apply(dense_rho(m, mat), vec)
-    word = W.sl2_word(mat)
-    assert W.apply_word(m, word, vec) == direct
+    word = sl2_word(mat)
+    assert apply_word(m, word, vec) == direct
 
 
 def mu_matrix(u, N):
@@ -182,13 +247,13 @@ def mu_matrix(u, N):
 
 def verify_mu(m, u):
     """The isotropic gamma for which rho(M_u) e_gamma != e_{u gamma}."""
-    word = W.sl2_word(mu_matrix(u % m.level, m.level))
+    word = sl2_word(mu_matrix(u % m.level, m.level))
     bad = []
     for i in m.isotropic_indices:
         vec = [F(0)] * m.size
         vec[i] = F(1)
         target = m.index(m.smul(u, m.element_at(i)))
-        if W.apply_word(m, word, vec) != [int(j == target) for j in range(m.size)]:
+        if apply_word(m, word, vec) != [int(j == target) for j in range(m.size)]:
             bad.append(m.element_at(i))
     return bad
 
@@ -287,21 +352,76 @@ ENTRIES = st.one_of(
 @example((9,), None)  # Z/4 with 3x^2/8
 def test_histogram_route_matches_dense_oracle(picks, data):
     m = reduce(direct_sum, [COMPONENTS[i] for i in picks])
-    rep = W.weil_relations_report(m)
-    assert rep["method"] == "integer-histogram"
-    assert {k: rep[k] for k in ("s2_is_negation", "s4", "st3", "s_unitary", "t_unitary")} == (
-        dense_relations(m)
-    )
+    dense = dense_relations(m)
     S = dense_S(m)
-    for h in enumerate_subgroups(m):
-        assert W.check_vH_action(m, h) is dense_vH(m, S, h.indices) is True
-    if data is None:
-        return
-    # an arbitrary subset: the identity holds exactly when the oracle says so
-    subset = data.draw(st.sets(st.integers(0, m.size - 1), min_size=1))
-    assert W.check_vH_action(m, SimpleNamespace(indices=subset)) is dense_vH(m, S, subset)
-    vec = data.draw(st.lists(ENTRIES, min_size=m.size, max_size=m.size))
-    assert W.apply_S(m, vec) == mat_apply(S, vec)
+    subgroups = enumerate_subgroups(m)
+    if data is not None:
+        # an arbitrary subset: the identity holds exactly when the oracle says so
+        subset = data.draw(st.sets(st.integers(0, m.size - 1), min_size=1))
+        vec = data.draw(st.lists(ENTRIES, min_size=m.size, max_size=m.size))
+        subset_ok, s_vec = dense_vH(m, S, subset), mat_apply(S, vec)
+    # the default block; one index, below one row of |D|, so every scatter
+    # step takes one entry and every batch one column; and batches of three
+    # columns, each scattered in several steps
+    for block in (W._BLOCK, 1, 3 * m.size * m.level + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(W, "_BLOCK", block)
+            rep = W.weil_relations_report(m)
+            assert rep["method"] == "integer-histogram"
+            flags = ("s2_is_negation", "s4", "st3", "s_unitary", "t_unitary")
+            assert {k: rep[k] for k in flags} == dense
+            for h in subgroups:
+                assert W.check_vH_action(m, h) is dense_vH(m, S, h.indices) is True
+            if data is not None:
+                assert W.check_vH_action(m, SimpleNamespace(indices=subset)) is subset_ok
+                assert W.apply_S(m, vec) == s_vec
+
+
+@pytest.mark.parametrize("block", [W._BLOCK, 1, 3 * 27 + 1])
+@pytest.mark.parametrize("entries", [[(1, 2)], [(1, 2), (2, 1)]], ids=["one", "pair"])
+def test_relations_report_rejects_a_wrong_table(monkeypatch, block, entries):
+    # one entry of the exponent table off by one, or a symmetric pair of
+    # them: rho(S) is no longer the Weil action, and every relation that
+    # involves it must fail, whatever the batches of columns (|D| L = 27
+    # entries per column)
+    m = hyperbolic_pair(3, 1)
+    E = W._pack(m).copy()
+    for i, k in entries:
+        E[i, k] = (E[i, k] + 1) % m.level
+    monkeypatch.setattr(W, "_exponents", lambda _: E)
+    monkeypatch.setattr(W, "_BLOCK", block)
+    rep = W.weil_relations_report(m)
+    assert not rep["s2_is_negation"] and not rep["s4"]
+    assert not rep["st3"]
+    assert not rep["s_unitary"]
+
+
+def test_byte_budget_refuses_before_allocating(monkeypatch):
+    from discweil import cli, subgroups
+
+    m = hyperbolic_pair(4, 1)
+
+    def no_table(_):
+        raise AssertionError("the exponent table was built")
+
+    monkeypatch.setattr(W, "_exponents", no_table)
+    monkeypatch.setattr(subgroups, "BYTE_BUDGET", 16 * m.size**2 - 1)
+    with pytest.raises(EnumerationBoundError, match="exponent table"):
+        W.weil_relations_report(m)
+    assert cli.main(["invariants", "--N", "4"]) == 3
+    # the table fits, the fixed-point system (16 * 2 * |iso| entries) does not
+    monkeypatch.undo()
+    monkeypatch.setattr(subgroups, "BYTE_BUDGET", 16 * m.size**2)
+    with pytest.raises(EnumerationBoundError, match="fixed-point system"):
+        W.invariant_space(m, method="kernel")
+    assert W.weil_relations_report(m)["st3"]
+
+
+def test_s_sums_refuses_int32_overflow():
+    # only the shape of 2^30 + 1 histogram entries: refused before any use
+    V = SimpleNamespace(shape=(2**10 + 1, 2**10, 2**10), size=(2**10 + 1) * 2**20)
+    with pytest.raises(EnumerationBoundError, match="int32"):
+        W._s_sums(None, 1, V)
 
 
 def test_apply_S_exact_beyond_int64():
