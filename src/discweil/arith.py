@@ -77,11 +77,3 @@ def primitive_root(p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
             return g
         g += 1
-
-
-def prime_one_mod(m, min_bits=20):
-    """A prime q = 1 (mod m) with q > 2**min_bits, found by scanning."""
-    q = ((2**min_bits) // m + 1) * m + 1
-    while not is_prime(q):
-        q += m
-    return q

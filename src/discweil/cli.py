@@ -16,16 +16,9 @@ from .borcherds import InputForm, catalog_for, lift, verify_eta_prime
 from .cyclo import CycNumber
 from .fqmod import FqModule, hyperbolic_pair
 from .lnn_catalog import assemble, relations_Np
-from .linalg import rational_rank
 from .qseries import eta_series
-from .subgroups import (
-    EnumerationBoundError,
-    classify,
-    enumerate_self_dual_isotropic,
-    enumerate_subgroups,
-    isotropic_rows,
-)
-from .weilrep import invariant_space
+from .subgroups import EnumerationBoundError, classify, enumerate_subgroups
+from .weilrep import _invariants
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,14 +98,7 @@ def cmd_subgroups(args):
 
 def cmd_invariants(args):
     m = _module_from_args(args)
-    basis = invariant_space(m)
-    try:
-        sd = enumerate_self_dual_isotropic(m)
-    except EnumerationBoundError:
-        sd = None
-    rank = None
-    if sd is not None:
-        rank = rational_rank(isotropic_rows(m, sd))
+    basis, rank = _invariants(m)
     _emit(
         {
             "dimension": len(basis),

@@ -1,19 +1,22 @@
-"""Exact linear algebra over Q by one elimination: the RREF over F_q.
+"""Exact linear algebra by one elimination: the RREF over F_q, lifted with a proof.
 
 ``_rref_mod`` reduces an integer matrix over F_q, q < 2^31 prime, so that the
-product of two residues fits in int64; ``modq_rank`` is its rank, a lower
-bound for the rank over Q.  ``_certified`` lifts it to Q with a proof.  Rows
-are scaled to integers and reduced mod primes counting down from 2^31 - 1.
-A prime's pivots are ranked by the key (-rank, pivots): the pivots over Q
-have the least key, so a larger key is skipped, a smaller one restarts the
-accumulation, and only the finitely many unlucky primes delay the answer.
-The residues of the primes that share the least key are combined by the CRT
-and lifted by rational reconstruction (von zur Gathen & Gerhard, Modern
-Computer Algebra, 5.10).  The lift is accepted only when each kernel vector
-it gives, one per free column, is an exact integer solution of rows . v = 0:
-ncols - rank_q independent solutions and rank_q <= rank_Q prove that they
-span the kernel, and the lifted rows, which annihilate them, are then the
-RREF over Q.
+product of two residues fits in int64.  ``_certified`` lifts it to a proven
+answer.  It takes the matrix as its residues mod q, a function of q, for the
+primes q = 1 (mod step) counting down from 2^31 by lcm(2, step): step = 1
+for rows over Q, step = L for a system over Z[zeta_L], whose residues send
+zeta_L to an element of order L mod q.  Reduction mod q is a ring map, so the
+rank mod q is at most the rank over the field.  A prime's pivots are ranked
+by the key (-rank, pivots): the true pivots have the least key, so a larger
+key is skipped, a smaller one restarts the accumulation, and only the
+finitely many unlucky primes delay the answer.  The pivot columns of an RREF
+are unit vectors; the free columns of the primes that share the least key
+are combined by the CRT and lifted by rational reconstruction (von zur
+Gathen & Gerhard, Modern Computer Algebra, 5.10).  The lift is accepted only
+when ``exact`` proves that each kernel vector it gives, one per free column,
+is a solution: ncols - rank_q independent solutions and rank_q <= rank prove
+that they span the kernel, and the lifted rows, which annihilate them, are
+then the RREF.  For rows over Q the proof is the integer product rows . v = 0.
 """
 
 from fractions import Fraction
@@ -25,15 +28,25 @@ import numpy as np
 
 from .arith import is_prime
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 def rational_rref(rows):
     """Reduced row echelon form over Q.  Returns (rref rows, pivot columns)."""
-    rref, pivots, _ = _certified(rows, len(rows[0]) if rows else 0)
+    rref, pivots, _ = _certified_rows(rows, len(rows[0]) if rows else 0)
     return rref, pivots
 
 
 def rational_rank(rows):
-    return len(rational_rref(rows)[0])
+    """Rank over Q, certified on the rows or on their transpose.
+
+    The certificate lifts one kernel vector per free column, so it runs on
+    whichever of the two has fewer columns.
+    """
+    ints = [_integer_row(row) for row in rows]
+    if ints and len(ints[0]) > len(ints):
+        ints = [list(col) for col in zip(*ints)]
+    return len(rational_rref(ints)[1])
 
 
 def rational_kernel(rows, ncols=None):
@@ -44,7 +57,7 @@ def rational_kernel(rows, ncols=None):
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    return _certified(rows, ncols)[2]
+    return _certified_rows(rows, ncols)[2]
 
 
 def primitive_integer_vector(v):
@@ -60,14 +73,6 @@ def primitive_integer_vector(v):
     if lead < 0:
         ints = [-x for x in ints]
     return ints
-
-
-def modq_rank(mat, q):
-    """Rank of an integer matrix over F_q (q prime, q^2 within int64)."""
-    a = np.array(mat, dtype=np.int64) % q
-    if a.size == 0:
-        return 0
-    return len(_rref_mod(a, q))
 
 
 def _rref_mod(a, q):
@@ -94,11 +99,12 @@ def _rref_mod(a, q):
 
 
 @lru_cache(maxsize=None)
-def _prime(i):
-    """The i-th prime below 2^31, counting down from 2^31 - 1 (i = 0)."""
-    q = _prime(i - 1) - 2 if i else 2**31 - 1
+def _prime(i, step=1):
+    """The i-th prime q = 1 (mod step) below 2^31, counting down (i = 0 the largest)."""
+    s = lcm(2, step)
+    q = _prime(i - 1, step) - s if i else (2**31 - 2) // s * s + 1
     while not is_prime(q):
-        q -= 2
+        q -= s
     return q
 
 
@@ -130,35 +136,53 @@ def _annihilates(A, kernel):
     return not (A.astype(exact) @ K.T).any()
 
 
-def _certified(rows, ncols):
-    """(rref, pivots, kernel basis) of the rows over Q, proven as the module says."""
+def _certified_rows(rows, ncols):
+    """``_certified`` for rows of ints and Fractions, proven by integer products."""
     ints = [_integer_row(row) for row in rows]
     try:
         A = np.array(ints, dtype=np.int64).reshape(len(ints), ncols)
     except OverflowError:
         A = np.array(ints, dtype=object).reshape(len(ints), ncols)
+    return _certified(
+        lambda q: (A % q).astype(np.int64), ncols, lambda kernel: _annihilates(A, kernel)
+    )
+
+
+def _certified(residues, ncols, exact, step=1):
+    """(rref, pivots, kernel basis) of the matrix with residues(q) mod q, proven as the module says.
+
+    ``residues(q)`` is a fresh int64 array with entries in [0, q), for the
+    primes q = 1 (mod step); ``exact(kernel)`` is true only when every vector
+    of the primitive integer kernel basis is an exact solution.
+    """
     best = None
     for i in count():
-        q = _prime(i)
-        a = (A % q).astype(np.int64)
+        q = _prime(i, step)
+        a = residues(q)
         pivots = _rref_mod(a, q)
         key = (-len(pivots), pivots)
+        free = sorted(set(range(ncols)) - set(pivots))
+        x = a[: len(pivots)][:, free]
         if best is None or key < best:
-            best, M, R = key, q, a[: len(pivots)].astype(object)
+            best, M, R = key, q, x.astype(object)
         elif key > best:
             continue
         else:
-            R = R + M * ((a[: len(pivots)] - R) * pow(M, -1, q) % q)
+            R = R + M * ((x - R) * pow(M, -1, q) % q)
             M *= q
-        rref = [[_rational(x, M) for x in row] for row in R.tolist()]
-        if any(None in row for row in rref):
+        lifted = [[_rational(y, M) for y in row] for row in R.tolist()]
+        if any(None in row for row in lifted):
             continue
+        rref = [[_ONE if c == pc else _ZERO for c in range(ncols)] for pc in pivots]
+        for row, values in zip(rref, lifted):
+            for fc, y in zip(free, values):
+                row[fc] = y
         kernel = []
-        for fc in sorted(set(range(ncols)) - set(pivots)):
-            v = [Fraction(0)] * ncols
-            v[fc] = Fraction(1)
+        for fc in free:
+            v = [_ZERO] * ncols
+            v[fc] = _ONE
             for r, pc in enumerate(pivots):
                 v[pc] = -rref[r][fc]
             kernel.append(primitive_integer_vector(v))
-        if _annihilates(A, kernel):
+        if exact(kernel):
             return rref, pivots, kernel

@@ -7,12 +7,13 @@ module's element table: a span, the join <H, x> and the sum of subgroups of
 coprime orders are all sumsets.  The zero element has index 0.
 Enumeration splits into p-primary parts first (the subgroup lattice of a
 finite abelian group is the product of its p-primary lattices), which keeps
-the breadth-first closure tiny even for |D| in the thousands.
+the breadth-first closure tiny even for |D| in the thousands.  One search
+serves all subgroups and the isotropic and self-dual isotropic ones.
 """
 
 import os
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -169,22 +170,31 @@ def _byte_check(entries, width, what):
         )
 
 
-def _subgroup_sets_of_subset(m, subset):
-    """All subgroup index sets contained in a given subgroup index set."""
-    seen = {frozenset({0})}
-    queue = [frozenset({0})]
-    members = sorted(subset)
+def _subgroup_sets_of_subset(m, members):
+    """All subgroup index sets inside the index set ``members``.
+
+    ``members`` is a p-part, or the isotropic elements of a p-part.  x joins
+    H only when g + x stays a member for every generator g of H: in a
+    subgroup that always holds, and for isotropic g and x, Q(g + x) = B(g, x),
+    so <H, x> stays isotropic.  Each group carries the members that may join
+    it, filtered as its generators grow.
+    """
+    inside = np.zeros(m.size, dtype=bool)
+    inside[_array(members)] = True
     X = m.coords
+    zero = frozenset({0})
+    seen = {zero}
+    queue = [(zero, np.flatnonzero(inside))]
     while queue:
-        h = queue.pop()
+        h, cand = queue.pop()
         ha = _array(h)
-        for i in members:
+        for i in cand.tolist():
             if i in h:
                 continue
             hx = _sumset(m, ha, _steps(m, ha, X[i]))
             if hx not in seen:
                 seen.add(hx)
-                queue.append(hx)
+                queue.append((hx, cand[inside[m.indices_of(X[cand] + X[i])]]))
     return seen
 
 
@@ -201,56 +211,41 @@ def _p_primary_index_sets(m):
     return out
 
 
-def enumerate_subgroups(m, bound=None):
-    """Every subgroup of D exactly once, canonically ordered.
+def _enumerate(m, bound, isotropic=False, self_dual=False):
+    """The subgroups of D, or its isotropic or self-dual isotropic ones, in order.
 
-    Works p-primary part by p-primary part and then takes sums, since any
-    subgroup splits uniquely over the primes.
+    Any subgroup splits uniquely over the primes, so each p-part is searched
+    alone and the results are summed.  The p-parts are mutually orthogonal:
+    H is isotropic exactly when every H_p is, and self-dual exactly when
+    every |H_p|^2 = |D_p|.
     """
     _bound_check(m, bound)
-    parts = _p_primary_index_sets(m)
+    iso = frozenset(m.isotropic_indices) if isotropic else None
     combined = [frozenset({0})]
-    for p in sorted(parts):
-        psets = [_array(b) for b in _subgroup_sets_of_subset(m, parts[p])]
+    for _, part in sorted(_p_primary_index_sets(m).items()):
+        sets = _subgroup_sets_of_subset(m, part & iso if isotropic else part)
+        psets = [_array(b) for b in sets if not self_dual or len(b) ** 2 == len(part)]
         combined = [_sumset(m, a, b) for a in map(_array, combined) for b in psets]
     uniq = sorted(set(combined), key=lambda s: (len(s), sorted(s)))
     return [Subgroup(m, s) for s in uniq]
 
 
+def enumerate_subgroups(m, bound=None):
+    """Every subgroup of D exactly once, canonically ordered."""
+    return _enumerate(m, bound)
+
+
 def enumerate_isotropic_subgroups(m, bound=None):
     """All totally isotropic subgroups (Q vanishes identically on H)."""
-    _bound_check(m, bound)
-    iso = np.array(m.isotropic_indices, dtype=np.int64)
-    X = m.coords
-    seen = {frozenset({0})}
-    queue = [(frozenset({0}), ())]
-    while queue:
-        h, gens = queue.pop()
-        # x must be orthogonal to H, i.e. to its generators: isotropic +
-        # orthogonal extensions of an isotropic group stay isotropic
-        perp = np.ones(len(iso), dtype=bool)
-        for g in gens:
-            perp &= m.b_ints(X[g])[iso] == 0
-        ha = _array(h)
-        for i in iso[perp].tolist():
-            if i in h:
-                continue
-            hx = _sumset(m, ha, _steps(m, ha, X[i]))
-            if hx not in seen:
-                seen.add(hx)
-                queue.append((hx, gens + (i,)))
-    uniq = sorted(seen, key=lambda s: (len(s), sorted(s)))
-    return [Subgroup(m, s) for s in uniq]
+    return _enumerate(m, bound, isotropic=True)
 
 
 def enumerate_self_dual_isotropic(m, bound=None):
     """Isotropic subgroups with H equal to its own orthogonal complement."""
-    from math import isqrt
-
     r = isqrt(m.size)
     if r * r != m.size:
         return []
-    return [h for h in enumerate_isotropic_subgroups(m, bound) if h.order == r]
+    return _enumerate(m, bound, isotropic=True, self_dual=True)
 
 
 def complement(h):

@@ -14,27 +14,25 @@ integer tables are the module's element table (coordinates, L*Q) and, from
 ``_pack``, the |D| x |D| int32 exponent table, held behind the enumeration
 bound and the byte budget.
 
-The invariant space is computed with a certificate.  Either the candidate
-vectors are characteristic functions of self-dual isotropic subgroups, each
-checked by the exact S-action, and a mod-q specialization bounds the rank of
-the fixed-point system from below, which bounds the dimension from above;
-when the two bounds meet the answer is proven.  Or the basis is the kernel
-of the fixed-point system over the power basis, which ``linalg`` lifts from
-F_q and proves complete itself.  No floating point and no unverified
-heuristics.
+The invariant space has one certificate.  Its vectors are those over the
+isotropic elements (the rho(T)-fixed ones) in the kernel of the |D| x |iso|
+system zeta^E[:, iso] - G I; ``linalg`` eliminates it mod primes q = 1
+(mod L) and lifts a kernel basis that ``_s_sums`` proves invariant, exactly.
+The v^H of the self-dual isotropic subgroups are measured against that
+kernel.  No floating point and no unverified heuristics.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 
 import numpy as np
 
-from .arith import prime_one_mod, primitive_root
+from .arith import primitive_root
 from .cyclo import CycNumber, _make, _reduction_rows, root_of_unity
 from .fqmod import matmul_mod, q_histogram
 from .groupring import GroupRingVector
-from .linalg import modq_rank, rational_kernel, rational_rank, rational_rref
+from .linalg import _certified, rational_rref
 from .subgroups import (
     EnumerationBoundError,
     _bound_check,
@@ -45,7 +43,7 @@ from .subgroups import (
 
 
 class CertificationError(RuntimeError):
-    """The exact dimension sandwich did not close."""
+    """The self-dual isotropic family does not span the certified invariants."""
 
 
 # --------------------------------------------------------------- numpy pack
@@ -266,131 +264,106 @@ def _gauss_sum_level(m):
     return CycNumber(m.level, q_histogram(m))
 
 
-def _invariant_system_rows(m):
-    """Integer rows of the fixed-point system over the power basis.
+def _residues(m, q):
+    """The fixed-point system zeta^E[:, iso] - G I mod q, zeta_L sent to t of order L."""
+    L, iso = m.level, list(m.isotropic_indices)
+    t = pow(primitive_root(q), (q - 1) // L, q)
+    A = np.array([pow(t, e, q) for e in range(L)], dtype=np.int64)[_pack(m)[:, iso]]
+    at = (iso, np.arange(len(iso)))
+    A[at] = (A[at] - _gauss_sum_level(m).mod_prime(q, t)) % q
+    return A
 
-    Unknowns are v_gamma for isotropic gamma.  For every beta in D the
-    equation  sum_gamma zeta^(-B(beta,gamma)) v_gamma - G [beta iso] v_beta = 0
-    (G the Gauss sum, equal to 1/scalar(S)) expands to phi(L) integer rows,
-    of which the nonzero ones are kept, in the order (beta, coordinate).
-    The system is checked against the byte budget before it is built: each of
-    its |D| phi(L) |iso| entries is held as int64 in the gathered array, its
-    transposed copy, the array ``linalg`` rebuilds, and as a list slot.
+
+def _fixed(m, vectors):
+    """zeta^E v == G v exactly, for integer vectors v over the isotropic elements.
+
+    Such a v is fixed by rho(T), and rho(S) v = s0 zeta^E v = v exactly when
+    zeta^E v = G v, as s0 G = 1.  ``_s_sums`` applies zeta^E to a block of
+    the vectors at a time, each block of about ``_BLOCK`` histogram entries.
     """
+    n, L, iso = m.size, m.level, list(m.isotropic_indices)
     E = _pack(m)
-    RED = _reduction_array(m.level)
-    iso = list(m.isotropic_indices)
-    _byte_check(m.size * RED.shape[1] * len(iso), 32, "the fixed-point system")
-    gcan = np.array(_gauss_sum_level(m).coords, dtype=np.int64)  # integral: den == 1
-    A = RED[E[:, iso]]  # (|D|, |iso|, phi): coordinates of zeta^E[beta, gamma]
-    A[iso, np.arange(len(iso))] -= gcan
-    A = A.transpose(0, 2, 1).reshape(-1, len(iso))
-    return A[A.any(axis=1)].tolist(), iso
+    gcan = np.array(_gauss_sum_level(m).coords, dtype=object)  # integral: den == 1
+    width = max(1, _BLOCK // (n * L))
+    for c0 in range(0, len(vectors), width):
+        K = np.array(vectors[c0:c0 + width], dtype=object).T
+        V = np.zeros((n, K.shape[1], L), dtype=object)
+        V[iso, :, 0] = K
+        want = np.zeros((n, K.shape[1], len(gcan)), dtype=object)
+        want[iso] = K[:, :, None] * gcan
+        if not np.array_equal(_s_sums(E, L, V), want):
+            return False
+    return True
 
 
-def _kernel_candidates(m):
-    rows, iso = _invariant_system_rows(m)
-    basis = rational_kernel(rows, ncols=len(iso))
-    return basis, iso
+def _certificate(m):
+    """The certified invariants of m and the self-dual isotropic family against them.
+
+    The invariants are the vectors over the isotropic elements in the kernel
+    of the |D| x |iso| system zeta^E[:, iso] - G I, with entries in
+    Z[zeta_L].  ``linalg`` eliminates it mod primes q = 1 (mod L) and accepts
+    a lifted kernel basis only when ``_fixed`` proves every vector invariant.
+    That is a proof over C: ncols - rank_q invariants, and rank_q is at most
+    the rank over Q(zeta_L).  The lift terminates because the invariants have
+    a basis of rational vectors (McGraw, "The rationality of vector valued
+    modular forms associated with the Weil representation", Math. Ann. 2003),
+    so the RREF of the system is rational.  A residue table is held as int64
+    next to the int32 columns of E it is gathered from, and each elimination
+    step holds three more int64 temporaries of its size: about 36 bytes per
+    entry, checked after the exponent table and before any residue.
+
+    Returns (iso, kernel basis, family rows, family pivots, spans): the
+    pivots index the greedy independent subfamily of the 0/1 rows of the
+    self-dual isotropic subgroups, and spans says that this subfamily is
+    proven invariant by ``_fixed`` and as large as the kernel, so that the
+    family spans the invariants.
+    """
+    _pack(m)  # the element bound and the exponent table's budget first
+    iso = m.isotropic_indices
+    _byte_check(m.size * len(iso), 36, "the fixed-point system")
+    kernel = _certified(partial(_residues, m), len(iso), partial(_fixed, m), m.level)[2]
+    family = isotropic_rows(m, enumerate_self_dual_isotropic(m))
+    # the greedy subfamily (each vector kept when it is not in the span of
+    # those before it) is the pivot columns of the family written as columns
+    pivots = rational_rref([list(col) for col in zip(*family)])[1] if family else []
+    spans = len(pivots) == len(kernel) and _fixed(m, [family[c] for c in pivots])
+    return iso, kernel, family, pivots, spans
 
 
-def _subgroup_candidates(m, sd):
-    """The greedy independent subfamily of the v^H for the self-dual isotropic H in sd."""
-    iso = list(m.isotropic_indices)
-    for h in sd:
-        if not check_vH_action(m, h):
-            raise CertificationError("subgroup candidate fails the exact S-action")
-    vecs = isotropic_rows(m, sd)
-    # the greedy independent subfamily over Q (each vector kept when it is
-    # not in the span of those before it) is the pivot columns of the family
-    # written as columns; 0/1 rows holding the zero element are primitive
-    _, pivots = rational_rref([list(col) for col in zip(*vecs)])
-    return [vecs[c] for c in pivots], iso
+def _invariants(m):
+    """(certified basis of the invariants, rank of the self-dual isotropic family)."""
+    iso, kernel, family, pivots, spans = _certificate(m)
+    if family and not spans:
+        raise CertificationError("the self-dual isotropic family does not span the invariants")
+    vecs = [family[c] for c in pivots] if family else kernel
+    basis = [GroupRingVector(m, {g: c for g, c in zip(iso, v) if c}) for v in sorted(vecs)]
+    return basis, len(pivots)
 
 
-def _certify_dimension(m, iso, r, tries=3):
-    """Prove dim <= r by a mod-q rank bound on the fixed-point system."""
-    L = m.level
-    G = _gauss_sum_level(m)
-    need = len(iso) - r
-    cols = _pack(m)[:, iso]
-    for attempt in range(tries):
-        q = prime_one_mod(L, 20 + attempt)
-        g = primitive_root(q)
-        t = pow(g, (q - 1) // L, q)
-        tpow = np.array([pow(t, e, q) for e in range(L)], dtype=np.int64)
-        A = tpow[cols]
-        gq = G.mod_prime(q, t)
-        for c, gamma in enumerate(iso):
-            A[gamma, c] = (A[gamma, c] - gq) % q
-        rank = modq_rank(A, q)
-        if rank == need:
-            return True
-        if rank > need:
-            raise CertificationError(
-                "rank bound exceeds the candidate bound: candidates not invariant?"
-            )
-        # an unlucky prime can only lose rank; retry with a larger one
-    raise CertificationError("could not certify the invariant dimension")
-
-
-def invariant_space(m, method="auto"):
+def invariant_space(m):
     """A certified basis of the SL2(Z)-invariant vectors, as integer vectors.
 
-    method "kernel": exact rational kernel of the full fixed-point system.
-    ``rational_kernel`` proves it complete: its ncols - rank_q vectors are
-    independent exact solutions, and rank_q <= rank_Q, so no second rank
-    bound is needed.  It is the whole invariant space because the invariants
-    of rho_D have a basis of rational vectors (McGraw, "The rationality of
-    vector valued modular forms associated with the Weil representation",
-    Math. Ann. 2003).
-    method "subgroups": span of verified self-dual isotropic characteristic
-    functions, proven complete by a mod-q rank bound on the fixed-point
-    system (raises if the certificate cannot close over that span).
-    method "auto": subgroups when any exist, else kernel.
-
-    Returns a list of GroupRingVectors with primitive integer coefficients.
+    The span of the v^H, H self-dual isotropic, when the module has such
+    subgroups: their greedy independent subfamily, which ``_certificate``
+    proves to span the certified kernel (raises CertificationError if not).
+    Otherwise the kernel basis itself.  Returns a list of GroupRingVectors
+    with primitive integer coefficients.
     """
-    sd = None
-    if method == "auto":
-        try:
-            sd = enumerate_self_dual_isotropic(m)
-        except EnumerationBoundError:
-            sd = []
-        method = "subgroups" if sd else "kernel"
-    if method == "subgroups":
-        if sd is None:
-            sd = enumerate_self_dual_isotropic(m)
-        cand, iso = _subgroup_candidates(m, sd)
-        _certify_dimension(m, iso, len(cand))
-    elif method == "kernel":
-        cand, iso = _kernel_candidates(m)
-    else:
-        raise ValueError("unknown method %r" % (method,))
-    basis = []
-    for v in sorted(cand):
-        basis.append(
-            GroupRingVector(m, {g: c for g, c in zip(iso, v) if c})
-        )
-    return basis
+    return _invariants(m)[0]
 
 
-def invariant_dimension(m, method="auto"):
-    return len(invariant_space(m, method))
+def invariant_dimension(m):
+    return len(invariant_space(m))
 
 
 def verify_selfdual_span(m):
     """Compare span{v^H : H self-dual isotropic} with the invariant space."""
-    sd = enumerate_self_dual_isotropic(m)
-    if not sd:
+    _, kernel, family, pivots, spans = _certificate(m)
+    if not family:
         raise ValueError("no self-dual isotropic subgroup; nothing to compare")
-    inv = invariant_space(m, method="kernel")
-    fam = isotropic_rows(m, sd)
-    inv_rows = [[vec.get(g) for g in m.isotropic_indices] for vec in inv]
-    rank = rational_rank(fam)
     return {
-        "dimension": len(inv),
-        "family_size": len(fam),
-        "family_rank": rank,
-        "span_equal": rank == len(inv) and rational_rank(fam + inv_rows) == rank,
+        "dimension": len(kernel),
+        "family_size": len(family),
+        "family_rank": len(pivots),
+        "span_equal": spans,
     }

@@ -5,7 +5,6 @@ from discweil.arith import (
     factorize,
     is_prime,
     is_rational_square,
-    prime_one_mod,
     primitive_root,
     sigma0,
 )
@@ -58,9 +57,3 @@ def test_primitive_root_has_full_order():
             x = x * g % p
             seen.add(x)
         assert len(seen) == p - 1
-
-
-def test_prime_one_mod():
-    for m in (1, 2, 24, 360):
-        q = prime_one_mod(m)
-        assert is_prime(q) and q % m == 1 % m and q > 2**20

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discweil.arith import divisors, factorize, prime_one_mod, primitive_root
+from discweil.arith import divisors, factorize, primitive_root
 from discweil.cyclo import (
     CycNumber,
     cyclotomic_poly,
@@ -14,6 +14,7 @@ from discweil.cyclo import (
     root_of_unity,
     zero,
 )
+from discweil.linalg import _prime
 
 
 def test_cyclotomic_poly_known_values():
@@ -80,10 +81,8 @@ def test_division_and_powers():
 
 def test_mod_prime_is_multiplicative():
     # map zeta_M -> t (an element of order M mod q), check on products
-    from discweil.arith import prime_one_mod, primitive_root
-
     M = 12
-    q = prime_one_mod(M)
+    q = _prime(0, M)
     t = pow(primitive_root(q), (q - 1) // M, q)
     a = exp_frac(F(1, 12)) + 3
     b = exp_frac(F(5, 12)) * F(2, 5)
@@ -112,7 +111,7 @@ def test_to_json_shape():
 
 def _t(M):
     """(q, t): a prime q = 1 mod M and an element t of order M mod q."""
-    q = prime_one_mod(M)
+    q = _prime(0, M)
     return q, pow(primitive_root(q), (q - 1) // M, q)
 
 

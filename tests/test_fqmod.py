@@ -85,6 +85,11 @@ COMPONENTS = (
 )
 
 
+def negated(m):
+    """D(-1): the same group with Q and B negated."""
+    return FqModule(m.orders, [-q for q in m.qs], [[-b for b in row] for row in m.bs])
+
+
 def _float_signature(m):
     """Test oracle: the angle of sum e(Q(x)), in eighths of a turn, by floats."""
     g = sum(cmath.exp(2j * cmath.pi * float(m.q_value(x))) for x in m.element_list)

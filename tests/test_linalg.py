@@ -1,15 +1,16 @@
 from fractions import Fraction as F
+from math import lcm
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from discweil.arith import prime_one_mod
+from discweil.arith import is_prime
 from discweil.borcherds import InputForm, catalog_for, decompose
 from discweil.fqmod import hyperbolic_pair
 from discweil.linalg import (
     _prime,
-    modq_rank,
+    _rref_mod,
     primitive_integer_vector,
     rational_kernel,
     rational_rank,
@@ -108,14 +109,26 @@ def test_span_predicates():
 
 
 def test_modq_rank_matches_rational_rank():
-    q = prime_one_mod(1)
+    q = _prime(0)
     mats = [
         [[1, 2], [2, 4]],
         [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
         [[3, 1, 4], [1, 5, 9], [2, 6, 5]],
     ]
     for m in mats:
-        assert modq_rank(np.array(m) % q, q) == rational_rank(m)
+        assert len(_rref_mod(np.array(m, dtype=np.int64) % q, q)) == rational_rank(m)
+
+
+def test_primes_are_one_mod_step():
+    # step 1 is every prime below 2^31, from the largest; any step counts
+    # down through the primes q = 1 (mod step) only
+    assert [_prime(i) for i in range(3)] == [2**31 - 1, 2**31 - 19, 2**31 - 61]
+    for step in (1, 2, 24, 30, 360):
+        qs = [_prime(i, step) for i in range(4)]
+        assert qs == sorted(qs, reverse=True) and qs[0] < 2**31
+        assert all(is_prime(q) and q % step == 1 % step for q in qs)
+        s = lcm(2, step)
+        assert not any(is_prime(q) for q in range(qs[0] + s, 2**31, s))
 
 
 def entries():
@@ -161,6 +174,9 @@ def test_certified_route_fixed_cases():
     assert_matches_oracle([[1, 10**30]], 2)
     assert rational_kernel([[3, 10**30]]) == [[10**30, -3]]
     assert_matches_oracle([[F(1, 3), F(10**30, 7)], [1, 0]], 2)
+    # wide matrices, ranked on their transpose: the last column carries rank
+    assert_matches_oracle([[1, 0, 0, 0], [0, 0, 0, 1]], 4)
+    assert_matches_oracle([[F(1, 2), 0, 1], [1, 0, F(1, 3)]], 3)
     # empty and zero matrices
     assert_matches_oracle([[], []], 0)
     assert_matches_oracle([[0, 0, 0], [0, 0, 0]], 3)

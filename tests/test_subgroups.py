@@ -2,9 +2,9 @@ from functools import reduce
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_fqmod import COMPONENTS
+from test_fqmod import COMPONENTS, negated
 
 from discweil.fqmod import FqModule, direct_sum, hyperbolic, hyperbolic_pair
 from discweil.subgroups import (
@@ -77,21 +77,6 @@ def test_classify_brute_force():
         # self-dual is a bilinear-form notion: H equals its complement
         assert cl.is_self_dual == (h.indices == complement(h).indices)
         assert cl.is_coisotropic == classify(complement(h)).is_isotropic
-
-
-def test_isotropic_enumerations_are_filters():
-    m = hyperbolic_pair(6, 1)
-    all_subs = enumerate_subgroups(m)
-    iso = {h.indices for h in enumerate_isotropic_subgroups(m)}
-    assert iso == {h.indices for h in all_subs if classify(h).is_isotropic}
-    sd = {h.indices for h in enumerate_self_dual_isotropic(m)}
-    want = {
-        h.indices
-        for h in all_subs
-        if classify(h).is_self_dual and classify(h).is_isotropic
-    }
-    assert sd == want
-    assert len(sd) == 4  # sigma0(6)
 
 
 def test_characteristic_vector():
@@ -174,3 +159,18 @@ def test_element_table_against_tuple_loops(m, data):
     assert h.indices == closure(m, gens)
     want = {i for i, x in enumerate(els) if all(m.b_int(x, g) == 0 for g in h.element_tuples())}
     assert complement(h).indices == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(DIRECT_SUMS, CHANGED_PAIRS).filter(lambda m: m.size <= 144))
+@example(hyperbolic_pair(6, 1))
+@example(direct_sum(COMPONENTS[4], negated(COMPONENTS[4])))  # Z/7 + Z/7(-1)
+def test_isotropic_enumerations_are_filters(m):
+    all_subs = enumerate_subgroups(m)
+    flags = {h.indices: classify(h) for h in all_subs}
+    iso = {h.indices for h in enumerate_isotropic_subgroups(m)}
+    assert iso == {s for s, c in flags.items() if c.is_isotropic}
+    sd = {h.indices for h in enumerate_self_dual_isotropic(m)}
+    assert sd == {s for s, c in flags.items() if c.is_self_dual and c.is_isotropic}
+    if m == hyperbolic_pair(6, 1):
+        assert len(sd) == 4  # sigma0(6)

@@ -4,16 +4,18 @@ from itertools import combinations_with_replacement
 from math import prod
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_fqmod import COMPONENTS
+from test_fqmod import COMPONENTS, negated
+from test_linalg import fraction_kernel, fraction_rref
 
 from discweil import weilrep as W
 from discweil.cyclo import CycNumber, root_of_unity, zero
 from discweil.fqmod import FqModule, direct_sum, hyperbolic_pair
 from discweil.groupring import GroupRingVector
-from discweil.linalg import rational_rank
+from discweil.linalg import _prime
 from discweil.subgroups import EnumerationBoundError, enumerate_subgroups
 
 A1 = FqModule((2,), [F(1, 4)], [[F(1, 2)]])  # signature 1
@@ -270,16 +272,78 @@ def test_vH_action_all_subgroups():
         assert W.check_vH_action(m, h)
 
 
+# ------------------------------------------------------ power-basis oracle
+# The fixed-point system expanded over the power basis of Q(zeta_L) into
+# integer rows, solved by the Fraction kernel: the reference for the
+# certified modular kernel of the library.
+
+
+def power_basis_rows(m):
+    """Integer rows of the fixed-point system over the power basis.
+
+    Unknowns are v_gamma for isotropic gamma.  For every beta in D the
+    equation  sum_gamma zeta^(-B(beta,gamma)) v_gamma - G [beta iso] v_beta = 0
+    (G the Gauss sum, equal to 1/scalar(S)) expands to phi(L) integer rows,
+    of which the nonzero ones are kept, in the order (beta, coordinate).
+    """
+    E = W._pack(m)
+    RED = W._reduction_array(m.level)
+    iso = list(m.isotropic_indices)
+    gcan = np.array(W._gauss_sum_level(m).coords, dtype=np.int64)  # integral: den == 1
+    A = RED[E[:, iso]]  # (|D|, |iso|, phi): coordinates of zeta^E[beta, gamma]
+    A[iso, np.arange(len(iso))] -= gcan
+    A = A.transpose(0, 2, 1).reshape(-1, len(iso))
+    return A[A.any(axis=1)].tolist(), iso
+
+
+def oracle_invariants(m):
+    rows, iso = power_basis_rows(m)
+    return fraction_kernel(rows, len(iso))
+
+
+def oracle_rank(rows):
+    return len(fraction_rref(rows)[1])
+
+
 def test_invariant_space_methods_agree():
+    # the certified kernel, and for modules with self-dual isotropic
+    # subgroups the v^H it certifies, against the power-basis oracle
     for N, Np, want in [(2, 1, 2), (6, 1, 4), (2, 2, 5)]:
         m = hyperbolic_pair(N, Np)
-        ker = W.invariant_space(m, method="kernel")
-        sub = W.invariant_space(m, method="subgroups")
-        assert len(ker) == len(sub) == want
-        iso = list(m.isotropic_indices)
-        a = [[v.get(g) for g in iso] for v in ker]
-        b = [[v.get(g) for g in iso] for v in sub]
-        assert rational_rank(a) == rational_rank(b) == rational_rank(a + b) == want
+        iso, kernel, family, pivots, spans = W._certificate(m)
+        assert kernel == oracle_invariants(m)
+        assert spans and len(pivots) == want
+        got = [[v.get(g) for g in iso] for v in W.invariant_space(m)]
+        assert oracle_rank(got) == oracle_rank(got + kernel) == want
+
+
+def test_bad_prime_is_rejected(monkeypatch):
+    # the residues of the first prime keep only their first row, as if the
+    # prime were unlucky: its kernel is too large and fails the exact check,
+    # and the next prime's smaller key restarts the lift
+    for m in (hyperbolic_pair(6, 1), direct_sum(COMPONENTS[4], negated(COMPONENTS[4]))):
+        want = W._certificate(m)
+        first = _prime(0, m.level)
+        residues, fixed = W._residues, W._fixed
+        primes, verdicts = [], []
+
+        def corrupted(mod, q):
+            A = residues(mod, q)
+            primes.append(q)
+            if q == first:
+                A[1:] = 0
+            return A
+
+        def recorded(*args):
+            verdicts.append(fixed(*args))
+            return verdicts[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(W, "_residues", corrupted)
+            mp.setattr(W, "_fixed", recorded)
+            assert W._certificate(m) == want
+        assert primes == [first, _prime(1, m.level)]
+        assert verdicts[:2] == [False, True]
 
 
 def test_invariant_vectors_are_fixed_by_generators():
@@ -401,19 +465,24 @@ def test_byte_budget_refuses_before_allocating(monkeypatch):
 
     m = hyperbolic_pair(4, 1)
 
-    def no_table(_):
-        raise AssertionError("the exponent table was built")
+    def no_table(*_):
+        raise AssertionError("the table was built")
 
     monkeypatch.setattr(W, "_exponents", no_table)
     monkeypatch.setattr(subgroups, "BYTE_BUDGET", 16 * m.size**2 - 1)
     with pytest.raises(EnumerationBoundError, match="exponent table"):
         W.weil_relations_report(m)
     assert cli.main(["invariants", "--N", "4"]) == 3
-    # the table fits, the fixed-point system (16 * 2 * |iso| entries) does not
+    # the table fits, the fixed-point system (36 bytes for each of its
+    # |D| |iso| residues) does not, and no residue is computed
     monkeypatch.undo()
-    monkeypatch.setattr(subgroups, "BYTE_BUDGET", 16 * m.size**2)
+    need = 36 * m.size * len(m.isotropic_indices)
+    assert need > 16 * m.size**2
+    monkeypatch.setattr(subgroups, "BYTE_BUDGET", need - 1)
+    monkeypatch.setattr(W, "_residues", no_table)
     with pytest.raises(EnumerationBoundError, match="fixed-point system"):
-        W.invariant_space(m, method="kernel")
+        W.invariant_space(m)
+    assert cli.main(["invariants", "--N", "4"]) == 3
     assert W.weil_relations_report(m)["st3"]
 
 
@@ -434,3 +503,32 @@ def test_apply_S_exact_beyond_int64():
     got = W.apply_S(m, vec)
     assert got == mat_apply(dense_S(m), vec)
     assert W.apply_S(m, [v * -1 for v in vec]) == [-g for g in got]
+
+
+INVARIANT_INPUTS = [
+    reduce(direct_sum, [COMPONENTS[i] for i in picks]) for picks in SMALL_SUMS
+] + [
+    direct_sum(d, negated(d))
+    for d in (reduce(direct_sum, [COMPONENTS[i] for i in picks]) for picks in SMALL_SUMS)
+    if d.size <= 9
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(INVARIANT_INPUTS))
+@example(COMPONENTS[6])  # Z/2 with x^2/4: signature 1, no invariants
+@example(direct_sum(COMPONENTS[0], COMPONENTS[2]))  # Z/3 + Z/5: signature 2
+@example(direct_sum(COMPONENTS[5], negated(COMPONENTS[5])))  # Z/7 + Z/7(-1)
+def test_invariant_space_matches_power_basis_oracle(m):
+    basis = W.invariant_space(m)
+    iso = list(m.isotropic_indices)
+    got = [[v.get(g) for g in iso] for v in basis]
+    want = oracle_invariants(m)
+    assert oracle_rank(got) == oracle_rank(want) == oracle_rank(got + want) == len(got)
+    if m.signature_mod8() % 2:
+        assert basis == []
+    S, T = dense_S(m), dense_T(m)
+    for v in basis:
+        dense = v.dense()
+        assert mat_apply(S, dense) == dense
+        assert mat_apply(T, dense) == dense
