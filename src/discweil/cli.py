@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import prod
 
 from .arith import is_prime
 from .borcherds import InputForm, catalog_for, lift, verify_eta_prime
@@ -17,7 +18,7 @@ from .cyclo import CycNumber
 from .fqmod import FqModule, hyperbolic_pair
 from .lnn_catalog import assemble, relations_Np
 from .qseries import eta_series
-from .subgroups import EnumerationBoundError, classify, enumerate_subgroups
+from .subgroups import EnumerationBoundError, _bound_check, classify, enumerate_subgroups
 from .weilrep import _invariants
 
 
@@ -62,15 +63,19 @@ def _emit(obj):
     )
 
 
-def _module_from_args(args):
+def _module_from_args(args, bound=None):
+    """The module of --module or --N/--Nprime, refused over the bound before it is built."""
     if getattr(args, "module", None):
         text = args.module
         if text.startswith("@"):
             with open(text[1:]) as fh:
                 text = fh.read()
-        return FqModule.from_json(json.loads(text))
+        obj = json.loads(text)
+        _bound_check(prod(int(d) for d in obj["orders"]), bound)
+        return FqModule.from_json(obj)
     if args.N is None:
         raise ValueError("need either --module or --N")
+    _bound_check((args.N * args.Nprime) ** 2, bound)
     return hyperbolic_pair(args.N, args.Nprime)
 
 
@@ -88,7 +93,7 @@ def cmd_discform(args):
 
 
 def cmd_subgroups(args):
-    m = hyperbolic_pair(args.N, args.Nprime)
+    m = _module_from_args(args, args.bound)
     for h in enumerate_subgroups(m, args.bound):
         obj = h.to_json()
         obj["class"] = classify(h).to_json()

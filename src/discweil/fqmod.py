@@ -294,8 +294,14 @@ class FqModule:
             and self.bs == other.bs
         )
 
-    def __hash__(self):
+    @cached_property
+    def _hash(self):
         return hash((self.orders, self.qs, self.bs))
+
+    def __hash__(self):
+        # cached: lru_cache keys hash the module on every call, and the
+        # presentation holds k^2 Fractions
+        return self._hash
 
     def __repr__(self):
         return "FqModule(orders=%r)" % (self.orders,)

@@ -6,13 +6,17 @@ Index sets are closed by one sumset helper, {x + y : x in A, y in B}, on the
 module's element table: a span, the join <H, x> and the sum of subgroups of
 coprime orders are all sumsets.  The zero element has index 0.
 Enumeration splits into p-primary parts first (the subgroup lattice of a
-finite abelian group is the product of its p-primary lattices), which keeps
-the breadth-first closure tiny even for |D| in the thousands.  One search
-serves all subgroups and the isotropic and self-dual isotropic ones.
+finite abelian group is the product of its p-primary lattices).  Each part's
+lattice is walked along its cover relation: every subgroup of a finite
+abelian p-group is reached from 0 by joins of index p, and each index-p
+supergroup of a found subgroup is built once, so the work grows with the
+number of covers, not with |D_p| joins per subgroup.  One search serves all
+subgroups and the isotropic and self-dual isotropic ones.
 """
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -67,11 +71,15 @@ class Subgroup:
         at = self.parent.element_at
         return [at(i) for i in sorted(self.indices)]
 
-    def gen_tuples(self):
-        at = self.parent.element_at
+    @cached_property
+    def _gen_tuples(self):
+        """The given generators, else a greedy list, found once per subgroup."""
         if self.gens:
-            return [at(i) for i in self.gens]
-        return _greedy_gens(self.parent, self.indices)
+            return tuple(map(self.parent.element_at, self.gens))
+        return tuple(_greedy_gens(self.parent, self.indices))
+
+    def gen_tuples(self):
+        return list(self._gen_tuples)
 
     def __contains__(self, x):
         if isinstance(x, tuple):
@@ -151,13 +159,14 @@ def _greedy_gens(m, indices):
     return gens
 
 
-def _bound_check(m, bound):
+def _bound_check(size, bound):
+    """Refuse |D| = ``size`` over ``bound`` (None: WEILREP_MAX_D, else DEFAULT_BOUND)."""
     if bound is None:
         env = os.environ.get("WEILREP_MAX_D")
         bound = int(env) if env else DEFAULT_BOUND
-    if m.size > bound:
+    if size > bound:
         raise EnumerationBoundError(
-            "|D| = %d exceeds enumeration bound %d" % (m.size, bound)
+            "|D| = %d exceeds enumeration bound %d" % (size, bound)
         )
 
 
@@ -170,28 +179,41 @@ def _byte_check(entries, width, what):
         )
 
 
-def _subgroup_sets_of_subset(m, members):
+def _subgroup_sets_of_subset(m, members, p):
     """All subgroup index sets inside the index set ``members``.
 
-    ``members`` is a p-part, or the isotropic elements of a p-part.  x joins
-    H only when g + x stays a member for every generator g of H: in a
-    subgroup that always holds, and for isotropic g and x, Q(g + x) = B(g, x),
-    so <H, x> stays isotropic.  Each group carries the members that may join
-    it, filtered as its generators grow.
+    ``members`` is the p-part of D, or its isotropic elements.  The search
+    walks the cover relation of the p-part's subgroup lattice: from each
+    found H it tries only the members x outside H with p*x in H, and the
+    join <H, x> is the sumset of H and {0, x, ..., (p-1)x}, of index p over
+    H.  Every y in <H, x> outside H gives the same join, so those are marked
+    done and each index-p supergroup of H is built once.  Nothing is missed:
+    when H' contains H properly, H'/H has an element of order p, and so a
+    step of index p leads from H towards H'.
+
+    A member x joins H only when g + x stays a member for every generator g
+    of H: in a subgroup that always holds, and for isotropic g and x,
+    Q(g + x) = B(g, x), so <H, x> stays isotropic.  Each group carries the
+    members that may join it, filtered as its generators grow.
     """
     inside = np.zeros(m.size, dtype=bool)
     inside[_array(members)] = True
     X = m.coords
+    multiples = np.arange(p)[:, None]
     zero = frozenset({0})
     seen = {zero}
     queue = [(zero, np.flatnonzero(inside))]
     while queue:
         h, cand = queue.pop()
         ha = _array(h)
-        for i in cand.tolist():
-            if i in h:
+        in_h = np.zeros(m.size, dtype=bool)
+        in_h[ha] = True
+        done = in_h.copy()
+        for i in cand[in_h[m.indices_of(p * X[cand])]].tolist():
+            if done[i]:
                 continue
-            hx = _sumset(m, ha, _steps(m, ha, X[i]))
+            hx = _sumset(m, ha, m.indices_of(multiples * X[i]))
+            done[_array(hx)] = True
             if hx not in seen:
                 seen.add(hx)
                 queue.append((hx, cand[inside[m.indices_of(X[cand] + X[i])]]))
@@ -219,11 +241,11 @@ def _enumerate(m, bound, isotropic=False, self_dual=False):
     H is isotropic exactly when every H_p is, and self-dual exactly when
     every |H_p|^2 = |D_p|.
     """
-    _bound_check(m, bound)
+    _bound_check(m.size, bound)
     iso = frozenset(m.isotropic_indices) if isotropic else None
     combined = [frozenset({0})]
-    for _, part in sorted(_p_primary_index_sets(m).items()):
-        sets = _subgroup_sets_of_subset(m, part & iso if isotropic else part)
+    for p, part in sorted(_p_primary_index_sets(m).items()):
+        sets = _subgroup_sets_of_subset(m, part & iso if isotropic else part, p)
         psets = [_array(b) for b in sets if not self_dual or len(b) ** 2 == len(part)]
         combined = [_sumset(m, a, b) for a in map(_array, combined) for b in psets]
     uniq = sorted(set(combined), key=lambda s: (len(s), sorted(s)))

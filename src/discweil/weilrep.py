@@ -64,7 +64,7 @@ def _pack(m):
     its column k.  Per-element values (coordinates, Q, negation) come from
     the module's element table.
     """
-    _bound_check(m, None)
+    _bound_check(m.size, None)
     _byte_check(m.size**2, 16, "the exponent table")
     return _exponents(m)
 

@@ -100,6 +100,22 @@ def test_bound_exceeded_exits_3():
     assert r.returncode == 0
 
 
+def test_oversized_module_exits_3_before_it_is_built(monkeypatch, capsys):
+    # a 20000^4-element module would not fit in memory: the bound is checked
+    # from the orders, before any FqModule (and its element table) exists
+    def refuse(*args, **kwargs):
+        raise AssertionError("FqModule built for an oversized request")
+
+    monkeypatch.setattr(cli.FqModule, "__init__", refuse)
+    big = ["--N", "20000", "--Nprime", "20000"]
+    zero = [["0", "0"], ["0", "0"]]
+    module = json.dumps({"orders": [20000, 20000], "q_gen": ["0", "0"], "b_gram": zero})
+    for argv in (["subgroups", *big], ["invariants", *big], ["invariants", "--module", module]):
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: |D| = ") and err.count("\n") == 1
+
+
 def test_verification_mismatch_exits_2(monkeypatch, capsys):
     # exercised in-process: a report that fails must map to exit code 2
     monkeypatch.setattr(

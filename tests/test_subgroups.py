@@ -1,15 +1,20 @@
 from functools import reduce
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_fqmod import COMPONENTS, negated
 
+from discweil import subgroups
 from discweil.fqmod import FqModule, direct_sum, hyperbolic, hyperbolic_pair
 from discweil.subgroups import (
     EnumerationBoundError,
     Subgroup,
+    _array,
+    _steps,
+    _sumset,
     characteristic_vector,
     classify,
     complement,
@@ -32,6 +37,40 @@ def closure(m, gens):
                 seen.add(y)
                 todo.append(y)
     return frozenset(m.index(x) for x in seen)
+
+
+def join_every_member(m, members):
+    """Test oracle: all subgroup index sets inside ``members``, by joining each
+    found H with every remaining member x, <H, x> = H + {0, x, ..., (r-1)x}
+    with r least such that r*x is in H.
+
+    A member joins H only when g + x stays a member for every generator g of
+    H, which keeps the joins of isotropic members isotropic.
+    """
+    inside = np.zeros(m.size, dtype=bool)
+    inside[_array(members)] = True
+    X = m.coords
+    zero = frozenset({0})
+    seen = {zero}
+    queue = [(zero, np.flatnonzero(inside))]
+    while queue:
+        h, cand = queue.pop()
+        ha = _array(h)
+        for i in cand.tolist():
+            if i in h:
+                continue
+            hx = _sumset(m, ha, _steps(m, ha, X[i]))
+            if hx not in seen:
+                seen.add(hx)
+                queue.append((hx, cand[inside[m.indices_of(X[cand] + X[i])]]))
+    return seen
+
+
+ENUMERATIONS = (
+    enumerate_subgroups,
+    enumerate_isotropic_subgroups,
+    enumerate_self_dual_isotropic,
+)
 
 
 def brute_subgroup_sets(m):
@@ -174,3 +213,39 @@ def test_isotropic_enumerations_are_filters(m):
     assert sd == {s for s, c in flags.items() if c.is_self_dual and c.is_isotropic}
     if m == hyperbolic_pair(6, 1):
         assert len(sd) == 4  # sigma0(6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(DIRECT_SUMS, CHANGED_PAIRS).filter(lambda m: m.size <= 144))
+@example(hyperbolic_pair(4, 2))
+@example(hyperbolic_pair(3, 3))
+def test_index_p_walk_matches_join_every_member(m):
+    got = [[h.indices for h in enum(m)] for enum in ENUMERATIONS]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            subgroups,
+            "_subgroup_sets_of_subset",
+            lambda m, members, p: join_every_member(m, members),
+        )
+        want = [[h.indices for h in enum(m)] for enum in ENUMERATIONS]
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "m, count",
+    [
+        # (Z/p)^4 has sum_k [4 choose k]_p subgroups (Gaussian binomials)
+        (hyperbolic_pair(2, 2), 1 + 15 + 35 + 15 + 1),
+        (hyperbolic_pair(3, 3), 1 + 40 + 130 + 40 + 1),
+        (hyperbolic_pair(4, 2), 249),
+        (hyperbolic_pair(6, 2), 402),
+        (hyperbolic_pair(8, 2), 671),
+        (hyperbolic_pair(9, 3), 1066),
+        (hyperbolic_pair(12, 2), 1494),
+    ],
+    ids=["(2,2)", "(3,3)", "(4,2)", "(6,2)", "(8,2)", "(9,3)", "(12,2)"],
+)
+def test_subgroup_counts(m, count):
+    subs = enumerate_subgroups(m)
+    assert len(subs) == count
+    assert len({h.indices for h in subs}) == count
