@@ -14,7 +14,6 @@ from math import prod
 
 from .arith import is_prime
 from .borcherds import InputForm, catalog_for, lift, verify_eta_prime
-from .cyclo import CycNumber
 from .fqmod import FqModule, hyperbolic_pair
 from .lnn_catalog import assemble, relations_Np
 from .qseries import eta_series
@@ -45,22 +44,8 @@ def _positive(text):
     return n
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, CycNumber):
-        return obj.to_json()
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _emit(obj):
-    sys.stdout.write(
-        json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _module_from_args(args, bound=None):
@@ -80,7 +65,7 @@ def _module_from_args(args, bound=None):
 
 
 def cmd_discform(args):
-    m = hyperbolic_pair(args.N, args.Nprime)
+    m = _module_from_args(args)
     _emit(
         {
             "module": m.to_json(),
@@ -148,7 +133,7 @@ def _parse_coeffs(text):
 
 
 def cmd_lift(args):
-    m = hyperbolic_pair(args.N, args.Nprime)
+    m = _module_from_args(args)
     f = InputForm(m, _parse_coeffs(args.coeffs))
     res = lift(f, args.prec)
     _emit(res.to_json())

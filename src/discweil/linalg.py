@@ -49,17 +49,6 @@ def rational_rank(rows):
     return len(rational_rref(ints)[1])
 
 
-def rational_kernel(rows, ncols=None):
-    """Basis of the right kernel as primitive integer vectors.
-
-    Basis vectors are the standard rref kernel vectors (one per free column),
-    cleared of denominators, divided by content, leading entry positive.
-    """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    return _certified_rows(rows, ncols)[2]
-
-
 def primitive_integer_vector(v):
     """Scale a rational vector to coprime integers with positive leading entry."""
     den = lcm(*[f.denominator for f in v]) if v else 1

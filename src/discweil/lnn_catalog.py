@@ -3,10 +3,12 @@ isotropic catalog for the paired hyperbolic modules.
 
 A subgroup of (Z/N)^2 under Q(x,y) = xy/N is written H_{x,y,z} =
 <(x,y),(0,z)> with x, z divisors of N, 0 <= y < z, and z minimal.  All the
-classification questions (complement, isotropy, co-isotropy, self-duality)
-have closed forms in these coordinates.  Self-dual isotropic subgroups of the
-four-coordinate module (Z/N)^2 x (Z/N')^2 are assembled from a co-isotropic
-block on each side plus a pair of glue elements, subject to three congruences.
+classification questions (membership, complement, isotropy, co-isotropy,
+self-duality) have closed forms in these coordinates.  Self-dual isotropic
+subgroups of the four-coordinate module (Z/N)^2 x (Z/N')^2 are assembled
+from a co-isotropic block on each side plus a pair of glue elements, subject
+to three congruences.  A ``SelfDualSpec`` is checked by the closed forms
+alone; only ``assemble`` and ``hxyz_subgroup`` build a module.
 """
 
 from dataclasses import dataclass
@@ -136,14 +138,16 @@ class SelfDualSpec:
         HxyzParams(N, *self.first)
         HxyzParams(Np, *self.second)
         x, _, z = self.first
-        xp, _, zp = self.second
+        xp, yp, zp = self.second
         if Np * x * z != N * xp * zp:
             raise ValueError("cardinality constraint N'xz = Nx'z' fails")
-        hp = hxyz_subgroup(HxyzParams(Np, *self.second))
         for pt in (self.ab, self.cd):
             if len(pt) != 2:
                 raise ValueError("glue elements must be pairs")
-            if (pt[0] % Np, pt[1] % Np) not in hp:
+            # (a, b) = k (x', y') + l (0, z') exactly when x' | a and
+            # z' | b - (a/x') y'; any lift of a/x' will do, as z' | (N'/x') y'
+            a, b = pt
+            if a % xp or (b - a // xp * yp) % zp:
                 raise ValueError("glue element %r outside the second block" % (pt,))
 
     def to_json(self):
@@ -159,11 +163,8 @@ class SelfDualSpec:
 
 def _second_complement_gens(spec):
     """Generators of the complement of the second block, inside (Z/N')^2."""
-    Np = spec.Nprime
-    xp, yp, zp = spec.second
-    zc = Np // xp
-    yc = (-(Np * yp) // (xp * zp)) % zc if zc > 1 else 0
-    return (Np // zp, yc), (0, zc)
+    c = hxyz_complement(HxyzParams(spec.Nprime, *spec.second))
+    return (c.x, c.y), (0, c.z)
 
 
 def assemble(spec):

@@ -9,10 +9,13 @@ vectors given as histograms and reduces the result to power-basis
 coordinates by one integer matrix multiplication; ``apply_S``, the v^H
 check and the relations of ``weil_relations_report`` go through it, a
 block of columns at a time, and compare exact integer arrays, for modules of
-any signature; unitarity then follows from S^2 and the symmetry of E.  The
-integer tables are the module's element table (coordinates, L*Q) and, from
-``_pack``, the |D| x |D| int32 exponent table, held behind the enumeration
-bound and the byte budget.
+any signature.  Each relation applies zeta^E once and compares the result
+with its closed form: S^2 with |D| times the negation, and STS = T^-1 S T^-1
+(equivalent to (ST)^3 = S^2) with the Gauss sum times roots of unity;
+unitarity then follows from S^2 and the symmetry of E.  The integer tables
+are the module's element table (coordinates, L*Q) and, from ``_pack``, the
+|D| x |D| int32 exponent table, held behind the enumeration bound and the
+byte budget.
 
 The invariant space has one certificate.  Its vectors are those over the
 isotropic elements (the rho(T)-fixed ones) in the kernel of the |D| x |iso|
@@ -196,8 +199,12 @@ def weil_relations_report(m):
     - rho(S)^2 = e(-sig/4) P_neg, P_neg the negation permutation, exactly
       when (zeta^E)^2 e_c = |D| e_(-c): zeta^E on the columns of zeta^E;
     - rho(S)^4 is then e(-sig/2), the identity exactly for even signature;
-    - (ST)^3 = S^2 exactly when (zeta^E T)^3 = G (zeta^E)^2, as s0 G = 1:
-      zeta^E twice on T zeta^E T e_c, with T between the two;
+    - (ST)^3 = S^2 exactly when STS = T^-1 S T^-1 (S and T are
+      invertible), that is, as s0 G = 1, when zeta^E T zeta^E =
+      G T^-1 zeta^E T^-1: zeta^E on the columns T zeta^E e_c against
+      G zeta^(E[i, c] - L Q(x_i) - L Q(x_c)).  Entry (i, c) of the left
+      side is sum_k e(Q(x_k) - B(x_k, x_i + x_c)) = e(-Q(x_i + x_c)) G, as
+      the Gauss sum sum_k e(Q(x_k - x_i - x_c)) is G whatever the shift;
     - rho(S) is unitary once S^2 holds and the table is that of a symmetric
       bilinear form, E = E^t and E[:, -c] = -E[:, c] mod L, checked on E:
       then conj(zeta^E)^t = zeta^E P_neg, so zeta^E conj(zeta^E)^t =
@@ -212,9 +219,9 @@ def weil_relations_report(m):
     q = m.q_ints
     neg = m.indices_of(-m.coords)
     G = _gauss_sum_level(m)  # counts of roots of unity: integral, so G.den == 1
-    phi = _reduction_array(L).shape[1]
+    RED = _reduction_array(L)
+    phi = RED.shape[1]
     Gmat = np.array([(root_of_unity(t, L) * G).coords for t in range(phi)], dtype=np.int64)
-    shift_t = ((np.arange(phi) + q[:, None]) % L)[:, None, :]  # T on coordinates
     s2_ok = st3_ok = table_ok = True
     width = max(1, _BLOCK // (n * L))
     for c0 in range(0, n, width):
@@ -229,10 +236,8 @@ def weil_relations_report(m):
         table_ok &= bool(np.array_equal(blk, E[cols].T))
         table_ok &= bool(np.array_equal(E[:, neg[cols]], -blk % L))
 
-        x = _s_sums(E, L, _one_hot(blk + q[:, None] + q[cols], L))
-        H = np.zeros(x.shape[:2] + (L,), dtype=x.dtype)
-        np.put_along_axis(H, shift_t, x, axis=-1)
-        st3_ok &= bool(np.array_equal(_s_sums(E, L, H), s2 @ Gmat))
+        sts = _s_sums(E, L, _one_hot(blk + q[:, None], L))
+        st3_ok &= bool(np.array_equal(sts, RED[(blk - q[:, None] - q[cols]) % L] @ Gmat))
 
     return {
         "s2_is_negation": s2_ok,

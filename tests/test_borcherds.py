@@ -1,6 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_weilrep import dense_S, mat_apply
 
 from discweil.arith import divisors
 from discweil.borcherds import (
@@ -22,6 +25,7 @@ from discweil.lnn_catalog import (
     selfdual_list_Np,
 )
 from discweil.qseries import equals_to_precision, eta_series, first_mismatch
+from discweil.weilrep import invariant_space
 
 M6 = hyperbolic_pair(6, 1)
 
@@ -48,6 +52,34 @@ def test_input_invariance_guards():
         InputForm(M6, {(0, 0, 0, 0): 1})  # not S-invariant
     # check=False skips verification
     InputForm(M6, {(0, 0, 0, 0): 1}, check=False)
+
+
+SMALL_PAIRS = [hyperbolic_pair(N, Np) for N, Np in ((2, 1), (3, 1), (2, 2), (4, 1))]
+DENSE_S = {m: dense_S(m) for m in SMALL_PAIRS}
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(SMALL_PAIRS), st.data())
+def test_input_form_raises_exactly_when_S_moves_the_vector(m, data):
+    # an integer combination of the invariants, perturbed on a few isotropic
+    # elements (so rho(T) fixes it): InputForm accepts it exactly when the
+    # dense rho(S) fixes it
+    iso = m.isotropic_indices
+    dense = [0] * m.size
+    for vec in invariant_space(m):
+        c = data.draw(st.integers(-3, 3))
+        for i, v in enumerate(vec.dense()):
+            dense[i] += c * int(v)
+    bumps = data.draw(st.dictionaries(st.sampled_from(iso), st.integers(-2, 2), max_size=2))
+    for i, v in bumps.items():
+        dense[i] += v
+    fixed = mat_apply(DENSE_S[m], dense) == dense
+    coeffs = {m.element_at(i): v for i, v in enumerate(dense) if v}
+    if fixed:
+        InputForm(m, coeffs)
+    else:
+        with pytest.raises(ValueError, match="not invariant under the S generator"):
+            InputForm(m, coeffs)
 
 
 def test_lift_of_diagonal_subgroups_is_eta():

@@ -110,7 +110,13 @@ def test_oversized_module_exits_3_before_it_is_built(monkeypatch, capsys):
     big = ["--N", "20000", "--Nprime", "20000"]
     zero = [["0", "0"], ["0", "0"]]
     module = json.dumps({"orders": [20000, 20000], "q_gen": ["0", "0"], "b_gram": zero})
-    for argv in (["subgroups", *big], ["invariants", *big], ["invariants", "--module", module]):
+    for argv in (
+        ["discform", *big],
+        ["subgroups", *big],
+        ["invariants", *big],
+        ["invariants", "--module", module],
+        ["lift", *big, "--coeffs", "{}"],
+    ):
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: |D| = ") and err.count("\n") == 1

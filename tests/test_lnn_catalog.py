@@ -1,7 +1,9 @@
+from itertools import product
+
 import pytest
 
 from discweil.arith import divisors, sigma0
-from discweil.fqmod import hyperbolic, hyperbolic_pair
+from discweil.fqmod import FqModule, hyperbolic, hyperbolic_pair
 from discweil.linalg import rational_rank
 from discweil.lnn_catalog import (
     HxyzParams,
@@ -61,6 +63,35 @@ def test_params_validation():
         HxyzParams(6, 2, 3, 3)  # y out of range
     with pytest.raises(ValueError):
         HxyzParams(6, 2, 1, 2)  # (N/x) y not divisible by z
+
+
+def test_glue_membership_closed_form_against_the_subgroup():
+    # every normalized (x', y', z') with N' <= 12 and every point of
+    # (Z/N')^2, also through representatives outside [0, N'): the spec is
+    # refused exactly when the point lies outside H_{x',y',z'}
+    for Np in range(1, 13):
+        divs = divisors(Np)
+        for xp, zp in product(divs, divs):
+            for second in [(xp, yp, zp) for yp in range(zp) if (Np // xp * yp) % zp == 0]:
+                h = hxyz_subgroup(HxyzParams(Np, *second))
+                for a, b, k in product(range(Np), range(Np), (0, 1)):
+                    pt = (a - k * Np, b + 2 * k * Np)
+                    for glue in ((pt, (0, 0)), ((0, 0), pt)):
+                        try:
+                            SelfDualSpec(Np, Np, second, second, *glue)
+                            inside = True
+                        except ValueError as exc:
+                            assert "outside the second block" in str(exc)
+                            inside = False
+                        assert inside == ((a, b) in h), (Np, second, glue)
+
+
+def test_catalog_specs_build_no_module(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("FqModule built for a catalog spec")
+
+    monkeypatch.setattr(FqModule, "__init__", refuse)
+    assert len(selfdual_list_Np(12, 2)) == 2 * (len(divisors(12)) + len(divisors(6)))
 
 
 @pytest.mark.parametrize("N", range(2, 7))

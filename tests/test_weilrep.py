@@ -346,6 +346,32 @@ def test_bad_prime_is_rejected(monkeypatch):
         assert verdicts[:2] == [False, True]
 
 
+# (Z/3)^3 with signatures 6 and 2: the Gauss sum is not real, and each
+# module has one invariant, so the test ``_fixed`` makes reads G, not conj(G)
+NONREAL_G = [
+    reduce(direct_sum, [COMPONENTS[i] for i in picks]) for picks in ((0, 0, 0), (0, 0, 1))
+]
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(NONREAL_G), st.data())
+def test_fixed_matches_dense_oracle(m, data):
+    # integer combinations of the oracle's invariants, bumped on a few
+    # isotropic elements: _fixed holds exactly when the dense rho(S) fixes them
+    iso = list(m.isotropic_indices)
+    vec = [0] * len(iso)
+    for inv in oracle_invariants(m):
+        c = data.draw(st.integers(-3, 3))
+        vec = [a + c * b for a, b in zip(vec, inv)]
+    bumps = st.dictionaries(st.integers(0, len(iso) - 1), st.integers(-2, 2), max_size=2)
+    for k, v in data.draw(bumps).items():
+        vec[k] += v
+    dense = [0] * m.size
+    for g, v in zip(iso, vec):
+        dense[g] = v
+    assert W._fixed(m, [vec]) is (mat_apply(dense_S(m), dense) == dense)
+
+
 def test_invariant_vectors_are_fixed_by_generators():
     m = hyperbolic_pair(4, 1)
     for v in W.invariant_space(m):
@@ -458,6 +484,24 @@ def test_relations_report_rejects_a_wrong_table(monkeypatch, block, entries):
     assert not rep["s2_is_negation"] and not rep["s4"]
     assert not rep["st3"]
     assert not rep["s_unitary"]
+
+
+@pytest.mark.parametrize("block", [W._BLOCK, 1])
+@pytest.mark.parametrize("m", [hyperbolic_pair(3, 1), COMPONENTS[6]], ids=["D3", "A1"])
+def test_relations_report_rejects_a_wrong_q(monkeypatch, m, block):
+    # one value L*Q(x_j) off by one and E as it is: S^2 reads only E and
+    # still holds, while STS = T^-1 S T^-1 must fail for every j.  The
+    # signature is pinned, as the Gauss sum of the wrong values is off the
+    # circle |G|^2 = |D|.
+    sig, q = m.signature_mod8(), m.q_ints
+    monkeypatch.setattr(m, "signature_mod8", lambda: sig)
+    monkeypatch.setattr(W, "_BLOCK", block)
+    for j in range(m.size):
+        wrong = q.copy()
+        wrong[j] = (wrong[j] + 1) % m.level
+        monkeypatch.setitem(m.__dict__, "q_ints", wrong)
+        rep = W.weil_relations_report(m)
+        assert rep["s2_is_negation"] and not rep["st3"], j
 
 
 def test_byte_budget_refuses_before_allocating(monkeypatch):
