@@ -41,8 +41,6 @@ from .subgroups import (
     enumerate_subgroups,
 )
 from .weilrep import (
-    apply_S,
-    apply_T_power,
     invariant_dimension,
     invariant_space,
     verify_selfdual_span,

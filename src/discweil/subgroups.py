@@ -67,9 +67,13 @@ class Subgroup:
     def order(self):
         return len(self.indices)
 
+    @cached_property
+    def _element_tuples(self):
+        """The elements in index order, built once per subgroup."""
+        return tuple(map(self.parent.element_at, sorted(self.indices)))
+
     def element_tuples(self):
-        at = self.parent.element_at
-        return [at(i) for i in sorted(self.indices)]
+        return list(self._element_tuples)
 
     @cached_property
     def _gen_tuples(self):

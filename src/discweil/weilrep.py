@@ -6,33 +6,33 @@ zeta_L^(L*Q).  So rho(S) applied to a vector, and every product of the
 generators, is a scalar times sums of roots of unity described by integer
 exponent histograms.  One routine, ``_s_sums``, applies zeta^E to a batch of
 vectors given as histograms and reduces the result to power-basis
-coordinates by one integer matrix multiplication; ``apply_S``, the v^H
-check and the relations of ``weil_relations_report`` go through it, a
-block of columns at a time, and compare exact integer arrays, for modules of
-any signature.  Each relation applies zeta^E once and compares the result
-with its closed form: S^2 with |D| times the negation, and STS = T^-1 S T^-1
-(equivalent to (ST)^3 = S^2) with the Gauss sum times roots of unity;
-unitarity then follows from S^2 and the symmetry of E.  The integer tables
-are the module's element table (coordinates, L*Q) and, from ``_pack``, the
-|D| x |D| int32 exponent table, held behind the enumeration bound and the
-byte budget.
+coordinates by one integer matrix multiplication; the v^H check, the
+relations of ``weil_relations_report`` and the invariant certificate go
+through it, a block of columns at a time, and compare exact integer arrays,
+for modules of any signature.  Each relation applies zeta^E once and
+compares the result with its closed form: S^2 with |D| times the negation,
+and STS = T^-1 S T^-1 (equivalent to (ST)^3 = S^2) with the Gauss sum times
+roots of unity; unitarity then follows from S^2 and the symmetry of E.
+The integer tables are the module's element table (coordinates, L*Q) and,
+from ``_pack``, the |D| x |D| int32 exponent table, held behind the
+enumeration bound and the byte budget.
 
 The invariant space has one certificate.  Its vectors are those over the
-isotropic elements (the rho(T)-fixed ones) in the kernel of the |D| x |iso|
-system zeta^E[:, iso] - G I; ``linalg`` eliminates it mod primes q = 1
-(mod L) and lifts a kernel basis that ``_s_sums`` proves invariant, exactly.
-The v^H of the self-dual isotropic subgroups are measured against that
-kernel.  No floating point and no unverified heuristics.
+isotropic elements (the rho(T)-fixed ones) in the kernel of the square
+|iso| x |iso| system zeta^E[iso, iso] - G I, which is all of the invariant
+space as rho(S) is unitary; ``linalg`` eliminates it mod primes q = 1
+(mod L) and lifts a kernel basis that ``_s_sums`` proves invariant on all
+|D| rows, exactly.  The v^H of the self-dual isotropic subgroups are
+measured against that kernel.  No floating point and no unverified
+heuristics.
 """
 
-from fractions import Fraction
 from functools import lru_cache, partial
-from math import lcm
 
 import numpy as np
 
 from .arith import primitive_root
-from .cyclo import CycNumber, _make, _reduction_rows, root_of_unity
+from .cyclo import CycNumber, _reduction_rows, root_of_unity
 from .fqmod import matmul_mod, q_histogram
 from .groupring import GroupRingVector
 from .linalg import _certified, rational_rref
@@ -74,9 +74,17 @@ def _pack(m):
 
 @lru_cache(maxsize=32)
 def _exponents(m):
+    """E = -X (L B_gen) X^t mod L, X the element coordinates, by one reduction.
+
+    Only the r x |D| factor (L B_gen) X^t, r the number of generators, is
+    reduced mod L.  Every entry of the plain int64 product with X is then a
+    sum of r terms, each a coordinate below L times a residue below L: below
+    r L^2.  The byte budget of ``_pack`` keeps |D| below 2^14, so L <= 2|D|
+    is below 2^15, and r L^2 could reach 2^63 only past 2^33 generators.
+    """
     L = m.level
     X = m.coords
-    E = matmul_mod(matmul_mod(X, m._gram, L), X.T, L)
+    E = X @ matmul_mod(m._gram, X.T, L)
     np.negative(E, out=E)
     E %= L
     E = E.astype(np.int32)
@@ -90,18 +98,6 @@ def _reduction_array(M):
     RED = np.array(_reduction_rows(M), dtype=np.int64)
     RED.flags.writeable = False
     return RED
-
-
-def _s_scalar(m):
-    """The scalar in front of rho(S): e(-sig/8)/sqrt(|D|) = conj(G)/|D|, exactly.
-
-    A plain Fraction whenever the signature is 0 mod 8 (the usual case here);
-    that keeps conductors small downstream.
-    """
-    s0 = m.gauss_sum().conjugate() * Fraction(1, m.size)
-    if s0.is_rational():
-        return s0.rational_value()
-    return s0
 
 
 def _s_sums(E, L, V):
@@ -138,42 +134,6 @@ def _s_sums(E, L, V):
         at_ic = rows + (c * M)[:, None] + (j[:, None] + stretch * E[k]) % M
         np.add.at(out.reshape(-1), at_ic, V[k, c, j][:, None])
     return out @ RED
-
-
-# ------------------------------------------------------------ SL2 action
-
-
-def apply_T_power(m, k, vec):
-    L = m.level
-    qvec = m.q_ints
-    out = []
-    for i, v in enumerate(vec):
-        e = k * int(qvec[i]) % L
-        if e:
-            out.append(root_of_unity(e, L) * v)
-        else:
-            out.append(v)
-    return out
-
-
-def apply_S(m, vec):
-    """rho(S) applied to a dense list of ints, Fractions or CycNumbers, exact."""
-    n = m.size
-    M = lcm(m.level, *(v.conductor for v in vec if isinstance(v, CycNumber)))
-    vals = [v if isinstance(v, CycNumber) else Fraction(v) for v in vec]
-    den = lcm(*(v.den if isinstance(v, CycNumber) else v.denominator for v in vals))
-    V = np.zeros((n, 1, M), dtype=object)
-    for k, v in enumerate(vals):
-        if isinstance(v, CycNumber):
-            step, f = M // v.conductor, den // v.den
-            for j, c in enumerate(v.coords):
-                if c:
-                    V[k, 0, j * step] = c * f
-        elif v:
-            V[k, 0, 0] = v.numerator * (den // v.denominator)
-    s0 = _s_scalar(m)
-    sums = _s_sums(_pack(m), m.level, V)[:, 0]
-    return [_make(M, coords, den) * s0 for coords in sums.tolist()]
 
 
 # ------------------------------------------------- exact identity checks
@@ -270,11 +230,11 @@ def _gauss_sum_level(m):
 
 
 def _residues(m, q):
-    """The fixed-point system zeta^E[:, iso] - G I mod q, zeta_L sent to t of order L."""
+    """The square system zeta^E[iso, iso] - G I mod q, zeta_L sent to t of order L."""
     L, iso = m.level, list(m.isotropic_indices)
     t = pow(primitive_root(q), (q - 1) // L, q)
-    A = np.array([pow(t, e, q) for e in range(L)], dtype=np.int64)[_pack(m)[:, iso]]
-    at = (iso, np.arange(len(iso)))
+    A = np.array([pow(t, e, q) for e in range(L)], dtype=np.int64)[_pack(m)[np.ix_(iso, iso)]]
+    at = np.diag_indices(len(iso))
     A[at] = (A[at] - _gauss_sum_level(m).mod_prime(q, t)) % q
     return A
 
@@ -305,17 +265,29 @@ def _certificate(m):
     """The certified invariants of m and the self-dual isotropic family against them.
 
     The invariants are the vectors over the isotropic elements in the kernel
-    of the |D| x |iso| system zeta^E[:, iso] - G I, with entries in
-    Z[zeta_L].  ``linalg`` eliminates it mod primes q = 1 (mod L) and accepts
-    a lifted kernel basis only when ``_fixed`` proves every vector invariant.
-    That is a proof over C: ncols - rank_q invariants, and rank_q is at most
-    the rank over Q(zeta_L).  The lift terminates because the invariants have
-    a basis of rational vectors (McGraw, "The rationality of vector valued
-    modular forms associated with the Weil representation", Math. Ann. 2003),
-    so the RREF of the system is rational.  A residue table is held as int64
-    next to the int32 columns of E it is gathered from, and each elimination
-    step holds three more int64 temporaries of its size: about 36 bytes per
-    entry, checked after the exponent table and before any residue.
+    of the square |iso| x |iso| system zeta^E[iso, iso] - G I, with entries
+    in Z[zeta_L].  ``linalg`` eliminates it mod primes q = 1 (mod L) and
+    accepts a lifted kernel basis only when ``_fixed`` proves every vector
+    invariant on all |D| rows.
+
+    Soundness.  An invariant v lies over the isotropic elements (rho(T)
+    fixes it) and solves zeta^E v = G v on every row, so on the isotropic
+    rows: the square kernel over C contains the invariants.  Reduction mod q
+    is a ring map, so rank_q <= rank_C and the ncols - rank_q lifted vectors
+    are at least as many as the invariants; ``_fixed`` proves each of them
+    invariant, and they are independent, so they span the invariants.
+
+    Termination.  rho(S) = s0 zeta^E is unitary (``weil_relations_report``).
+    If v lies over iso and (rho(S) v)_x = v_x for every isotropic x, then
+    ||rho(S) v|| = ||v|| leaves no room for entries off iso: rho(S) v = v.
+    So the square kernel over C is exactly the invariant space, which has a
+    basis of rational vectors (McGraw, "The rationality of vector valued
+    modular forms associated with the Weil representation", Math. Ann.
+    2003); the RREF of the system is then rational, and a lucky prime lifts
+    it.  A residue table is held as int64 next to the int32 block of E it is
+    gathered from, and each elimination step holds three more int64
+    temporaries of its size: about 36 bytes per entry, checked after the
+    exponent table and before any residue.
 
     Returns (iso, kernel basis, family rows, family pivots, spans): the
     pivots index the greedy independent subfamily of the 0/1 rows of the
@@ -325,7 +297,7 @@ def _certificate(m):
     """
     _pack(m)  # the element bound and the exponent table's budget first
     iso = m.isotropic_indices
-    _byte_check(m.size * len(iso), 36, "the fixed-point system")
+    _byte_check(len(iso) ** 2, 36, "the fixed-point system")
     kernel = _certified(partial(_residues, m), len(iso), partial(_fixed, m), m.level)[2]
     family = isotropic_rows(m, enumerate_self_dual_isotropic(m))
     # the greedy subfamily (each vector kept when it is not in the span of

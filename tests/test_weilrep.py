@@ -1,7 +1,7 @@
 from fractions import Fraction as F
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations_with_replacement
-from math import prod
+from math import lcm, prod
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,10 +12,11 @@ from test_fqmod import COMPONENTS, negated
 from test_linalg import fraction_kernel, fraction_rref
 
 from discweil import weilrep as W
-from discweil.cyclo import CycNumber, root_of_unity, zero
-from discweil.fqmod import FqModule, direct_sum, hyperbolic_pair
+from discweil.arith import primitive_root
+from discweil.cyclo import CycNumber, _make, root_of_unity, zero
+from discweil.fqmod import FqModule, direct_sum, hyperbolic_pair, matmul_mod
 from discweil.groupring import GroupRingVector
-from discweil.linalg import _prime
+from discweil.linalg import _certified, _prime
 from discweil.subgroups import EnumerationBoundError, enumerate_subgroups
 
 A1 = FqModule((2,), [F(1, 4)], [[F(1, 2)]])  # signature 1
@@ -129,13 +130,47 @@ def sl2_word(mat):
     return word
 
 
+def apply_T_power(m, k, vec):
+    """rho(T^k) applied to a dense list: entry x times zeta_L^(k L Q(x))."""
+    L = m.level
+    exps = (k * m.q_ints % L).tolist()
+    return [root_of_unity(e, L) * v if e else v for e, v in zip(exps, vec)]
+
+
+def apply_S(m, vec):
+    """rho(S) applied to a dense list of ints, Fractions or CycNumbers, exact.
+
+    The vector enters the library's ``_s_sums`` as exponent histograms over
+    one common denominator; the scalar conj(G)/|D| is applied after, as a
+    plain Fraction when it is rational, which keeps conductors small.
+    """
+    n = m.size
+    M = lcm(m.level, *(v.conductor for v in vec if isinstance(v, CycNumber)))
+    vals = [v if isinstance(v, CycNumber) else F(v) for v in vec]
+    den = lcm(*(v.den if isinstance(v, CycNumber) else v.denominator for v in vals))
+    V = np.zeros((n, 1, M), dtype=object)
+    for k, v in enumerate(vals):
+        if isinstance(v, CycNumber):
+            step, f = M // v.conductor, den // v.den
+            for j, c in enumerate(v.coords):
+                if c:
+                    V[k, 0, j * step] = c * f
+        elif v:
+            V[k, 0, 0] = v.numerator * (den // v.denominator)
+    s0 = dense_scalar(m)
+    if s0.is_rational():
+        s0 = s0.rational_value()
+    sums = W._s_sums(W._pack(m), m.level, V)[:, 0]
+    return [_make(M, coords, den) * s0 for coords in sums.tolist()]
+
+
 def apply_word(m, word, vec):
-    """Apply rho(word) with the library's apply_S and apply_T_power, right to left."""
+    """Apply rho(word) with apply_S and apply_T_power, right to left."""
     for tok in reversed(word):
         if tok == "S":
-            vec = W.apply_S(m, vec)
+            vec = apply_S(m, vec)
         else:
-            vec = W.apply_T_power(m, tok[1], vec)
+            vec = apply_T_power(m, tok[1], vec)
     return vec
 
 
@@ -199,7 +234,7 @@ def test_apply_S_on_e0():
     m = hyperbolic_pair(2, 1)
     vec = [F(0)] * m.size
     vec[m.index((0, 0, 0, 0))] = F(1)
-    out = W.apply_S(m, vec)
+    out = apply_S(m, vec)
     assert all(x == F(1, 2) for x in out)
 
 
@@ -208,7 +243,7 @@ def test_apply_T_phases():
     from discweil.cyclo import exp_frac
 
     vec = [F(1)] * m.size
-    out = W.apply_T_power(m, 2, vec)
+    out = apply_T_power(m, 2, vec)
     for i, x in enumerate(m.element_list):
         assert out[i] == exp_frac(2 * m.q_value(x))
 
@@ -217,7 +252,7 @@ def test_apply_S_matches_matrix():
     m = hyperbolic_pair(3, 1)
     vec = [F(i % 4 - 1) for i in range(m.size)]
     by_mat = mat_apply(dense_S(m), vec)
-    by_fn = W.apply_S(m, vec)
+    by_fn = apply_S(m, vec)
     assert all(a == b for a, b in zip(by_mat, by_fn))
 
 
@@ -305,6 +340,65 @@ def oracle_rank(rows):
     return len(fraction_rref(rows)[1])
 
 
+# ------------------------------------------------------ full-system oracle
+# The fixed-point system on all |D| rows, and the exponent table by two
+# reduced products: the references for the square system the certificate
+# eliminates and for the table ``_exponents`` builds by one reduction.
+
+
+def full_residues(m, q):
+    """The |D| x |iso| system zeta^E[:, iso] - G I mod q, zeta_L sent to t of order L."""
+    L, iso = m.level, list(m.isotropic_indices)
+    t = pow(primitive_root(q), (q - 1) // L, q)
+    A = np.array([pow(t, e, q) for e in range(L)], dtype=np.int64)[W._pack(m)[:, iso]]
+    at = (iso, np.arange(len(iso)))
+    A[at] = (A[at] - W._gauss_sum_level(m).mod_prime(q, t)) % q
+    return A
+
+
+def certified_system(m, residues):
+    """(rref, pivots, kernel) of the fixed-point system given by its residues."""
+    ncols = len(m.isotropic_indices)
+    return _certified(partial(residues, m), ncols, partial(W._fixed, m), m.level)
+
+
+def summed(picks):
+    return reduce(direct_sum, [COMPONENTS[i] for i in picks])
+
+
+# a sum of one to three Jordan components, or a double D + D(-1) of a sum of
+# one or two with |D| <= 16, which has self-dual isotropic subgroups
+PICKS = st.lists(st.sampled_from(range(len(COMPONENTS))), min_size=1, max_size=3)
+SUMS = PICKS.map(summed)
+DOUBLES = (
+    PICKS.filter(lambda picks: len(picks) < 3)
+    .map(summed)
+    .filter(lambda d: d.size <= 16)
+    .map(lambda d: direct_sum(d, negated(d)))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(SUMS, DOUBLES))
+@example(COMPONENTS[6])  # Z/2 with x^2/4: signature 1, no invariants
+@example(direct_sum(COMPONENTS[5], negated(COMPONENTS[5])))  # Z/7 + Z/7(-1)
+@example(hyperbolic_pair(6, 1))
+def test_square_system_matches_full_system_oracle(m):
+    # the square block and all |D| rows have one kernel, so one RREF
+    assert certified_system(m, W._residues) == certified_system(m, full_residues)
+    assert W._residues(m, _prime(0, m.level)).shape == (len(m.isotropic_indices),) * 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(SUMS, DOUBLES))
+@example(hyperbolic_pair(12, 2))
+def test_exponents_match_two_matmul_oracle(m):
+    L, X = m.level, m.coords
+    E = W._exponents(m)
+    assert E.dtype == np.int32 and not E.flags.writeable
+    assert np.array_equal(E, -matmul_mod(matmul_mod(X, m._gram, L), X.T, L) % L)
+
+
 def test_invariant_space_methods_agree():
     # the certified kernel, and for modules with self-dual isotropic
     # subgroups the v^H it certifies, against the power-basis oracle
@@ -376,8 +470,8 @@ def test_invariant_vectors_are_fixed_by_generators():
     m = hyperbolic_pair(4, 1)
     for v in W.invariant_space(m):
         dense = v.dense()
-        assert W.apply_S(m, dense) == dense
-        assert W.apply_T_power(m, 1, dense) == dense
+        assert apply_S(m, dense) == dense
+        assert apply_T_power(m, 1, dense) == dense
 
 
 def test_selfdual_span_report():
@@ -464,7 +558,7 @@ def test_histogram_route_matches_dense_oracle(picks, data):
                 assert W.check_vH_action(m, h) is dense_vH(m, S, h.indices) is True
             if data is not None:
                 assert W.check_vH_action(m, SimpleNamespace(indices=subset)) is subset_ok
-                assert W.apply_S(m, vec) == s_vec
+                assert apply_S(m, vec) == s_vec
 
 
 @pytest.mark.parametrize("block", [W._BLOCK, 1, 3 * 27 + 1])
@@ -517,16 +611,17 @@ def test_byte_budget_refuses_before_allocating(monkeypatch):
     with pytest.raises(EnumerationBoundError, match="exponent table"):
         W.weil_relations_report(m)
     assert cli.main(["invariants", "--N", "4"]) == 3
-    # the table fits, the fixed-point system (36 bytes for each of its
-    # |D| |iso| residues) does not, and no residue is computed
+    # on D_{2,1} the table fits, the fixed-point system (36 bytes for each
+    # of its |iso|^2 residues) does not, and no residue is computed
     monkeypatch.undo()
-    need = 36 * m.size * len(m.isotropic_indices)
+    m = hyperbolic_pair(2, 1)
+    need = 36 * len(m.isotropic_indices) ** 2
     assert need > 16 * m.size**2
     monkeypatch.setattr(subgroups, "BYTE_BUDGET", need - 1)
     monkeypatch.setattr(W, "_residues", no_table)
     with pytest.raises(EnumerationBoundError, match="fixed-point system"):
         W.invariant_space(m)
-    assert cli.main(["invariants", "--N", "4"]) == 3
+    assert cli.main(["invariants", "--N", "2"]) == 3
     assert W.weil_relations_report(m)["st3"]
 
 
@@ -544,9 +639,9 @@ def test_apply_S_exact_beyond_int64():
     vec[1] = 2**70
     vec[4] = CycNumber(5, {1: 2**70 + 1, 3: F(-1, 3)})
     vec[7] = F(5, 2)
-    got = W.apply_S(m, vec)
+    got = apply_S(m, vec)
     assert got == mat_apply(dense_S(m), vec)
-    assert W.apply_S(m, [v * -1 for v in vec]) == [-g for g in got]
+    assert apply_S(m, [v * -1 for v in vec]) == [-g for g in got]
 
 
 INVARIANT_INPUTS = [
