@@ -163,10 +163,6 @@ class FqModule:
         """All elements as coordinate tuples, lexicographic."""
         return itertools.product(*[range(d) for d in self.orders])
 
-    @cached_property
-    def element_list(self):
-        return tuple(self.elements())
-
     def index(self, x):
         i = 0
         for c, d in zip(x, self.orders):
@@ -185,9 +181,6 @@ class FqModule:
 
     def neg(self, x):
         return tuple((-a) % d for a, d in zip(x, self.orders))
-
-    def smul(self, k, x):
-        return tuple((k * a) % d for a, d in zip(x, self.orders))
 
     # -- the form ----------------------------------------------------------
 

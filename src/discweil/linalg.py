@@ -77,12 +77,14 @@ def _rref_mod(a, q):
             continue
         p = r + int(nz[0])
         a[[r, p]] = a[[p, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, q) % q
+        # rows r and below are zero left of c: the earlier pivot columns are
+        # cleared and the earlier free columns were zero from their row down
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, q) % q
         col = a[:, c].copy()
         col[r] = 0
         rows = np.nonzero(col)[0]
         if rows.size:
-            a[rows] = (a[rows] - np.outer(col[rows], a[r])) % q
+            a[rows, c:] = (a[rows, c:] - np.outer(col[rows], a[r, c:])) % q
         pivots.append(c)
     return pivots
 

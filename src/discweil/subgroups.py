@@ -22,7 +22,6 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from .arith import factorize
-from .groupring import GroupRingVector
 
 DEFAULT_BOUND = 10**4
 # Bytes one dense table may take.  Tables too large for it are refused
@@ -286,22 +285,15 @@ def complement(h):
 def classify(h):
     """Definitional classification flags, used as the oracle everywhere."""
     m = h.parent
-    elems = h.element_tuples()
     gens = h.gen_tuples()
-    iso = all(m.q_int(x) == 0 for x in elems)
     self_orth = all(m.b_int(a, b) == 0 for a in gens for b in gens)
     comp = complement(h)
     return SubgroupClass(
-        is_isotropic=iso,
+        is_isotropic=not m.q_ints[list(h.indices)].any(),
         is_self_orthogonal=self_orth,
         is_self_dual=comp.indices == h.indices,
-        is_coisotropic=all(m.q_int(x) == 0 for x in comp.element_tuples()),
+        is_coisotropic=not m.q_ints[list(comp.indices)].any(),
     )
-
-
-def characteristic_vector(h):
-    """The 0/1 group-ring vector supported exactly on H."""
-    return GroupRingVector.characteristic(h.parent, sorted(h.indices))
 
 
 def isotropic_rows(m, subgroups):

@@ -5,14 +5,17 @@ zeta_L^E, E = -L*B mod L the exponent table, and rho(T) is the diagonal
 zeta_L^(L*Q).  So rho(S) applied to a vector, and every product of the
 generators, is a scalar times sums of roots of unity described by integer
 exponent histograms.  One routine, ``_s_sums``, applies zeta^E to a batch of
-vectors given as histograms and reduces the result to power-basis
-coordinates by one integer matrix multiplication; the v^H check, the
-relations of ``weil_relations_report`` and the invariant certificate go
-through it, a block of columns at a time, and compare exact integer arrays,
-for modules of any signature.  Each relation applies zeta^E once and
-compares the result with its closed form: S^2 with |D| times the negation,
-and STS = T^-1 S T^-1 (equivalent to (ST)^3 = S^2) with the Gauss sum times
-roots of unity; unitarity then follows from S^2 and the symmetry of E.
+vectors given as histograms: it counts the shifted exponents with
+``np.bincount`` into twice the conductor's bins, folds the upper half onto
+the lower, and reduces the result to power-basis coordinates by one integer
+matrix multiplication, in blocks that count at least as many indices as
+they have bins.  The v^H check, the relations of ``weil_relations_report``
+and the invariant certificate go through it, a block of columns at a time,
+and compare exact integer arrays, for modules of any signature.  Each
+relation applies zeta^E once and compares the result with its closed form:
+S^2 with |D| times the negation, and STS = T^-1 S T^-1 (equivalent to
+(ST)^3 = S^2) with the Gauss sum times roots of unity; unitarity then
+follows from S^2 and the symmetry of E.
 The integer tables are the module's element table (coordinates, L*Q) and,
 from ``_pack``, the |D| x |D| int32 exponent table, held behind the
 enumeration bound and the byte budget.
@@ -52,23 +55,30 @@ class CertificationError(RuntimeError):
 # --------------------------------------------------------------- numpy pack
 
 # The scatter step of ``_s_sums`` and the histogram batches of
-# ``weil_relations_report`` hold about this many indices at once, which keeps
-# their temporaries at a few MB whatever |D|.  Larger blocks only raise the
-# peak memory; smaller ones add per-step overhead on large modules.
-_BLOCK = 2**16
+# ``weil_relations_report`` and ``_fixed`` hold about this many indices at
+# once, or as many as the scatter's output has bins when that is more (up to
+# twice that, as the scatter splits its entries into equal blocks): the
+# temporaries stay within a small multiple of max(_BLOCK, output size)
+# entries.  A batch of _BLOCK histogram entries has 2 _BLOCK bins, and each
+# bin costs about 30 bytes while it is counted (the output, the int32
+# indices, bincount's intp copy of them and its counts), so 2^15 keeps a
+# scatter near 2 MB.  Larger blocks only raise the peak memory; smaller ones
+# add per-step overhead on large modules.
+_BLOCK = 2**15
 
 
 def _pack(m):
     """The exponent table of a module: E[i, k] = -L*B(x_i, x_k) mod L.
 
     E is |D|^2, so the element bound and the byte budget are checked on every
-    call, before the table is built (in int64 work arrays, stored as int32);
-    only the table is cached.  B is symmetric, so E is too: row k of E is
-    its column k.  Per-element values (coordinates, Q, negation) come from
-    the module's element table.
+    call, before the table is built: 12 bytes per entry, the peak of
+    ``_exponents`` (its int64 product and the int32 copy).  Only the table is
+    cached.  B is symmetric, so E is too: row k of E is its column k.
+    Per-element values (coordinates, Q, negation) come from the module's
+    element table.
     """
     _bound_check(m.size, None)
-    _byte_check(m.size**2, 16, "the exponent table")
+    _byte_check(m.size**2, 12, "the exponent table")
     return _exponents(m)
 
 
@@ -108,12 +118,19 @@ def _s_sums(E, L, V):
     v_c[k] = sum_j V[k, c, j] zeta_M^j, with integer entries of any size.
     Returns the (|D|, b, phi(M)) power-basis coordinates, counted in int64
     when no sum can reach 2^63 and in Python ints (an object array)
-    otherwise.  The shifted histograms are scattered a block of nonzero
-    entries of V at a time, about ``_BLOCK`` indices at once whatever |D|.
-    The indices are int32, like E: on (6,3) that takes about 30% off the
-    time of ``weil_relations_report`` against intp indices (2 cores).  V of
-    more than 2^30 entries, 8 GiB as int64, is refused, so no index or
-    intermediate sum reaches 2^31.
+    otherwise.
+
+    Entry (k, c, j) of V lands at exponent j + (M/L) E[k, i] of row i, which
+    is below 2M: the histograms are counted into 2M bins per (i, c) and
+    folded, bin e + M onto bin e, so no index is reduced mod M.  The counting
+    is ``np.bincount`` of the landing indices, once for each distinct value
+    w of V in a block of its nonzero entries, added as w times the exact
+    int64 counts (cast to Python ints on the object path); no float touches
+    a value.  A block holds at least 2bM nonzero entries (all of them when V
+    has fewer), so it counts at least as many indices as its bincount has
+    bins, and about ``_BLOCK`` indices when that is more.  The indices are int32, like E: V of more
+    than 2^30 entries, 8 GiB as int64, is refused, so every index stays
+    below 2 V.size <= 2^31.
     """
     n, b, M = V.shape
     if V.size > 2**30:
@@ -124,16 +141,25 @@ def _s_sums(E, L, V):
         V = V.astype(np.int64, copy=False)
     else:
         V, RED = V.astype(object), RED.astype(object)
-    out = np.zeros_like(V)
-    rows = np.arange(0, n * b * M, b * M, dtype=np.int32)
+    out = np.zeros((n, b, 2 * M), dtype=V.dtype)
+    flat = out.reshape(-1)
+    rows = np.arange(0, out.size, 2 * b * M, dtype=np.int32)
     ks, cs, js = (a.astype(np.int32) for a in np.nonzero(V))
-    step = max(1, _BLOCK // n)
-    for at in range(0, len(ks), step):
-        k, c, j = (a[at:at + step] for a in (ks, cs, js))
-        # out[i, c, (j + stretch E[k, i]) mod M] += V[k, c, j]; E is symmetric
-        at_ic = rows + (c * M)[:, None] + (j[:, None] + stretch * E[k]) % M
-        np.add.at(out.reshape(-1), at_ic, V[k, c, j][:, None])
-    return out @ RED
+    blocks = max(1, len(ks) // max(_BLOCK // n, 2 * b * M))
+    for t in range(blocks):
+        lo, hi = len(ks) * t // blocks, len(ks) * (t + 1) // blocks
+        k, c, j = ks[lo:hi], cs[lo:hi], js[lo:hi]
+        # out[i, c, j + stretch E[k, i]] += V[k, c, j]; E is symmetric
+        at = rows + (2 * M * c + j)[:, None] + stretch * E[k]
+        w = V[k, c, j]
+        values = set(w.tolist())
+        for x in values:
+            hit = at if len(values) == 1 else at[w == x]
+            counts = np.bincount(hit.reshape(-1), minlength=out.size)
+            counts = counts.astype(out.dtype, copy=False)
+            counts *= x
+            flat += counts
+    return (out[..., :M] + out[..., M:]) @ RED
 
 
 # ------------------------------------------------- exact identity checks

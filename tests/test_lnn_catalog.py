@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from test_subgroups import characteristic_vector
 
 from discweil.arith import divisors, sigma0
 from discweil.fqmod import FqModule, hyperbolic, hyperbolic_pair
@@ -24,7 +25,6 @@ from discweil.lnn_catalog import (
 )
 from discweil.subgroups import (
     Subgroup,
-    characteristic_vector,
     classify,
     complement,
     enumerate_self_dual_isotropic,

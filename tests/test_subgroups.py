@@ -5,23 +5,28 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_fqmod import COMPONENTS, negated
+from test_fqmod import COMPONENTS, element_list, negated, smul
 
 from discweil import subgroups
 from discweil.fqmod import FqModule, direct_sum, hyperbolic, hyperbolic_pair
+from discweil.groupring import GroupRingVector
 from discweil.subgroups import (
     EnumerationBoundError,
     Subgroup,
     _array,
     _steps,
     _sumset,
-    characteristic_vector,
     classify,
     complement,
     enumerate_isotropic_subgroups,
     enumerate_self_dual_isotropic,
     enumerate_subgroups,
 )
+
+
+def characteristic_vector(h):
+    """The 0/1 group-ring vector supported exactly on H."""
+    return GroupRingVector.characteristic(h.parent, sorted(h.indices))
 
 
 def closure(m, gens):
@@ -75,7 +80,7 @@ ENUMERATIONS = (
 
 def brute_subgroup_sets(m):
     """All subgroups as index sets, by closing every generating pair."""
-    return {closure(m, [a, b]) for a, b in product(m.element_list, repeat=2)}
+    return {closure(m, [a, b]) for a, b in product(element_list(m), repeat=2)}
 
 
 def test_enumeration_matches_pair_closure():
@@ -98,7 +103,7 @@ def test_complement_is_orthogonal_complement():
         c = complement(h)
         want = {
             i
-            for i, x in enumerate(m.element_list)
+            for i, x in enumerate(element_list(m))
             if all(m.b_value(x, g) == 0 for g in h.element_tuples())
         }
         assert c.indices == want
@@ -152,12 +157,12 @@ def test_subgroup_json():
 def _change_basis(m, ops):
     """(Z/N)^2 presented on a new basis: e1, e2 under the elementary column
     operations e2 += t e1 (upper) or e1 += t e2 listed in ops."""
-    e1, e2 = m.smul(1, (1, 0)), m.smul(1, (0, 1))  # reduced, also for N = 1
+    e1, e2 = smul(m, 1, (1, 0)), smul(m, 1, (0, 1))  # reduced, also for N = 1
     for upper, t in ops:
         if upper:
-            e2 = m.add(e2, m.smul(t, e1))
+            e2 = m.add(e2, smul(m, t, e1))
         else:
-            e1 = m.add(e1, m.smul(t, e2))
+            e1 = m.add(e1, smul(m, t, e2))
     gens = (e1, e2)
     return FqModule(
         m.orders,
@@ -184,7 +189,7 @@ CHANGED_PAIRS = st.builds(
 @settings(max_examples=40)
 @given(st.one_of(DIRECT_SUMS, CHANGED_PAIRS), st.data())
 def test_element_table_against_tuple_loops(m, data):
-    els = m.element_list
+    els = element_list(m)
     assert [tuple(r) for r in m.coords.tolist()] == list(els)
     assert m.indices_of(m.coords).tolist() == list(range(m.size))
     assert m.q_ints.tolist() == [m.q_int(x) for x in els]

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 from functools import partial, reduce
 from itertools import combinations_with_replacement
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_fqmod import COMPONENTS, negated
+from test_fqmod import COMPONENTS, element_list, negated, smul
 from test_linalg import fraction_kernel, fraction_rref
 
 from discweil import weilrep as W
@@ -36,7 +37,7 @@ def dense_scalar(m):
 
 def dense_S(m):
     s0 = dense_scalar(m)
-    els = m.element_list
+    els = element_list(m)
     return [[s0 * root_of_unity(-m.b_int(x, y), m.level) for y in els] for x in els]
 
 
@@ -44,7 +45,7 @@ def dense_T(m, k=1):
     L = m.level
     return [
         [root_of_unity(k * m.q_int(x), L) if i == j else zero(L) for j in range(m.size)]
-        for i, x in enumerate(m.element_list)
+        for i, x in enumerate(element_list(m))
     ]
 
 
@@ -174,6 +175,27 @@ def apply_word(m, word, vec):
     return vec
 
 
+def add_at_s_sums(E, L, V):
+    """``W._s_sums`` by ``np.add.at`` at the exponents reduced mod M.
+
+    The direct scatter, every entry added at its exponent mod M: the oracle
+    for the counting into 2M bins and the fold of ``_s_sums``, with the same
+    choice of int64 or Python ints.
+    """
+    n, b, M = V.shape
+    RED = W._reduction_array(M)
+    if int(np.abs(V).sum()) * int(np.abs(RED).max()) < 2**63:
+        V = V.astype(np.int64, copy=False)
+    else:
+        V, RED = V.astype(object), RED.astype(object)
+    out = np.zeros_like(V)
+    k, c, j = np.nonzero(V)
+    rows = np.arange(0, n * b * M, b * M)
+    at = rows + (c * M)[:, None] + (j[:, None] + M // L * E[k].astype(np.int64)) % M
+    np.add.at(out.reshape(-1), at, V[k, c, j][:, None])
+    return out @ RED
+
+
 def dense_rho(m, mat):
     out = identity(m.size)
     for tok in sl2_word(mat):
@@ -187,7 +209,7 @@ def dense_relations(m):
     S2 = mat_mul(S, S)
     ST = mat_mul(S, T)
     scale = root_of_unity(-m.signature_mod8(), 4)  # e(-sig/4)
-    neg = [m.index(m.neg(x)) for x in m.element_list]
+    neg = [m.index(m.neg(x)) for x in element_list(m)]
     n = m.size
     return {
         "s2_is_negation": all(
@@ -202,7 +224,7 @@ def dense_relations(m):
 
 def dense_vH(m, S, indices):
     """Is rho(S) 1_X = s0 |X| 1_{X perp}?  (True for every subgroup X.)"""
-    els = m.element_list
+    els = element_list(m)
     got = mat_apply(S, [1 if i in indices else 0 for i in range(m.size)])
     want = dense_scalar(m) * len(indices)
     for x, g in zip(els, got):
@@ -244,7 +266,7 @@ def test_apply_T_phases():
 
     vec = [F(1)] * m.size
     out = apply_T_power(m, 2, vec)
-    for i, x in enumerate(m.element_list):
+    for i, x in enumerate(element_list(m)):
         assert out[i] == exp_frac(2 * m.q_value(x))
 
 
@@ -289,7 +311,7 @@ def verify_mu(m, u):
     for i in m.isotropic_indices:
         vec = [F(0)] * m.size
         vec[i] = F(1)
-        target = m.index(m.smul(u, m.element_at(i)))
+        target = m.index(smul(m, u, m.element_at(i)))
         if apply_word(m, word, vec) != [int(j == target) for j in range(m.size)]:
             bad.append(m.element_at(i))
     return bad
@@ -607,7 +629,7 @@ def test_byte_budget_refuses_before_allocating(monkeypatch):
         raise AssertionError("the table was built")
 
     monkeypatch.setattr(W, "_exponents", no_table)
-    monkeypatch.setattr(subgroups, "BYTE_BUDGET", 16 * m.size**2 - 1)
+    monkeypatch.setattr(subgroups, "BYTE_BUDGET", 12 * m.size**2 - 1)
     with pytest.raises(EnumerationBoundError, match="exponent table"):
         W.weil_relations_report(m)
     assert cli.main(["invariants", "--N", "4"]) == 3
@@ -616,7 +638,7 @@ def test_byte_budget_refuses_before_allocating(monkeypatch):
     monkeypatch.undo()
     m = hyperbolic_pair(2, 1)
     need = 36 * len(m.isotropic_indices) ** 2
-    assert need > 16 * m.size**2
+    assert need > 12 * m.size**2
     monkeypatch.setattr(subgroups, "BYTE_BUDGET", need - 1)
     monkeypatch.setattr(W, "_residues", no_table)
     with pytest.raises(EnumerationBoundError, match="fixed-point system"):
@@ -630,6 +652,90 @@ def test_s_sums_refuses_int32_overflow():
     V = SimpleNamespace(shape=(2**10 + 1, 2**10, 2**10), size=(2**10 + 1) * 2**20)
     with pytest.raises(EnumerationBoundError, match="int32"):
         W._s_sums(None, 1, V)
+
+
+# nonzero values: small ones of both signs, and ones of 2^62 and more, which
+# put the sums on the object path
+SCATTER_VALUES = st.lists(
+    st.one_of(
+        st.integers(-5, 5).filter(bool),
+        st.integers(2**62, 2**66),
+        st.integers(-(2**66), -(2**62)),
+    ),
+    min_size=1,
+    max_size=4,
+    unique=True,
+)
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(SMALL_SUMS),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    SCATTER_VALUES,
+    st.sampled_from([0.2, 0.6, 1.0]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([W._BLOCK, 1]),
+)
+@example((8,), 3, 4, [1, -2, 3], 1.0, 0, 1)  # Z/4: 384 nonzeros, blocks of 192
+@example((0, 6), 2, 3, [2**62, -1], 0.6, 1, 1)  # Z/3 + Z/2, object path
+@example((2,), 1, 1, [1], 1.0, 2, W._BLOCK)  # Z/5, one value, one block
+def test_s_sums_matches_add_at_oracle(picks, b, stretch, values, density, seed, block):
+    # random histograms at a conductor M = stretch * L, the default block or
+    # one of 2bM nonzero entries (then several blocks when dense), against
+    # the scatter by np.add.at and exponents mod M
+    m = summed(picks)
+    E, L = W._pack(m), m.level
+    rng = np.random.default_rng(seed)
+    shape = (m.size, b, stretch * L)
+    V = np.array(values, dtype=object)[rng.integers(0, len(values), shape)]
+    V[rng.random(shape) >= density] = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(W, "_BLOCK", block)
+        got = W._s_sums(E, L, V)
+    want = add_at_s_sums(E, L, V)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [W._BLOCK, 400])
+def test_s_sums_counts_at_least_its_bins(monkeypatch, block):
+    # a b = 1 call on the 400 elements of D_{20,1}: 2 |D| L = 16000 bins.
+    # With a block of 400 indices and no floor on the block, each bincount
+    # would zero all the bins for one entry's 400 indices.
+    m = hyperbolic_pair(20, 1)
+    calls = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def bincount(self, x, minlength=0):
+            calls.append((x.size, minlength))
+            return np.bincount(x, minlength=minlength)
+
+    monkeypatch.setattr(W, "np", Numpy())
+    monkeypatch.setattr(W, "_BLOCK", block)
+    assert W.check_vH_action(m, SimpleNamespace(indices=range(m.size)))
+    assert sum(size for size, _ in calls) == m.size**2
+    for size, minlength in calls:
+        assert minlength <= max(2 * block, size)
+
+
+def test_exponent_table_peak_is_its_charge():
+    # _pack charges 12 bytes per entry of E: the int64 product and its int32
+    # copy.  The module's coordinates and Gram matrix are its own tables,
+    # built before; the slack covers the r x |D| factor and small arrays.
+    m = hyperbolic_pair(12, 2)
+    m.coords, m._gram
+    tracemalloc.start()
+    try:
+        W._exponents.__wrapped__(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * m.size**2 + 2**15
 
 
 def test_apply_S_exact_beyond_int64():
