@@ -583,7 +583,8 @@ def test_histogram_route_matches_dense_oracle(picks, data):
                 assert apply_S(m, vec) == s_vec
 
 
-@pytest.mark.parametrize("block", [W._BLOCK, 1, 3 * 27 + 1])
+# blocks of 2^16 (above the default), the default, one entry, and 3 |D| L + 1
+@pytest.mark.parametrize("block", sorted({2**16, W._BLOCK, 1, 3 * 27 + 1}))
 @pytest.mark.parametrize("entries", [[(1, 2)], [(1, 2), (2, 1)]], ids=["one", "pair"])
 def test_relations_report_rejects_a_wrong_table(monkeypatch, block, entries):
     # one entry of the exponent table off by one, or a symmetric pair of
@@ -602,7 +603,7 @@ def test_relations_report_rejects_a_wrong_table(monkeypatch, block, entries):
     assert not rep["s_unitary"]
 
 
-@pytest.mark.parametrize("block", [W._BLOCK, 1])
+@pytest.mark.parametrize("block", sorted({2**16, W._BLOCK, 1}))
 @pytest.mark.parametrize("m", [hyperbolic_pair(3, 1), COMPONENTS[6]], ids=["D3", "A1"])
 def test_relations_report_rejects_a_wrong_q(monkeypatch, m, block):
     # one value L*Q(x_j) off by one and E as it is: S^2 reads only E and
