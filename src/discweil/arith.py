@@ -42,15 +42,34 @@ def sigma0(n):
     return out
 
 
+# Miller-Rabin with the first twelve prime bases decides every n below this
+# bound (Sorenson and Webster 2015); above it is_prime falls back to trial
+# division, so no probabilistic answer ever decides anything.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_BOUND:
+        return all(n % d for d in range(41, isqrt(n) + 1, 2))
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -67,8 +86,7 @@ def is_rational_square(fr):
 
 
 def primitive_root(p):
-    """Smallest primitive root mod prime p."""
-    assert is_prime(p)
+    """Smallest primitive root mod p; p must be prime and is not tested again."""
     if p == 2:
         return 1
     qs = [q for q, _ in factorize(p - 1)]

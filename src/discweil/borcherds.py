@@ -187,11 +187,11 @@ def lift(f, trunc):
     eta1 = eta2 = None
     const = "undetermined"
     try:
-        decomposition = decompose(f)
+        terms = _coordinates(f)
     except ValueError:
-        decomposition = None
-    if decomposition is not None:
-        eta1, eta2, const = eta_identify(f, decomposition)
+        terms = None
+    if terms is not None:
+        eta1, eta2, const = eta_identify(f, [(c, h) for c, _, h in terms])
     return LiftResult(
         weight=Fraction(c0, 2),
         weyl=weyl_vector(f),
@@ -263,18 +263,24 @@ def catalog_for(N, Np):
     raise ValueError("identification needs N' = 1 or a prime divisor of N")
 
 
-def decompose(f):
-    """Integer coordinates of f over the catalog, or unsupported-input."""
+def _coordinates(f):
+    """(c, spec, assembled subgroup) for each nonzero catalog coordinate of f."""
     members = catalog_for(f.N, f.Nprime)
+    groups = [assemble(s) for s in members]
     m = f.module
-    cols = isotropic_rows(m, [assemble(s) for s in members])
+    cols = isotropic_rows(m, groups)
     b = [f.dense[i] for i in m.isotropic_indices]
     sol = _solve_exact(cols, b)
     if sol is None:
         raise ValueError("input is outside the cataloged span")
     if any(v.denominator != 1 for v in sol):
         raise ValueError("input is not an integer combination of the catalog")
-    return [(int(v), s) for v, s in zip(sol, members) if v]
+    return [(int(v), s, h) for v, s, h in zip(sol, members, groups) if v]
+
+
+def decompose(f):
+    """Integer coordinates of f over the catalog, or unsupported-input."""
+    return [(c, s) for c, s, _ in _coordinates(f)]
 
 
 def eta_identify(f, decomposition=None):
@@ -350,15 +356,13 @@ def relation_to_eta_identity(N, p, rel, trunc):
     if len(rel) != len(members):
         raise ValueError("relation length does not match the catalog")
     m = hyperbolic_pair(N, p)
+    decomposition = [(c, assemble(s)) for c, s in zip(rel, members) if c]
     total = {}
-    for c, spec in zip(rel, members):
-        if not c:
-            continue
-        for x in assemble(spec).element_tuples():
+    for c, h in decomposition:
+        for x in h.element_tuples():
             total[x] = total.get(x, 0) + c
     if any(v for v in total.values()):
         raise ValueError("vector is not a relation of the catalog")
-    decomposition = [(c, s) for c, s in zip(rel, members) if c]
     zero = InputForm(m, {}, check=False)
     q1, q2, _ = eta_identify(zero, decomposition)
     out = {"N": N, "p": p}

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 from .arith import is_prime
@@ -169,7 +170,9 @@ def cmd_repro(args):
     return 2 if failed else 0
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argparse tree, built once per process: parsing leaves it unchanged."""
     top = _Parser(prog="discweil", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -101,6 +101,20 @@ def _reduce(M, terms):
     return out
 
 
+def _fold(M, full):
+    """Power-basis coordinates of sum full[k] zeta_M^k over a list of 2 phi - 1
+    ints: the top half full[phi:] reduced once by the coordinates of zeta_M^k."""
+    n = (len(full) + 1) // 2
+    out = full[:n]
+    rows = _sparse_rows(M)
+    for k in range(n, len(full)):
+        c = full[k]
+        if c:
+            for j, r in rows[k % M]:
+                out[j] += c * r
+    return out
+
+
 def _make(M, coords, den):
     """The number coords / den of conductor M, den > 0."""
     x = object.__new__(CycNumber)
@@ -225,14 +239,7 @@ class CycNumber:
             if x:
                 for j, y in bnz:
                     full[i + j] += x * y
-        out = full[:n]
-        rows = _sparse_rows(M)
-        for k in range(n, 2 * n - 1):
-            c = full[k]
-            if c:
-                for j, r in rows[k % M]:
-                    out[j] += c * r
-        return _make(M, out, a.den * b.den)
+        return _make(M, _fold(M, full), a.den * b.den)
 
     __rmul__ = __mul__
 

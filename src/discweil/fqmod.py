@@ -17,7 +17,6 @@ below L, so no intermediate exceeds d_i * L (at most L^2 when the form is
 non-degenerate, as the exponent of D then divides L).
 """
 
-import itertools
 import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -158,10 +157,6 @@ class FqModule:
         L, _, bg = self._int_tables
         v = [sum(b * int(c) for b, c in zip(row, x)) % L for row in bg]
         return matmul_mod(self.coords, np.array(v, dtype=np.int64).reshape(-1, 1), L)[:, 0]
-
-    def elements(self):
-        """All elements as coordinate tuples, lexicographic."""
-        return itertools.product(*[range(d) for d in self.orders])
 
     def index(self, x):
         i = 0

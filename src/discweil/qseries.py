@@ -8,7 +8,10 @@ coefficients beyond what both sides actually know.
 Every product expansion, a Borcherds lift side or an eta quotient, goes
 through one engine: ``product_terms`` expands prod (1 - zeta_M^a t^s)^c by the
 Euler transform, a single pass of the logarithmic-derivative recurrence that
-needs no series powers and no inverse.  The Dedekind eta expansion
+needs no series powers and no inverse.  With integer c every coefficient lies
+in Z[zeta_M] = Z[x]/Phi_M, so the engine runs on the integer coordinates of the
+power basis: n divides every coordinate of n b_n, and each step's division by
+n is exact and checked.  The Dedekind eta expansion
 eta(d tau + r) = e(r/24) q^(d/24) prod(1 - e(nr) q^(nd)) is also produced
 sparsely from the pentagonal number theorem, with the naive truncated product
 alongside; both are kept as independent oracles for the engine.
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 
-from .cyclo import CycNumber, exp_frac
+from .cyclo import CycNumber, _fold, _make, _reduce, _reduction_rows, exp_frac
 
 
 def _coeff_json(v):
@@ -160,35 +163,57 @@ def first_mismatch(a, b):
 def product_terms(factors, M, bound):
     """Coefficients b_0, ..., b_(bound-1) of prod (1 - zeta_M^a t^s)^c.
 
-    ``factors`` lists the triples (s, a, c) with s >= 1 and integer c.  This
-    is the Euler transform: the logarithmic derivative of the product gives
-    n b_n = sum_(k=1..n) s_k b_(n-k) with s_k = -sum_(s | k) s c zeta_M^(a k/s).
-    Each s_k is summed as an integer histogram of powers of zeta_M before it
-    becomes one CycNumber, and a rational s_k stays a Fraction, so a product
-    with rational factors only runs in Fractions.
+    ``factors`` lists the triples (s, a, c) with s >= 1 and integer c; any
+    other c raises ValueError.  This is the Euler transform: the logarithmic
+    derivative of the product gives n b_n = sum_(k=1..n) s_k b_(n-k) with
+    s_k = -sum_(s | k) s c zeta_M^(a k/s).
+
+    Every b_n lies in Z[zeta_M] = Z[x]/Phi_M, whose power basis 1, zeta_M,
+    ..., zeta_M^(phi-1) is a Z-basis, so s_k and b_n are kept as lists of
+    phi(M) Python ints.  Step n convolves the s_k with the b_(n-k) into one
+    list of 2 phi - 1 ints, reduces its top half once by the coordinates of
+    the powers zeta_M^e, and divides each coordinate by n.  As n b_n and b_n
+    both have integer coordinates, n divides every coordinate of n b_n; a
+    nonzero remainder raises ArithmeticError, so that argument is checked at
+    every step.  A rational b_n is returned as a Fraction, any other as a
+    CycNumber.
     """
+    if any(c != int(c) for _, _, c in factors):
+        raise ValueError("product exponents must be integers")
     hist = [{} for _ in range(bound)]
     for s, a, c in factors:
         for j in range(1, (bound - 1) // s + 1):
             h = hist[j * s]
             e = a * j % M
-            h[e] = h.get(e, 0) - s * c
+            h[e] = h.get(e, 0) - s * int(c)
+    phi = len(_reduction_rows(M)[0])
     sums = []
     for k in range(1, bound):
-        v = CycNumber(M, hist[k])
-        if v:
-            sums.append((k, v.rational_value() if v.is_rational() else v))
-    b = [Fraction(1)] if bound > 0 else []
+        v = _reduce(M, hist[k].items())
+        if any(v):
+            sums.append((k, [(i, x) for i, x in enumerate(v) if x]))
+    out = [Fraction(1)] if bound > 0 else []
+    b = [[(0, 1)]]
     for n in range(1, bound):
-        acc = Fraction(0)
+        full = [0] * (2 * phi - 1)
         for k, v in sums:
             if k > n:
                 break
-            w = b[n - k]
-            if w:
-                acc = acc + v * w
-        b.append(acc / n)
-    return b
+            for j, y in b[n - k]:
+                for i, x in v:
+                    full[i + j] += x * y
+        coords = []
+        for c in _fold(M, full):
+            q, r = divmod(c, n)
+            if r:
+                raise ArithmeticError("n does not divide n b_n at n = %d" % n)
+            coords.append(q)
+        b.append([(i, x) for i, x in enumerate(coords) if x])
+        if any(coords[1:]):
+            out.append(_make(M, coords, 1))
+        else:
+            out.append(Fraction(coords[0]))
+    return out
 
 
 # ------------------------------------------------------------------ eta

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import isqrt
 
 from discweil.arith import (
     divisors,
@@ -8,6 +9,7 @@ from discweil.arith import (
     primitive_root,
     sigma0,
 )
+from discweil.linalg import _prime
 
 
 def naive_divisors(n):
@@ -37,6 +39,29 @@ def test_is_prime_small():
         assert is_prime(n) == (n in sieve)
     assert is_prime(7919)
     assert not is_prime(7917)
+
+
+def trial_division_is_prime(n):
+    """Primality by trial division up to the square root (oracle)."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(200_000) if is_prime(n)] == [
+        n for n in range(200_000) if trial_division_is_prime(n)
+    ]
+
+
+def test_is_prime_on_certificate_primes_and_pseudoprimes():
+    for step in (1, 4, 12, 60):
+        for i in range(4):
+            q = _prime(i, step)
+            assert trial_division_is_prime(q) and is_prime(q)
+    for n in range(2**31 - 401, 2**31, 2):
+        assert is_prime(n) == trial_division_is_prime(n)
+    # strong pseudoprimes to base 2, and to bases 2, 3, 5, 7
+    for n in (2047, 3215031751):
+        assert not trial_division_is_prime(n) and not is_prime(n)
 
 
 def test_is_rational_square():

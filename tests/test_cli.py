@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from discweil import cli
 
 
@@ -185,3 +187,23 @@ def test_lift_stdout_with_cyclotomic_constant_is_pinned():
     r = run_cli("lift", "--N", "2", "--Nprime", "2", "--coeffs", coeffs, "--prec", "3")
     assert r.returncode == 0
     assert r.stdout == LIFT_SHIFTED_MEMBER
+
+
+def test_two_main_calls_in_one_process_print_the_same(capsys):
+    # the parser is built once per process and reused by every main call
+    assert cli.build_parser() is cli.build_parser()
+    outs = []
+    for _ in range(2):
+        assert cli.main(["discform", "--N", "2", "--Nprime", "1"]) == 0
+        assert cli.main(["lnn", "relations", "--N", "2", "--p", "2"]) == 0
+        assert cli.main(["verify-eta", "--p", "2", "--prec", "40"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["invariants", "--N", "0"])
+        assert exc.value.code == 1
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    lines = outs[0].out.splitlines()
+    assert json.loads(lines[0])["size"] == 4
+    assert lines[1] == "[1,-1,-1,1,-1,1]"
+    assert lines[2] + "\n" == VERIFY_ETA_P2_PREC40
+    assert outs[0].err.startswith("usage: discweil") and "must be >= 1" in outs[0].err

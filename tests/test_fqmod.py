@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import random
 from fractions import Fraction as F
 from functools import reduce
@@ -19,8 +20,8 @@ from discweil.fqmod import (
 
 
 def element_list(m):
-    """All elements of m as coordinate tuples, in index order."""
-    return tuple(m.elements())
+    """All elements of m as coordinate tuples, in index order (lexicographic)."""
+    return tuple(itertools.product(*[range(d) for d in m.orders]))
 
 
 def smul(m, k, x):

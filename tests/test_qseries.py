@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discweil.borcherds import InputForm, lift
-from discweil.cyclo import exp_frac
+import discweil.qseries as qseries
+from discweil.cyclo import CycNumber, exp_frac
 from discweil.fqmod import hyperbolic_pair
 from discweil.lnn_catalog import selfdual_list_Np
 from discweil.qseries import (
@@ -18,6 +19,7 @@ from discweil.qseries import (
     eta_series,
     eta_series_naive,
     first_mismatch,
+    product_terms,
 )
 
 
@@ -188,3 +190,79 @@ def test_mixed_sign_lift_matches_pentagonal_products():
     assert any(g.shift for g in res.eta1.factors)
     assert any(g.exponent < 0 for g in res.eta1.factors)
     assert_matches_pentagonal(res.psi1, res.eta1, 30)
+
+
+# ------------------------------- the integer engine against the Fraction one
+
+
+def fraction_product_terms(factors, M, bound):
+    """The Euler-transform recurrence n b_n = sum s_k b_(n-k) in Fractions
+    and CycNumbers, each step a sum of products and one division (oracle)."""
+    hist = [{} for _ in range(bound)]
+    for s, a, c in factors:
+        for j in range(1, (bound - 1) // s + 1):
+            h = hist[j * s]
+            e = a * j % M
+            h[e] = h.get(e, 0) - s * c
+    sums = []
+    for k in range(1, bound):
+        v = CycNumber(M, hist[k])
+        if v:
+            sums.append((k, v.rational_value() if v.is_rational() else v))
+    b = [F(1)] if bound > 0 else []
+    for n in range(1, bound):
+        acc = F(0)
+        for k, v in sums:
+            if k > n:
+                break
+            w = b[n - k]
+            if w:
+                acc = acc + v * w
+        b.append(acc / n)
+    return b
+
+
+def assert_same_terms(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+        rational = isinstance(w, F) or w.is_rational()
+        assert isinstance(g, F) == rational
+        assert isinstance(g, (F, CycNumber))
+
+
+@st.composite
+def engine_inputs(draw):
+    M = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 12]))
+    triple = st.tuples(st.integers(1, 6), st.integers(0, M - 1), st.integers(-30, 30))
+    return draw(st.lists(triple, max_size=4)), M, draw(st.integers(0, 80))
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_inputs())
+def test_integer_engine_matches_fraction_engine(case):
+    factors, M, bound = case
+    assert_same_terms(product_terms(factors, M, bound), fraction_product_terms(factors, M, bound))
+
+
+def test_engine_past_int64():
+    # eta(tau)^-24 = q^-1 times 1/prod(1 - q^n)^24, the reciprocal of Delta
+    factors = [(n, 0, -24) for n in range(1, 80)]
+    got = product_terms(factors, 1, 80)
+    assert got[:6] == [1, 24, 324, 3200, 25650, 176256]
+    assert max(got) > 2**63
+    assert_same_terms(got, fraction_product_terms(factors, 1, 80))
+
+
+def test_engine_refuses_a_fraction_exponent():
+    with pytest.raises(ValueError):
+        product_terms([(1, 0, 1), (2, 1, F(1, 2))], 3, 10)
+
+
+def test_engine_division_check_catches_a_wrong_reduction(monkeypatch):
+    # prod (1 - zeta_3 t) = 1 - zeta_3 t; without the reduction of zeta_3^2,
+    # 2 b_2 reads 1 + zeta_3, which 2 does not divide
+    assert product_terms([(1, 1, 1)], 3, 3) == [1, -exp_frac(F(1, 3)), 0]
+    monkeypatch.setattr(qseries, "_fold", lambda M, full: full[: (len(full) + 1) // 2])
+    with pytest.raises(ArithmeticError):
+        product_terms([(1, 1, 1)], 3, 3)
