@@ -42,10 +42,11 @@ def sigma0(n):
     return out
 
 
-# Miller-Rabin with the first twelve prime bases decides every n below this
-# bound (Sorenson and Webster 2015); above it is_prime falls back to trial
-# division, so no probabilistic answer ever decides anything.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first thirteen prime bases decides every n below this
+# bound, the least strong pseudoprime to all of them (Sorenson and Webster
+# 2015); above it is_prime falls back to trial division, so no probabilistic
+# answer ever decides anything.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
@@ -56,7 +57,7 @@ def is_prime(n):
         if n % p == 0:
             return n == p
     if n >= _MR_BOUND:
-        return all(n % d for d in range(41, isqrt(n) + 1, 2))
+        return all(n % d for d in range(43, isqrt(n) + 1, 2))
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -187,7 +187,7 @@ def lift(f, trunc):
     eta1 = eta2 = None
     const = "undetermined"
     try:
-        terms = _coordinates(f)
+        terms = decompose(f, assembled=True)
     except ValueError:
         terms = None
     if terms is not None:
@@ -263,8 +263,13 @@ def catalog_for(N, Np):
     raise ValueError("identification needs N' = 1 or a prime divisor of N")
 
 
-def _coordinates(f):
-    """(c, spec, assembled subgroup) for each nonzero catalog coordinate of f."""
+def decompose(f, assembled=False):
+    """Integer coordinates of f over the catalog, or unsupported-input.
+
+    Returns the pairs (c, spec) of the nonzero coordinates; with
+    ``assembled`` each pair also carries the subgroup that was assembled to
+    solve for it, as (c, spec, subgroup), so no caller assembles it again.
+    """
     members = catalog_for(f.N, f.Nprime)
     groups = [assemble(s) for s in members]
     m = f.module
@@ -275,12 +280,8 @@ def _coordinates(f):
         raise ValueError("input is outside the cataloged span")
     if any(v.denominator != 1 for v in sol):
         raise ValueError("input is not an integer combination of the catalog")
-    return [(int(v), s, h) for v, s, h in zip(sol, members, groups) if v]
-
-
-def decompose(f):
-    """Integer coordinates of f over the catalog, or unsupported-input."""
-    return [(c, s) for c, s, _ in _coordinates(f)]
+    terms = [(int(v), s, h) for v, s, h in zip(sol, members, groups) if v]
+    return terms if assembled else [(c, s) for c, s, _ in terms]
 
 
 def eta_identify(f, decomposition=None):
@@ -291,7 +292,7 @@ def eta_identify(f, decomposition=None):
     coefficient, because each factor carries its e(-w/24N) prefactor.
     """
     if decomposition is None:
-        decomposition = decompose(f)
+        decomposition = [(c, h) for c, _, h in decompose(f, assembled=True)]
     factors1 = []
     factors2 = []
     pref1 = Fraction(1)

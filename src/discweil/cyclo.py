@@ -101,7 +101,18 @@ def _reduce(M, terms):
     return out
 
 
-def _fold(M, full):
+def degree(M):
+    """phi(M), the number of power-basis coordinates of Q(zeta_M)."""
+    return len(_reduction_rows(M)[0])
+
+
+def sparse_coordinates(M, terms):
+    """Nonzero (index, value) pairs of the power-basis integer coordinates of
+    sum c zeta_M^e over (e, c) pairs."""
+    return [(j, x) for j, x in enumerate(_reduce(M, terms)) if x]
+
+
+def fold(M, full):
     """Power-basis coordinates of sum full[k] zeta_M^k over a list of 2 phi - 1
     ints: the top half full[phi:] reduced once by the coordinates of zeta_M^k."""
     n = (len(full) + 1) // 2
@@ -120,6 +131,14 @@ def _make(M, coords, den):
     x = object.__new__(CycNumber)
     x._set(M, coords, den)
     return x
+
+
+def from_coordinates(M, coords):
+    """The element of Z[zeta_M] with power-basis coordinates coords: a Fraction
+    when it is rational, a CycNumber otherwise."""
+    if any(coords[1:]):
+        return _make(M, coords, 1)
+    return Fraction(coords[0])
 
 
 class CycNumber:
@@ -239,7 +258,7 @@ class CycNumber:
             if x:
                 for j, y in bnz:
                     full[i + j] += x * y
-        return _make(M, _fold(M, full), a.den * b.den)
+        return _make(M, fold(M, full), a.den * b.den)
 
     __rmul__ = __mul__
 

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 
-from .cyclo import CycNumber, _fold, _make, _reduce, _reduction_rows, exp_frac
+from .cyclo import (
+    CycNumber,
+    degree,
+    exp_frac,
+    fold,
+    from_coordinates,
+    sparse_coordinates,
+)
 
 
 def _coeff_json(v):
@@ -186,12 +193,12 @@ def product_terms(factors, M, bound):
             h = hist[j * s]
             e = a * j % M
             h[e] = h.get(e, 0) - s * int(c)
-    phi = len(_reduction_rows(M)[0])
+    phi = degree(M)
     sums = []
     for k in range(1, bound):
-        v = _reduce(M, hist[k].items())
-        if any(v):
-            sums.append((k, [(i, x) for i, x in enumerate(v) if x]))
+        v = sparse_coordinates(M, hist[k].items())
+        if v:
+            sums.append((k, v))
     out = [Fraction(1)] if bound > 0 else []
     b = [[(0, 1)]]
     for n in range(1, bound):
@@ -203,16 +210,13 @@ def product_terms(factors, M, bound):
                 for i, x in v:
                     full[i + j] += x * y
         coords = []
-        for c in _fold(M, full):
+        for c in fold(M, full):
             q, r = divmod(c, n)
             if r:
                 raise ArithmeticError("n does not divide n b_n at n = %d" % n)
             coords.append(q)
         b.append([(i, x) for i, x in enumerate(coords) if x])
-        if any(coords[1:]):
-            out.append(_make(M, coords, 1))
-        else:
-            out.append(Fraction(coords[0]))
+        out.append(from_coordinates(M, coords))
     return out
 
 

@@ -62,6 +62,8 @@ def test_is_prime_on_certificate_primes_and_pseudoprimes():
     # strong pseudoprimes to base 2, and to bases 2, 3, 5, 7
     for n in (2047, 3215031751):
         assert not trial_division_is_prime(n) and not is_prime(n)
+    # the least strong pseudoprime to the twelve prime bases 2, ..., 37
+    assert not is_prime(399165290221 * 798330580441)
 
 
 def test_is_rational_square():

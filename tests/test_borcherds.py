@@ -20,6 +20,7 @@ from discweil.borcherds import (
 from discweil.fqmod import hyperbolic_pair
 from discweil.lnn_catalog import (
     SelfDualSpec,
+    assemble,
     family_exy_y,
     relations_Np,
     selfdual_list_Np,
@@ -204,3 +205,7 @@ def test_decompose_recovers_coefficients():
     got = decompose(f)
     by_first = {s.first[0]: c for c, s in got}
     assert by_first == {1: 2, 3: -1, 6: 3}
+    # the assembled form keeps the pairs and adds each member's subgroup
+    triples = decompose(f, assembled=True)
+    assert [(c, s) for c, s, _ in triples] == got
+    assert all(h == assemble(s) for _, s, h in triples)

@@ -263,6 +263,6 @@ def test_engine_division_check_catches_a_wrong_reduction(monkeypatch):
     # prod (1 - zeta_3 t) = 1 - zeta_3 t; without the reduction of zeta_3^2,
     # 2 b_2 reads 1 + zeta_3, which 2 does not divide
     assert product_terms([(1, 1, 1)], 3, 3) == [1, -exp_frac(F(1, 3)), 0]
-    monkeypatch.setattr(qseries, "_fold", lambda M, full: full[: (len(full) + 1) // 2])
+    monkeypatch.setattr(qseries, "fold", lambda M, full: full[: (len(full) + 1) // 2])
     with pytest.raises(ArithmeticError):
         product_terms([(1, 1, 1)], 3, 3)
