@@ -7,7 +7,7 @@ side, and the collapse is proved by exact series comparison, never assumed.
 
 from discweil import InputForm, SelfDualSpec, hyperbolic_pair, lift
 from discweil.borcherds import catalog_for, eta_identify
-from discweil.lnn_catalog import family_exy_y
+from discweil.lnn_catalog import assemble, family_exy_y
 from discweil.qseries import first_mismatch
 
 # v^H for H = <(2,0),(0,3)> inside D_{6,1}
@@ -29,7 +29,7 @@ print("  psi1 =", rsum.eta1.text("tau1"))
 m44 = hyperbolic_pair(4, 4)
 tw = family_exy_y(4, (1, 1, 2), 1)
 g = InputForm.from_combination(m44, [(1, tw)])
-e1, e2, const = eta_identify(g, [(1, tw)])
+e1, e2, const = eta_identify([(1, assemble(tw))])
 print("\ntwisted member:", e1.text("tau1"), "|", e2.text("tau2"), "| constant", const)
 res = lift(g, 12)
 assert first_mismatch(res.psi1, e1.expand(12)) is None

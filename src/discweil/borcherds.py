@@ -38,7 +38,7 @@ class InputForm:
     proven by the test the invariant certificate uses, zeta^E v = G v.
     """
 
-    def __init__(self, module, coeffs, check=True):
+    def __init__(self, module, coeffs):
         orders = module.orders
         if (
             len(orders) != 4
@@ -56,8 +56,7 @@ class InputForm:
                 raise ValueError("coefficients must be integers")
             dense[module.index(tuple(key))] += int(v)
         self.dense = dense
-        if check:
-            self._verify()
+        self._verify()
 
     @classmethod
     def from_combination(cls, module, pairs):
@@ -73,10 +72,6 @@ class InputForm:
     def coeff(self, x):
         return self.dense[self.module.index(tuple(x))]
 
-    def support(self):
-        at = self.module.element_at
-        return [at(i) for i, v in enumerate(self.dense) if v]
-
     def _verify(self):
         m = self.module
         iso = m.isotropic_indices
@@ -85,17 +80,6 @@ class InputForm:
             raise ValueError("not invariant: support contains a non-isotropic element")
         if not _fixed(m, [[self.dense[i] for i in iso]]):
             raise ValueError("not invariant under the S generator")
-
-    def to_json(self):
-        return {
-            "N": self.N,
-            "Nprime": self.Nprime,
-            "coeffs": {
-                ",".join(map(str, self.module.element_at(i))): v
-                for i, v in enumerate(self.dense)
-                if v
-            },
-        }
 
 
 @dataclass(frozen=True)
@@ -187,11 +171,11 @@ def lift(f, trunc):
     eta1 = eta2 = None
     const = "undetermined"
     try:
-        terms = decompose(f, assembled=True)
+        terms = decompose(f)
     except ValueError:
         terms = None
     if terms is not None:
-        eta1, eta2, const = eta_identify(f, [(c, h) for c, _, h in terms])
+        eta1, eta2, const = eta_identify([(c, h) for c, _, h in terms])
     return LiftResult(
         weight=Fraction(c0, 2),
         weyl=weyl_vector(f),
@@ -219,8 +203,12 @@ def _collapse(S, N, Np):
     return c, g, k0, c * k0
 
 
-def _member_factors(h, N, Np):
-    """Exact eta data of one self-dual isotropic subgroup's two sides."""
+def _member_factors(h):
+    """Exact eta data of the two sides of a self-dual isotropic h in D_{N,N'}.
+
+    N and N' are read from h's module.
+    """
+    N, Np = h.parent.orders[0], h.parent.orders[2]
     elems = h.element_tuples()
     S1 = {(x2, x4) for (x1, x2, x3, x4) in elems if x1 == 0 and x3 == 0}
     S2 = {(x2, x3) for (x1, x2, x3, x4) in elems if x1 == 0 and x4 == 0}
@@ -263,12 +251,12 @@ def catalog_for(N, Np):
     raise ValueError("identification needs N' = 1 or a prime divisor of N")
 
 
-def decompose(f, assembled=False):
+def decompose(f):
     """Integer coordinates of f over the catalog, or unsupported-input.
 
-    Returns the pairs (c, spec) of the nonzero coordinates; with
-    ``assembled`` each pair also carries the subgroup that was assembled to
-    solve for it, as (c, spec, subgroup), so no caller assembles it again.
+    Returns the triples (c, spec, subgroup) of the nonzero coordinates: each
+    catalog spec with the subgroup that was assembled to solve for it, so no
+    caller assembles it again.
     """
     members = catalog_for(f.N, f.Nprime)
     groups = [assemble(s) for s in members]
@@ -280,28 +268,24 @@ def decompose(f, assembled=False):
         raise ValueError("input is outside the cataloged span")
     if any(v.denominator != 1 for v in sol):
         raise ValueError("input is not an integer combination of the catalog")
-    terms = [(int(v), s, h) for v, s, h in zip(sol, members, groups) if v]
-    return terms if assembled else [(c, s) for c, s, _ in terms]
+    return [(int(v), s, h) for v, s, h in zip(sol, members, groups) if v]
 
 
-def eta_identify(f, decomposition=None):
+def eta_identify(decomposition):
     """Symbolic eta quotients of the two sides, with the matching constant.
 
-    The returned quotients reproduce the product-formula series exactly:
-    expanding eta1 gives psi1 and expanding eta2 gives psi2, coefficient by
-    coefficient, because each factor carries its e(-w/24N) prefactor.
+    ``decomposition`` holds (c, subgroup) pairs, c nonzero, of self-dual
+    isotropic subgroups of one D_{N,N'}.  The returned quotients reproduce the
+    product-formula series exactly: expanding eta1 gives psi1 and expanding
+    eta2 gives psi2, coefficient by coefficient, because each factor carries
+    its e(-w/24N) prefactor.
     """
-    if decomposition is None:
-        decomposition = [(c, h) for c, _, h in decompose(f, assembled=True)]
     factors1 = []
     factors2 = []
     pref1 = Fraction(1)
     pref2 = Fraction(1)
-    for c, spec in decomposition:
-        if not c:
-            continue
-        h = assemble(spec) if isinstance(spec, SelfDualSpec) else spec
-        (s1, sh1), p1, (s2, sh2), p2 = _member_factors(h, f.N, f.Nprime)
+    for c, h in decomposition:
+        (s1, sh1), p1, (s2, sh2), p2 = _member_factors(h)
         factors1.append(EtaFactor(s1, sh1, c))
         factors2.append(EtaFactor(s2, sh2, c))
         pref1 = pref1 * p1 ** c
@@ -320,9 +304,8 @@ def character_trivial_check(f):
     if f.Nprime != 1:
         raise ValueError("the character criteria are for the N' = 1 modules")
     N = f.N
-    decomposition = decompose(f)
     alpha = {d: 0 for d in divisors(N)}
-    for c, spec in decomposition:
+    for c, spec, _ in decompose(f):
         alpha[spec.first[0]] = c
     s1 = sum(d * a for d, a in alpha.items())
     s2 = sum((N // d) * a for d, a in alpha.items())
@@ -356,7 +339,6 @@ def relation_to_eta_identity(N, p, rel, trunc):
     members = selfdual_list_Np(N, p)
     if len(rel) != len(members):
         raise ValueError("relation length does not match the catalog")
-    m = hyperbolic_pair(N, p)
     decomposition = [(c, assemble(s)) for c, s in zip(rel, members) if c]
     total = {}
     for c, h in decomposition:
@@ -364,8 +346,7 @@ def relation_to_eta_identity(N, p, rel, trunc):
             total[x] = total.get(x, 0) + c
     if any(v for v in total.values()):
         raise ValueError("vector is not a relation of the catalog")
-    zero = InputForm(m, {}, check=False)
-    q1, q2, _ = eta_identify(zero, decomposition)
+    q1, q2, _ = eta_identify(decomposition)
     out = {"N": N, "p": p}
     consts = []
     for name, q in (("tau1", q1), ("tau2", q2)):

@@ -49,7 +49,7 @@ def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _module_from_args(args, bound=None):
+def _module_from_args(args):
     """The module of --module or --N/--Nprime, refused over the bound before it is built."""
     if getattr(args, "module", None):
         text = args.module
@@ -57,11 +57,11 @@ def _module_from_args(args, bound=None):
             with open(text[1:]) as fh:
                 text = fh.read()
         obj = json.loads(text)
-        _bound_check(prod(int(d) for d in obj["orders"]), bound)
+        _bound_check(prod(int(d) for d in obj["orders"]))
         return FqModule.from_json(obj)
     if args.N is None:
         raise ValueError("need either --module or --N")
-    _bound_check((args.N * args.Nprime) ** 2, bound)
+    _bound_check((args.N * args.Nprime) ** 2)
     return hyperbolic_pair(args.N, args.Nprime)
 
 
@@ -79,8 +79,8 @@ def cmd_discform(args):
 
 
 def cmd_subgroups(args):
-    m = _module_from_args(args, args.bound)
-    for h in enumerate_subgroups(m, args.bound):
+    m = _module_from_args(args)
+    for h in enumerate_subgroups(m):
         obj = h.to_json()
         obj["class"] = classify(h).to_json()
         _emit(obj)
@@ -93,7 +93,7 @@ def cmd_invariants(args):
     _emit(
         {
             "dimension": len(basis),
-            "basis": [[int(c) for c in vec.dense()] for vec in basis],
+            "basis": basis,
             "selfdual_family_rank": rank,
         }
     )
@@ -184,7 +184,6 @@ def build_parser():
     p = sub.add_parser("subgroups", help="stream every subgroup with its flags")
     p.add_argument("--N", type=_positive, required=True)
     p.add_argument("--Nprime", type=_positive, default=1)
-    p.add_argument("--bound", type=_positive, default=None, help="enumeration size cap")
     p.set_defaults(func=cmd_subgroups)
 
     p = sub.add_parser("invariants", help="certified basis of the invariant space")

@@ -233,10 +233,8 @@ class FqModule:
     # -- Gauss sum and signature --------------------------------------------
 
     def gauss_sum(self):
-        """Sum of e(Q(x)) over D, exact, at conductor lcm(8, level)."""
-        L = self.level
-        M = lcm(8, L)
-        return CycNumber(M, {e * (M // L): c for e, c in q_histogram(self).items()})
+        """Sum of e(Q(x)) over D, exact, at conductor the level (it lives there)."""
+        return CycNumber(self.level, q_histogram(self))
 
     def signature_mod8(self):
         """The s in Z/8 with gauss sum = sqrt(|D|) e(s/8) (exact identification).

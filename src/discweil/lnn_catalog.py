@@ -45,32 +45,14 @@ class HxyzParams:
         if ((N // x) * y) % z:
             raise ValueError("z is not minimal for these generators")
 
-    @property
-    def order(self):
-        return (self.N // self.x) * (self.N // self.z)
-
     def as_tuple(self):
         return (self.x, self.y, self.z)
 
-    def to_json(self):
-        return {"N": self.N, "x": self.x, "y": self.y, "z": self.z}
 
-
-def hxyz_subgroup(p, N=None):
-    """The subgroup <(x,y),(0,z)> of (Z/N)^2.
-
-    Accepts HxyzParams or a raw (x,y,z) triple with N given; raw triples are
-    taken as generators directly, so non-normalized input still produces the
-    right group (its canonical_params may differ from the input).
-    """
-    if isinstance(p, HxyzParams):
-        N, (x, y, z) = p.N, p.as_tuple()
-    else:
-        if N is None:
-            raise ValueError("N required with a raw triple")
-        x, y, z = p
-    m = hyperbolic(N)
-    return Subgroup.from_gens(m, [(x % N, y % N), (0, z % N)])
+def hxyz_subgroup(p):
+    """The subgroup <(x,y),(0,z)> of (Z/N)^2 for HxyzParams p."""
+    N, x, y, z = p.N, p.x, p.y, p.z
+    return Subgroup.from_gens(hyperbolic(N), [(x % N, y % N), (0, z % N)])
 
 
 def canonical_params(h):

@@ -56,10 +56,6 @@ class FracQSeries:
         }
 
     @classmethod
-    def one(cls, trunc, exp_den=1):
-        return cls(exp_den, {0: Fraction(1)}, trunc)
-
-    @classmethod
     def monomial(cls, expo, coeff, trunc):
         expo = Fraction(expo)
         m = expo.denominator
@@ -338,12 +334,12 @@ class EtaQuotient:
         """
         trunc = Fraction(trunc)
         live = [f for f in self.factors if f.exponent]
-        for f in live:
-            if trunc <= f.scale / 24:
-                raise ValueError("truncation under the leading exponent gives an empty series")
+        top = max((f.scale for f in live), default=Fraction(0))
+        if live and trunc <= top / 24:
+            raise ValueError("truncation under the leading exponent gives an empty series")
         D = lcm(*(f.scale.denominator for f in live))
         M = lcm(*(f.shift.denominator for f in live))
-        rel = trunc - self.loss() - self.lead()
+        rel = trunc - top / 24  # trunc - loss() - lead()
         bound = ceil(rel * D)
         triples = []
         for f in live:

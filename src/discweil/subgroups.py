@@ -162,11 +162,10 @@ def _greedy_gens(m, indices):
     return gens
 
 
-def _bound_check(size, bound):
-    """Refuse |D| = ``size`` over ``bound`` (None: WEILREP_MAX_D, else DEFAULT_BOUND)."""
-    if bound is None:
-        env = os.environ.get("WEILREP_MAX_D")
-        bound = int(env) if env else DEFAULT_BOUND
+def _bound_check(size):
+    """Refuse |D| = ``size`` over WEILREP_MAX_D, else over DEFAULT_BOUND."""
+    env = os.environ.get("WEILREP_MAX_D")
+    bound = int(env) if env else DEFAULT_BOUND
     if size > bound:
         raise EnumerationBoundError(
             "|D| = %d exceeds enumeration bound %d" % (size, bound)
@@ -236,7 +235,7 @@ def _p_primary_index_sets(m):
     return out
 
 
-def _enumerate(m, bound, isotropic=False, self_dual=False):
+def _enumerate(m, isotropic=False, self_dual=False):
     """The subgroups of D, or its isotropic or self-dual isotropic ones, in order.
 
     Any subgroup splits uniquely over the primes, so each p-part is searched
@@ -244,7 +243,7 @@ def _enumerate(m, bound, isotropic=False, self_dual=False):
     H is isotropic exactly when every H_p is, and self-dual exactly when
     every |H_p|^2 = |D_p|.
     """
-    _bound_check(m.size, bound)
+    _bound_check(m.size)
     iso = frozenset(m.isotropic_indices) if isotropic else None
     combined = [frozenset({0})]
     for p, part in sorted(_p_primary_index_sets(m).items()):
@@ -255,22 +254,22 @@ def _enumerate(m, bound, isotropic=False, self_dual=False):
     return [Subgroup(m, s) for s in uniq]
 
 
-def enumerate_subgroups(m, bound=None):
+def enumerate_subgroups(m):
     """Every subgroup of D exactly once, canonically ordered."""
-    return _enumerate(m, bound)
+    return _enumerate(m)
 
 
-def enumerate_isotropic_subgroups(m, bound=None):
+def enumerate_isotropic_subgroups(m):
     """All totally isotropic subgroups (Q vanishes identically on H)."""
-    return _enumerate(m, bound, isotropic=True)
+    return _enumerate(m, isotropic=True)
 
 
-def enumerate_self_dual_isotropic(m, bound=None):
+def enumerate_self_dual_isotropic(m):
     """Isotropic subgroups with H equal to its own orthogonal complement."""
     r = isqrt(m.size)
     if r * r != m.size:
         return []
-    return _enumerate(m, bound, isotropic=True, self_dual=True)
+    return _enumerate(m, isotropic=True, self_dual=True)
 
 
 def complement(h):

@@ -35,9 +35,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .arith import primitive_root
-from .cyclo import CycNumber, _reduction_rows, root_of_unity
-from .fqmod import matmul_mod, q_histogram
-from .groupring import GroupRingVector
+from .cyclo import _reduction_rows, root_of_unity
+from .fqmod import matmul_mod
 from .linalg import _certified, rational_rref
 from .subgroups import (
     EnumerationBoundError,
@@ -77,7 +76,7 @@ def _pack(m):
     Per-element values (coordinates, Q, negation) come from the module's
     element table.
     """
-    _bound_check(m.size, None)
+    _bound_check(m.size)
     _byte_check(m.size**2, 12, "the exponent table")
     return _exponents(m)
 
@@ -204,7 +203,7 @@ def weil_relations_report(m):
     n = m.size
     q = m.q_ints
     neg = m.indices_of(-m.coords)
-    G = _gauss_sum_level(m)  # counts of roots of unity: integral, so G.den == 1
+    G = m.gauss_sum()  # counts of roots of unity: integral, so G.den == 1
     RED = _reduction_array(L)
     phi = RED.shape[1]
     Gmat = np.array([(root_of_unity(t, L) * G).coords for t in range(phi)], dtype=np.int64)
@@ -250,18 +249,13 @@ def check_vH_action(m, h):
 # ------------------------------------------------------- invariant vectors
 
 
-def _gauss_sum_level(m):
-    """Gauss sum at conductor exactly the level (it lives there)."""
-    return CycNumber(m.level, q_histogram(m))
-
-
 def _residues(m, q):
     """The square system zeta^E[iso, iso] - G I mod q, zeta_L sent to t of order L."""
     L, iso = m.level, list(m.isotropic_indices)
     t = pow(primitive_root(q), (q - 1) // L, q)
     A = np.array([pow(t, e, q) for e in range(L)], dtype=np.int64)[_pack(m)[np.ix_(iso, iso)]]
     at = np.diag_indices(len(iso))
-    A[at] = (A[at] - _gauss_sum_level(m).mod_prime(q, t)) % q
+    A[at] = (A[at] - m.gauss_sum().mod_prime(q, t)) % q
     return A
 
 
@@ -274,7 +268,7 @@ def _fixed(m, vectors):
     """
     n, L, iso = m.size, m.level, list(m.isotropic_indices)
     E = _pack(m)
-    gcan = np.array(_gauss_sum_level(m).coords, dtype=object)  # integral: den == 1
+    gcan = np.array(m.gauss_sum().coords, dtype=object)  # integral: den == 1
     width = max(1, _BLOCK // (n * L))
     for c0 in range(0, len(vectors), width):
         K = np.array(vectors[c0:c0 + width], dtype=object).T
@@ -338,8 +332,12 @@ def _invariants(m):
     iso, kernel, family, pivots, spans = _certificate(m)
     if family and not spans:
         raise CertificationError("the self-dual isotropic family does not span the invariants")
-    vecs = [family[c] for c in pivots] if family else kernel
-    basis = [GroupRingVector(m, {g: c for g, c in zip(iso, v) if c}) for v in sorted(vecs)]
+    basis = []
+    for v in sorted([family[c] for c in pivots] if family else kernel):
+        dense = [0] * m.size
+        for g, c in zip(iso, v):
+            dense[g] = c
+        basis.append(dense)
     return basis, len(pivots)
 
 
@@ -349,8 +347,8 @@ def invariant_space(m):
     The span of the v^H, H self-dual isotropic, when the module has such
     subgroups: their greedy independent subfamily, which ``_certificate``
     proves to span the certified kernel (raises CertificationError if not).
-    Otherwise the kernel basis itself.  Returns a list of GroupRingVectors
-    with primitive integer coefficients.
+    Otherwise the kernel basis itself.  Each vector is a list of |D| ints,
+    primitive, in element-index order.
     """
     return _invariants(m)[0]
 

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -51,8 +52,6 @@ def test_input_invariance_guards():
         InputForm(M6, {(1, 0, 0, 0): 1})  # non-isotropic support
     with pytest.raises(ValueError):
         InputForm(M6, {(0, 0, 0, 0): 1})  # not S-invariant
-    # check=False skips verification
-    InputForm(M6, {(0, 0, 0, 0): 1}, check=False)
 
 
 SMALL_PAIRS = [hyperbolic_pair(N, Np) for N, Np in ((2, 1), (3, 1), (2, 2), (4, 1))]
@@ -69,8 +68,8 @@ def test_input_form_raises_exactly_when_S_moves_the_vector(m, data):
     dense = [0] * m.size
     for vec in invariant_space(m):
         c = data.draw(st.integers(-3, 3))
-        for i, v in enumerate(vec.dense()):
-            dense[i] += c * int(v)
+        for i, v in enumerate(vec):
+            dense[i] += c * v
     bumps = data.draw(st.dictionaries(st.sampled_from(iso), st.integers(-2, 2), max_size=2))
     for i, v in bumps.items():
         dense[i] += v
@@ -131,7 +130,7 @@ def test_twisted_member_on_the_square_pair():
     m = hyperbolic_pair(4, 4)
     sy = family_exy_y(4, (1, 1, 2), 1)
     f = InputForm.from_combination(m, [(1, sy)])
-    e1, e2, _ = eta_identify(f, [(1, sy)])
+    e1, e2, _ = eta_identify([(1, assemble(sy))])
     (f1,), (f2,) = e1.factors, e2.factors
     assert f1.scale == 2 and f1.shift == F(1, 2)
     assert f2.scale == F(1, 2) and f2.shift == F(1, 2)
@@ -182,30 +181,27 @@ def test_character_criteria():
     assert not rep2["weyl_integral_1"]
     assert not rep2["trivial"]
     with pytest.raises(ValueError):
-        character_trivial_check(
-            InputForm(hyperbolic_pair(2, 2), {}, check=False)
-        )
+        character_trivial_check(InputForm(hyperbolic_pair(2, 2), {}))
 
 
 def test_decompose_errors():
     with pytest.raises(ValueError):
         decompose(InputForm(hyperbolic_pair(8, 4), {}))  # N' neither 1 nor prime
     m = hyperbolic_pair(2, 1)
-    # half a catalog vector is not an integer combination
+    # half a catalog vector is not an integer combination; it is not
+    # invariant either, so a stand-in carries it past InputForm's check
     f = InputForm.from_combination(m, [(1, diag_spec(2, 1))])
-    halved = {x: 1 for x in f.support() if sum(x) == 0}
+    halved = [v if sum(m.element_at(i)) == 0 else 0 for i, v in enumerate(f.dense)]
     with pytest.raises(ValueError):
-        decompose(InputForm(m, halved, check=False))
+        decompose(SimpleNamespace(N=2, Nprime=1, module=m, dense=halved))
 
 
 def test_decompose_recovers_coefficients():
     m = hyperbolic_pair(6, 1)
     combo = [(2, diag_spec(6, 1)), (-1, diag_spec(6, 3)), (3, diag_spec(6, 6))]
     f = InputForm.from_combination(m, combo)
-    got = decompose(f)
-    by_first = {s.first[0]: c for c, s in got}
+    triples = decompose(f)
+    by_first = {s.first[0]: c for c, s, _ in triples}
     assert by_first == {1: 2, 3: -1, 6: 3}
-    # the assembled form keeps the pairs and adds each member's subgroup
-    triples = decompose(f, assembled=True)
-    assert [(c, s) for c, s, _ in triples] == got
+    # each coordinate carries its member's assembled subgroup
     assert all(h == assemble(s) for _, s, h in triples)

@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from discweil import cli
+from discweil.fqmod import hyperbolic_pair
+from discweil.weilrep import invariant_space
 
 
 def run_cli(*args, env=None):
@@ -140,6 +142,16 @@ def test_repro_single_check(capsys):
     assert rc == 0
     assert out.splitlines()[0].startswith("ok   9. pentagonal-oracle")
     assert out.splitlines()[-1] == "1/1 checks passed"
+
+
+def test_invariants_prints_invariant_space(capsys):
+    # the basis is printed as the library returns it: lists of |D| ints
+    m = hyperbolic_pair(3, 3)
+    want = invariant_space(m)
+    assert want and all(len(v) == m.size for v in want)
+    assert all(type(c) is int for v in want for c in v)
+    assert cli.main(["invariants", "--module", json.dumps(m.to_json())]) == 0
+    assert json.loads(capsys.readouterr().out)["basis"] == want
 
 
 def test_module_json_round_trip_through_cli():

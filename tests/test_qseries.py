@@ -145,8 +145,8 @@ def pentagonal_sides(quotient, trunc):
     The prefactor rides with the numerator; only FracQSeries multiplication
     is used, so this route shares nothing with product_terms.
     """
-    num = FracQSeries.one(trunc).scale(quotient.prefactor)
-    den = FracQSeries.one(trunc)
+    num = FracQSeries.monomial(0, quotient.prefactor, trunc)
+    den = FracQSeries.monomial(0, F(1), trunc)
     for f in quotient.factors:
         e = eta_series(f.scale, f.shift, trunc)
         for _ in range(abs(f.exponent)):

@@ -16,7 +16,6 @@ from discweil import weilrep as W
 from discweil.arith import primitive_root
 from discweil.cyclo import CycNumber, _make, root_of_unity, zero
 from discweil.fqmod import FqModule, direct_sum, hyperbolic_pair, matmul_mod
-from discweil.groupring import GroupRingVector
 from discweil.linalg import _certified, _prime
 from discweil.subgroups import EnumerationBoundError, enumerate_subgroups
 
@@ -346,7 +345,7 @@ def power_basis_rows(m):
     E = W._pack(m)
     RED = W._reduction_array(m.level)
     iso = list(m.isotropic_indices)
-    gcan = np.array(W._gauss_sum_level(m).coords, dtype=np.int64)  # integral: den == 1
+    gcan = np.array(m.gauss_sum().coords, dtype=np.int64)  # integral: den == 1
     A = RED[E[:, iso]]  # (|D|, |iso|, phi): coordinates of zeta^E[beta, gamma]
     A[iso, np.arange(len(iso))] -= gcan
     A = A.transpose(0, 2, 1).reshape(-1, len(iso))
@@ -374,7 +373,7 @@ def full_residues(m, q):
     t = pow(primitive_root(q), (q - 1) // L, q)
     A = np.array([pow(t, e, q) for e in range(L)], dtype=np.int64)[W._pack(m)[:, iso]]
     at = (iso, np.arange(len(iso)))
-    A[at] = (A[at] - W._gauss_sum_level(m).mod_prime(q, t)) % q
+    A[at] = (A[at] - m.gauss_sum().mod_prime(q, t)) % q
     return A
 
 
@@ -429,7 +428,7 @@ def test_invariant_space_methods_agree():
         iso, kernel, family, pivots, spans = W._certificate(m)
         assert kernel == oracle_invariants(m)
         assert spans and len(pivots) == want
-        got = [[v.get(g) for g in iso] for v in W.invariant_space(m)]
+        got = [[v[g] for g in iso] for v in W.invariant_space(m)]
         assert oracle_rank(got) == oracle_rank(got + kernel) == want
 
 
@@ -491,9 +490,8 @@ def test_fixed_matches_dense_oracle(m, data):
 def test_invariant_vectors_are_fixed_by_generators():
     m = hyperbolic_pair(4, 1)
     for v in W.invariant_space(m):
-        dense = v.dense()
-        assert apply_S(m, dense) == dense
-        assert apply_T_power(m, 1, dense) == dense
+        assert apply_S(m, v) == v
+        assert apply_T_power(m, 1, v) == v
 
 
 def test_selfdual_span_report():
@@ -768,13 +766,12 @@ INVARIANT_INPUTS = [
 def test_invariant_space_matches_power_basis_oracle(m):
     basis = W.invariant_space(m)
     iso = list(m.isotropic_indices)
-    got = [[v.get(g) for g in iso] for v in basis]
+    got = [[v[g] for g in iso] for v in basis]
     want = oracle_invariants(m)
     assert oracle_rank(got) == oracle_rank(want) == oracle_rank(got + want) == len(got)
     if m.signature_mod8() % 2:
         assert basis == []
     S, T = dense_S(m), dense_T(m)
     for v in basis:
-        dense = v.dense()
-        assert mat_apply(S, dense) == dense
-        assert mat_apply(T, dense) == dense
+        assert mat_apply(S, v) == v
+        assert mat_apply(T, v) == v
