@@ -52,6 +52,8 @@ class InputForm:
         self.Nprime = orders[2]
         dense = [0] * module.size
         for key, v in coeffs.items():
+            if len(key) != len(orders):
+                raise ValueError("coefficient key %r needs one entry per generator" % (key,))
             if v != int(v):
                 raise ValueError("coefficients must be integers")
             dense[module.index(tuple(key))] += int(v)
@@ -115,10 +117,6 @@ class LiftResult:
 
     def to_json(self):
         const = self.constant_note
-        if isinstance(const, CycNumber):
-            const = const.to_json()
-        elif isinstance(const, Fraction):
-            const = str(const)
         return {
             "weight": str(self.weight),
             "weyl": self.weyl.to_json(),
@@ -126,7 +124,7 @@ class LiftResult:
             "psi2": self.psi2.to_json(),
             "eta1": None if self.eta1 is None else self.eta1.to_json(),
             "eta2": None if self.eta2 is None else self.eta2.to_json(),
-            "constant": const,
+            "constant": const.to_json() if isinstance(const, CycNumber) else str(const),
         }
 
 
@@ -218,9 +216,7 @@ def _member_factors(h):
         raise ValueError("side data violates the self-duality cross counts")
     fac1 = (Fraction(c1 * g1), Fraction(w1, N))
     fac2 = (Fraction(c2 * g2, Np), Fraction(w2, N))
-    pref1 = exp_frac(Fraction(-w1, 24 * N)) if w1 % (24 * N) else Fraction(1)
-    pref2 = exp_frac(Fraction(-w2, 24 * N)) if w2 % (24 * N) else Fraction(1)
-    return fac1, pref1, fac2, pref2
+    return fac1, exp_frac(Fraction(-w1, 24 * N)), fac2, exp_frac(Fraction(-w2, 24 * N))
 
 
 def _solve_exact(cols, b):

@@ -15,7 +15,7 @@ from math import prod
 
 from .arith import is_prime
 from .borcherds import InputForm, catalog_for, lift, verify_eta_prime
-from .fqmod import FqModule, hyperbolic_pair
+from .fqmod import FqModule, hyperbolic_pair, presentation_from_json
 from .lnn_catalog import assemble, relations_Np
 from .qseries import eta_series
 from .subgroups import EnumerationBoundError, _bound_check, classify, enumerate_subgroups
@@ -56,9 +56,9 @@ def _module_from_args(args):
         if text.startswith("@"):
             with open(text[1:]) as fh:
                 text = fh.read()
-        obj = json.loads(text)
-        _bound_check(prod(int(d) for d in obj["orders"]))
-        return FqModule.from_json(obj)
+        orders, qs, bs = presentation_from_json(text)
+        _bound_check(prod(orders))
+        return FqModule(orders, qs, bs)
     if args.N is None:
         raise ValueError("need either --module or --N")
     _bound_check((args.N * args.Nprime) ** 2)
@@ -128,8 +128,10 @@ def _parse_coeffs(text):
         raise ValueError("coeffs must be a JSON object of coordinate: integer")
     out = {}
     for key, val in raw.items():
+        if type(val) is not int:
+            raise ValueError("coefficient of %r is not a JSON integer: %s" % (key, json.dumps(val)))
         coords = tuple(int(t) for t in key.split(","))
-        out[coords] = out.get(coords, 0) + int(val)
+        out[coords] = out.get(coords, 0) + val
     return out
 
 
@@ -155,8 +157,10 @@ def cmd_verify_eta(args):
 
 
 def cmd_repro(args):
-    from .acceptance import run_all
+    from .acceptance import CHECKS, run_all
 
+    if any(i > len(CHECKS) for i in args.only or ()):
+        raise ValueError("--only takes a check number from 1 to %d" % len(CHECKS))
     results = run_all(args.only or None)
     failed = 0
     for r in results:

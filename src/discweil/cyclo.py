@@ -1,14 +1,19 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_M).
 
-A number of conductor M is stored in one canonical form: integer coordinates
+One value, one representation: a rational number is always a ``Fraction``
+and a ``CycNumber`` is always irrational.  Every number this module hands
+out (arithmetic, ``root_of_unity``, ``exp_frac``, ``from_coordinates``,
+``from_powers``) is built by ``_make``, which returns a Fraction whenever
+the power-basis coordinates are rational; ``coordinates`` reads the integer
+coordinates of either kind at a chosen conductor.
+
+A CycNumber of conductor M is stored canonically: integer coordinates
 (c_0, ..., c_(phi-1)) in the power basis 1, zeta_M, ..., zeta_M^(phi(M)-1)
-over a positive denominator coprime to their content.  Equal numbers of one
-conductor have equal fields, so equality, zero and rationality tests read
-fields; a sum adds coordinates and a product is an integer convolution
+over a positive denominator coprime to their content, so equality reads
+fields.  A sum adds coordinates and a product is an integer convolution
 reduced by the cached coordinates of the powers zeta_M^e.  The text form
-depends only on the value: a rational prints as a Fraction, r zeta_M^e as
-r*zM^e (r > 0 where -zeta_M^e is a power too), anything else as the
-power-basis sum.
+depends only on the value: r zeta_M^e prints as r*zM^e (r > 0 where
+-zeta_M^e is a power too), anything else as the power-basis sum.
 """
 
 from fractions import Fraction
@@ -127,47 +132,49 @@ def fold(M, full):
 
 
 def _make(M, coords, den):
-    """The number coords / den of conductor M, den > 0."""
+    """The number coords / den of conductor M, den > 0: a Fraction when it
+    is rational, otherwise a CycNumber with the content divided out."""
+    if not any(coords[1:]):
+        return Fraction(coords[0], den)
+    g = gcd(den, *coords)
     x = object.__new__(CycNumber)
-    x._set(M, coords, den)
+    x.conductor = M
+    x.coords = tuple(coords) if g == 1 else tuple(c // g for c in coords)
+    x.den = den // g
     return x
 
 
 def from_coordinates(M, coords):
-    """The element of Z[zeta_M] with power-basis coordinates coords: a Fraction
-    when it is rational, a CycNumber otherwise."""
-    if any(coords[1:]):
-        return _make(M, coords, 1)
-    return Fraction(coords[0])
+    """The element of Z[zeta_M] with power-basis coordinates coords."""
+    return _make(M, coords, 1)
+
+
+def from_powers(M, coeffs):
+    """The number sum v zeta_M^e of an exponent -> rational map."""
+    fr = [(e, Fraction(v)) for e, v in coeffs.items()]
+    den = lcm(*(v.denominator for _, v in fr))
+    return _make(M, _reduce(M, ((e, v.numerator * (den // v.denominator)) for e, v in fr)), den)
+
+
+def coordinates(M, x):
+    """The power-basis integer coordinates of x in Z[zeta_M], for a Fraction
+    or a CycNumber whose conductor divides M; ValueError off Z[zeta_M]."""
+    if isinstance(x, CycNumber):
+        x = x.promote(M)
+        coords, den = list(x.coords), x.den
+    else:
+        x = Fraction(x)
+        coords, den = [x.numerator] + [0] * (degree(M) - 1), x.denominator
+    if den != 1:
+        raise ValueError("not an element of Z[zeta_%d]" % M)
+    return coords
 
 
 class CycNumber:
-    """An element of Q(zeta_M): integer power-basis coordinates over den."""
+    """An irrational element of Q(zeta_M): integer power-basis coordinates
+    over den.  Only ``_make`` builds one."""
 
     __slots__ = ("conductor", "coords", "den")
-
-    def __init__(self, conductor, coeffs):
-        """The number sum v zeta_M^e of an exponent -> rational map."""
-        fr = [(e, Fraction(v)) for e, v in coeffs.items()]
-        den = lcm(*(v.denominator for _, v in fr))
-        terms = ((e, v.numerator * (den // v.denominator)) for e, v in fr)
-        self._set(conductor, _reduce(conductor, terms), den)
-
-    def _set(self, M, coords, den):
-        """Store coords / den (den > 0) with the content divided out."""
-        g = gcd(den, *coords)
-        self.conductor = M
-        self.coords = tuple(coords) if g == 1 else tuple(c // g for c in coords)
-        self.den = den // g
-
-    # -- construction helpers
-
-    @staticmethod
-    def rational(v, conductor=1):
-        v = Fraction(v)
-        coords = [0] * len(_reduction_rows(conductor)[0])
-        coords[0] = v.numerator
-        return _make(conductor, coords, v.denominator)
 
     def promote(self, M):
         if M == self.conductor:
@@ -181,34 +188,14 @@ class CycNumber:
         return _make(M, _reduce(M, ((j * k, c) for j, c in enumerate(self.coords) if c)), self.den)
 
     def _pair(self, other):
-        if not isinstance(other, CycNumber):
-            return self, CycNumber.rational(other, self.conductor)
         if other.conductor == self.conductor:
             return self, other
         M = lcm(self.conductor, other.conductor)
         return self.promote(M), other.promote(M)
 
-    # -- predicates
-
-    def is_zero(self):
-        return not any(self.coords)
-
-    def __bool__(self):
-        return any(self.coords)
-
-    def is_rational(self):
-        return not any(self.coords[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError("not a rational number")
-        return Fraction(self.coords[0], self.den)
-
     def _monomial(self):
         """(r, e) with self = r zeta_M^e, r > 0 where there is a choice; or None."""
         g = gcd(*self.coords)
-        if not g:
-            return None
         table = _monomials(self.conductor)
         unit = tuple(c // g for c in self.coords)
         if unit in table:
@@ -221,7 +208,13 @@ class CycNumber:
     # -- arithmetic
 
     def __add__(self, other):
-        if not isinstance(other, (CycNumber, int, Fraction)):
+        if isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+            den = lcm(self.den, other.denominator)
+            coords = [c * (den // self.den) for c in self.coords]
+            coords[0] += other.numerator * (den // other.denominator)
+            return _make(self.conductor, coords, den)
+        if not isinstance(other, CycNumber):
             return NotImplemented
         a, b = self._pair(other)
         den = lcm(a.den, b.den)
@@ -265,7 +258,7 @@ class CycNumber:
     def __pow__(self, n):
         if n < 0:
             return self.inv() ** (-n)
-        out = CycNumber.rational(1, self.conductor)
+        out = Fraction(1)
         base = self
         while n:
             if n & 1:
@@ -281,13 +274,11 @@ class CycNumber:
         mono = self._monomial()
         if mono is not None:
             return root_of_unity(-mono[1], M) * (1 / mono[0])
-        if not self:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        rest = CycNumber.rational(1, M)
+        rest = Fraction(1)
         for k in range(2, M):
             if gcd(k, M) == 1:
                 rest = rest * self._substitute(M, k)
-        return rest / (self * rest).rational_value()
+        return rest / (self * rest)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -301,8 +292,6 @@ class CycNumber:
         return self._substitute(self.conductor, -1)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and Fraction(self.coords[0], self.den) == other
         if not isinstance(other, CycNumber):
             return NotImplemented
         a, b = self._pair(other)
@@ -326,10 +315,8 @@ class CycNumber:
         return {"conductor": self.conductor, "terms": terms}
 
     def __repr__(self):
-        """A rational as a Fraction, r zeta_M^e as r*zM^e, else the power-basis sum."""
+        """r zeta_M^e as r*zM^e, anything else as the power-basis sum."""
         M = self.conductor
-        if self.is_rational():
-            return str(Fraction(self.coords[0], self.den))
         mono = self._monomial()
         if mono is not None:
             return "%s*z%d^%d" % (mono[0], M, mono[1])
@@ -342,7 +329,7 @@ class CycNumber:
 
 
 def root_of_unity(a, M):
-    """zeta_M^a as a CycNumber."""
+    """zeta_M^a."""
     if M < 1:
         raise ValueError("conductor must be positive")
     return _make(M, _reduction_rows(M)[a % M], 1)
@@ -352,11 +339,3 @@ def exp_frac(fr):
     """e(fr) = exp(2 pi i fr) for a rational fr, exact."""
     fr = Fraction(fr)
     return root_of_unity(fr.numerator % fr.denominator, fr.denominator)
-
-
-def one(conductor=1):
-    return CycNumber.rational(1, conductor)
-
-
-def zero(conductor=1):
-    return CycNumber.rational(0, conductor)

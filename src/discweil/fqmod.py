@@ -25,7 +25,7 @@ from math import lcm, prod
 import numpy as np
 
 from .arith import factorize
-from .cyclo import CycNumber, root_of_unity
+from .cyclo import from_powers, root_of_unity
 
 
 def mod1(fr):
@@ -64,7 +64,7 @@ class FqModule:
     Equality is equality of presentations.  Instances are immutable.
     """
 
-    def __init__(self, orders, qs, bs, check=True):
+    def __init__(self, orders, qs, bs):
         self.orders = tuple(int(d) for d in orders)
         self.qs = tuple(mod1(q) for q in qs)
         self.bs = tuple(tuple(mod1(b) for b in row) for row in bs)
@@ -73,8 +73,7 @@ class FqModule:
             raise ValueError("generator orders must be positive")
         if len(self.qs) != k or len(self.bs) != k or any(len(r) != k for r in self.bs):
             raise ValueError("presentation size mismatch")
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         k = len(self.orders)
@@ -234,7 +233,7 @@ class FqModule:
 
     def gauss_sum(self):
         """Sum of e(Q(x)) over D, exact, at conductor the level (it lives there)."""
-        return CycNumber(self.level, q_histogram(self))
+        return from_powers(self.level, q_histogram(self))
 
     def signature_mod8(self):
         """The s in Z/8 with gauss sum = sqrt(|D|) e(s/8) (exact identification).
@@ -266,11 +265,7 @@ class FqModule:
 
     @classmethod
     def from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        qs = [Fraction(s) for s in obj["q_gen"]]
-        bs = [[Fraction(s) for s in row] for row in obj["b_gram"]]
-        return cls(obj["orders"], qs, bs)
+        return cls(*presentation_from_json(obj))
 
     def __eq__(self, other):
         return (
@@ -293,6 +288,34 @@ class FqModule:
         return "FqModule(orders=%r)" % (self.orders,)
 
 
+def _typed(v, kinds):
+    if type(v) not in kinds:
+        raise TypeError("unexpected JSON type")
+    return v
+
+
+def presentation_from_json(obj):
+    """(orders, qs, bs) of a module's JSON object or text, with nothing built;
+    a missing or malformed field raises ValueError naming it."""
+    if isinstance(obj, str):
+        obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValueError("module JSON must be an object with orders, q_gen and b_gram")
+    out = []
+    for key, parse in (
+        ("orders", lambda d: _typed(d, (int,))),
+        ("q_gen", lambda s: Fraction(_typed(s, (int, str)))),
+        ("b_gram", lambda row: [Fraction(_typed(s, (int, str))) for s in row]),
+    ):
+        if key not in obj:
+            raise ValueError("module JSON has no %r field" % key)
+        try:
+            out.append([parse(v) for v in obj[key]])
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError("module JSON field %r is malformed" % key) from None
+    return out
+
+
 def q_histogram(m):
     """{L*Q(x): number of x with that value}, over the nonzero counts."""
     hist = np.bincount(m.q_ints, minlength=m.level)
@@ -306,12 +329,12 @@ def _sqrt_squarefree(m):
     is sqrt(p) for p = 1 mod 4 and i sqrt(p) for p = 3 mod 4; the prime 2
     gives zeta_8 + zeta_8^-1 = sqrt(2).
     """
-    out = CycNumber.rational(1)
+    out = Fraction(1)
     for p, _ in factorize(m):
         if p == 2:
             out = out * (root_of_unity(1, 8) + root_of_unity(-1, 8))
             continue
-        g = CycNumber(p, {x: 1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)})
+        g = from_powers(p, {x: 1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)})
         out = out * (g * root_of_unity(-1, 4) if p % 4 == 3 else g)
     return out
 

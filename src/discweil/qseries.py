@@ -21,21 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 
-from .cyclo import (
-    CycNumber,
-    degree,
-    exp_frac,
-    fold,
-    from_coordinates,
-    sparse_coordinates,
-)
+from .cyclo import CycNumber, degree, exp_frac, fold, from_coordinates, sparse_coordinates
 
 
 def _coeff_json(v):
     if isinstance(v, CycNumber):
-        if not v.is_rational():
-            return v.to_json()
-        v = v.rational_value()
+        return v.to_json()
     v = Fraction(v)
     return [v.numerator, v.denominator]
 
@@ -178,8 +169,7 @@ def product_terms(factors, M, bound):
     the powers zeta_M^e, and divides each coordinate by n.  As n b_n and b_n
     both have integer coordinates, n divides every coordinate of n b_n; a
     nonzero remainder raises ArithmeticError, so that argument is checked at
-    every step.  A rational b_n is returned as a Fraction, any other as a
-    CycNumber.
+    every step.
     """
     if any(c != int(c) for _, _, c in factors):
         raise ValueError("product exponents must be integers")
@@ -245,10 +235,7 @@ def eta_series(d, r, trunc):
                 continue
             hit = True
             sgn = -1 if kk % 2 else 1
-            if r == 0:
-                terms[expo_key] = Fraction(sgn)
-            else:
-                terms[expo_key] = sgn * exp_frac(r * (24 * g + 1) / 24)
+            terms[expo_key] = sgn * exp_frac(r * (24 * g + 1) / 24)
         if not hit and k > 0:
             break
         k += 1
@@ -264,14 +251,12 @@ def eta_series_naive(d, r, trunc):
         raise ValueError("eta scale must be positive")
     if trunc <= d / 24:
         raise ValueError("truncation under the leading exponent gives an empty series")
-    lead_coeff = exp_frac(r / 24) if r else Fraction(1)
-    acc = FracQSeries.monomial(d / 24, lead_coeff, trunc)
+    acc = FracQSeries.monomial(d / 24, exp_frac(r / 24), trunc)
     n = 1
     while d / 24 + n * d < trunc:
-        c = -exp_frac(n * r) if r else Fraction(-1)
         factor = FracQSeries(
             (n * d).denominator,
-            {0: Fraction(1), (n * d).numerator: c},
+            {0: Fraction(1), (n * d).numerator: -exp_frac(n * r)},
             trunc,
         )
         acc = acc * factor
@@ -348,10 +333,8 @@ class EtaQuotient:
             triples += [(n * step, n * a % M, f.exponent) for n in range(1, (bound - 1) // step + 1)]
         coeffs = product_terms(triples, M, bound)
         out = FracQSeries(D, dict(enumerate(coeffs)), rel).shift(self.lead())
-        front = self.prefactor
         phase = sum((f.shift * f.exponent for f in live), Fraction(0)) / 24
-        if phase.denominator != 1:
-            front = front * exp_frac(phase)
+        front = self.prefactor * exp_frac(phase)
         if front != 1:
             out = out.scale(front)
         return out

@@ -35,7 +35,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .arith import primitive_root
-from .cyclo import _reduction_rows, root_of_unity
+from .cyclo import coordinates, root_of_unity
 from .fqmod import matmul_mod
 from .linalg import _certified, rational_rref
 from .subgroups import (
@@ -103,8 +103,8 @@ def _exponents(m):
 
 @lru_cache(maxsize=None)
 def _reduction_array(M):
-    """The rows of ``_reduction_rows(M)`` as a read-only int64 array."""
-    RED = np.array(_reduction_rows(M), dtype=np.int64)
+    """Row e = the power-basis coordinates of zeta_M^e, a read-only int64 array."""
+    RED = np.array([coordinates(M, root_of_unity(e, M)) for e in range(M)], dtype=np.int64)
     RED.flags.writeable = False
     return RED
 
@@ -203,10 +203,10 @@ def weil_relations_report(m):
     n = m.size
     q = m.q_ints
     neg = m.indices_of(-m.coords)
-    G = m.gauss_sum()  # counts of roots of unity: integral, so G.den == 1
+    G = m.gauss_sum()
     RED = _reduction_array(L)
     phi = RED.shape[1]
-    Gmat = np.array([(root_of_unity(t, L) * G).coords for t in range(phi)], dtype=np.int64)
+    Gmat = np.array([coordinates(L, root_of_unity(t, L) * G) for t in range(phi)], dtype=np.int64)
     s2_ok = st3_ok = table_ok = True
     width = max(1, _BLOCK // (n * L))
     for c0 in range(0, n, width):
@@ -255,7 +255,8 @@ def _residues(m, q):
     t = pow(primitive_root(q), (q - 1) // L, q)
     A = np.array([pow(t, e, q) for e in range(L)], dtype=np.int64)[_pack(m)[np.ix_(iso, iso)]]
     at = np.diag_indices(len(iso))
-    A[at] = (A[at] - m.gauss_sum().mod_prime(q, t)) % q
+    g = sum(c * pow(t, j, q) for j, c in enumerate(coordinates(L, m.gauss_sum()))) % q
+    A[at] = (A[at] - g) % q
     return A
 
 
@@ -268,7 +269,7 @@ def _fixed(m, vectors):
     """
     n, L, iso = m.size, m.level, list(m.isotropic_indices)
     E = _pack(m)
-    gcan = np.array(m.gauss_sum().coords, dtype=object)  # integral: den == 1
+    gcan = np.array(coordinates(L, m.gauss_sum()), dtype=object)
     width = max(1, _BLOCK // (n * L))
     for c0 in range(0, len(vectors), width):
         K = np.array(vectors[c0:c0 + width], dtype=object).T

@@ -54,6 +54,27 @@ def test_input_invariance_guards():
         InputForm(M6, {(0, 0, 0, 0): 1})  # not S-invariant
 
 
+def test_input_keys_need_one_entry_per_generator():
+    # FqModule.index zips a key with the generator orders, so a longer key
+    # would be cut to its first four entries and a shorter one padded
+    m = hyperbolic_pair(2, 1)
+    for coeffs in ({(0, 0, 0, 0, 7): 1, (0, 1, 0, 0, 9): 1}, {(0, 0, 0): 1}):
+        with pytest.raises(ValueError, match="one entry per generator"):
+            InputForm(m, coeffs)
+    assert InputForm(m, {(0, 0, 0, 0): 1, (0, 1, 0, 0): 1}).dense[:2] == [1, 1]
+
+
+def test_lift_constant_is_a_fraction_when_rational():
+    # the two members' prefactors multiply to the rational 1, which the lift
+    # prints as the Fraction "1", not as a cyclotomic number of conductor 72
+    m = hyperbolic_pair(3, 3)
+    cat = selfdual_list_Np(3, 3)
+    f = InputForm.from_combination(m, [(1, cat[4]), (-1, cat[7])])
+    res = lift(f, 6)
+    assert type(res.constant_note) is F
+    assert res.to_json()["constant"] == "1"
+
+
 SMALL_PAIRS = [hyperbolic_pair(N, Np) for N, Np in ((2, 1), (3, 1), (2, 2), (4, 1))]
 DENSE_S = {m: dense_S(m) for m in SMALL_PAIRS}
 

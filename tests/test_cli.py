@@ -94,6 +94,45 @@ def test_non_invariant_lift_input_exits_1():
     assert "not invariant" in r.stderr
 
 
+def _refused(capsys, argv):
+    """Exit code 1, one error line on stderr and nothing on stdout."""
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize(
+    "coeffs", ['{"0,0,0,0": 0.5, "0,1,0,0": 0.5}', '{"0,0,0,0": true}', '{"0,0,0,0": "1"}']
+)
+def test_non_integer_coefficients_exit_1(capsys, coeffs):
+    # int(0.5) == 0 once turned this input into the lift of the zero form
+    err = _refused(capsys, ["lift", "--N", "2", "--coeffs", coeffs])
+    assert "not a JSON integer" in err
+
+
+def test_coefficient_keys_of_the_wrong_length_exit_1(capsys):
+    # a 5-coordinate key was once cut to 4, printing the lift of another input
+    coeffs = '{"0,0,0,0,7": 1, "0,1,0,0,9": 1}'
+    err = _refused(capsys, ["lift", "--N", "2", "--coeffs", coeffs])
+    assert "one entry per generator" in err
+
+
+@pytest.mark.parametrize(
+    "module,field",
+    [('{"orders": [2, 2]}', "q_gen"), ("[1]", "orders"), ('{"orders": "22", "q_gen": [], "b_gram": []}', "orders")],
+)
+def test_malformed_module_json_exits_1(capsys, module, field):
+    err = _refused(capsys, ["invariants", "--module", module])
+    assert field in err
+
+
+def test_repro_check_number_out_of_range_exits_1(capsys):
+    err = _refused(capsys, ["repro", "--only", "10"])
+    assert "from 1 to 9" in err
+
+
 def test_bound_exceeded_exits_3():
     r = run_cli("subgroups", "--N", "30", "--Nprime", "30")
     assert r.returncode == 3

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from discweil.cyclo import exp_frac, zero
+from discweil.cyclo import exp_frac
 from discweil.fqmod import (
     DegenerateFormError,
     FqModule,
@@ -66,7 +66,7 @@ def test_isotropic_count_brute_force():
 
 def test_gauss_sum_against_direct_exponential_sum():
     for mod in [hyperbolic(5), hyperbolic_pair(2, 2), FqModule((3,), [F(1, 3)], [[F(2, 3)]])]:
-        s = zero(1)
+        s = F(0)
         for x in element_list(mod):
             s = s + exp_frac(mod.q_value(x))
         assert s == mod.gauss_sum()
@@ -165,13 +165,19 @@ def test_degenerate_forms_are_refused():
     # (Z/2)^2 with Q = B = 0: everything is radical
     with pytest.raises(DegenerateFormError):
         FqModule((2, 2), [0, 0], [[0, 0], [0, 0]])
-    # a radical survives an orthogonal sum
-    z4 = FqModule((4,), [F(1, 4)], [[F(1, 2)]], check=False)
-    assert z4.radical_size() == 2
-    with pytest.raises(DegenerateFormError):
-        direct_sum(hyperbolic(3), z4)
-    with pytest.raises(DegenerateFormError):
-        direct_sum(FqModule((2, 2), [0, 0], [[0, 0], [0, 0]], check=False), COMPONENTS[0])
+
+
+def test_from_json_names_a_missing_or_malformed_field():
+    good = hyperbolic(2).to_json()
+    for key in good:
+        bad = {k: v for k, v in good.items() if k != key}
+        with pytest.raises(ValueError, match=key):
+            FqModule.from_json(bad)
+        with pytest.raises(ValueError, match=key):
+            FqModule.from_json(dict(good, **{key: [[None]]}))
+    with pytest.raises(ValueError):
+        FqModule.from_json([1])
+    assert FqModule.from_json(good) == hyperbolic(2)
 
 
 def test_element_table_has_no_overflow():
