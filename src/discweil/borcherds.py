@@ -54,6 +54,8 @@ class InputForm:
         for key, v in coeffs.items():
             if len(key) != len(orders):
                 raise ValueError("coefficient key %r needs one entry per generator" % (key,))
+            if not all(0 <= c < d for c, d in zip(key, orders)):
+                raise ValueError("coefficient key %r has an entry outside [0, order)" % (key,))
             if v != int(v):
                 raise ValueError("coefficients must be integers")
             dense[module.index(tuple(key))] += int(v)

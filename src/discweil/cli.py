@@ -8,6 +8,7 @@ bound exceeded.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -119,6 +120,10 @@ def cmd_lnn_relations(args):
     return 0
 
 
+# a key entry: int() would also take " 1", "+1" and "1_0"
+_DECIMAL = re.compile("-?[0-9]+")
+
+
 def _parse_coeffs(text):
     if text.startswith("@"):
         with open(text[1:]) as fh:
@@ -130,7 +135,10 @@ def _parse_coeffs(text):
     for key, val in raw.items():
         if type(val) is not int:
             raise ValueError("coefficient of %r is not a JSON integer: %s" % (key, json.dumps(val)))
-        coords = tuple(int(t) for t in key.split(","))
+        entries = key.split(",")
+        if not all(_DECIMAL.fullmatch(t) for t in entries):
+            raise ValueError("coefficient key %s needs plain decimal integer entries" % json.dumps(key))
+        coords = tuple(int(t) for t in entries)
         out[coords] = out.get(coords, 0) + val
     return out
 

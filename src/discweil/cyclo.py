@@ -135,8 +135,9 @@ def _make(M, coords, den):
     """The number coords / den of conductor M, den > 0: a Fraction when it
     is rational, otherwise a CycNumber with the content divided out."""
     if not any(coords[1:]):
-        return Fraction(coords[0], den)
-    g = gcd(den, *coords)
+        # Fraction of one int takes no gcd
+        return Fraction(coords[0]) if den == 1 else Fraction(coords[0], den)
+    g = 1 if den == 1 else gcd(den, *coords)
     x = object.__new__(CycNumber)
     x.conductor = M
     x.coords = tuple(coords) if g == 1 else tuple(c // g for c in coords)

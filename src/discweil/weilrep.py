@@ -9,13 +9,14 @@ vectors given as histograms: it counts the shifted exponents with
 ``np.bincount`` into twice the conductor's bins, folds the upper half onto
 the lower, and reduces the result to power-basis coordinates by one integer
 matrix multiplication, in blocks that count at least as many indices as
-they have bins.  The v^H check, the relations of ``weil_relations_report``
-and the invariant certificate go through it, a block of columns at a time,
-and compare exact integer arrays, for modules of any signature.  Each
-relation applies zeta^E once and compares the result with its closed form:
-S^2 with |D| times the negation, and STS = T^-1 S T^-1 (equivalent to
-(ST)^3 = S^2) with the Gauss sum times roots of unity; unitarity then
-follows from S^2 and the symmetry of E.
+they have bins.  The v^H check and the invariant certificate go through it,
+a block of columns at a time, and compare exact integer arrays, for modules
+of any signature.  ``weil_relations_report`` proves the relations from the
+structure of the tables, checked on the generators in O(|D|^2 r): E is
+symmetric and additive, and L*Q refines it.  These reduce S^2 and
+STS = T^-1 S T^-1 (equivalent to (ST)^3 = S^2) to one column of zeta^E each,
+compared with |D| e_0 and with the Gauss sum times roots of unity; unitarity
+then follows from S^2.
 The integer tables are the module's element table (coordinates, L*Q) and,
 from ``_pack``, the |D| x |D| int32 exponent table, held behind the
 enumeration bound and the byte budget.
@@ -53,16 +54,17 @@ class CertificationError(RuntimeError):
 
 # --------------------------------------------------------------- numpy pack
 
-# The scatter step of ``_s_sums`` and the histogram batches of
-# ``weil_relations_report`` and ``_fixed`` hold about this many indices at
-# once, or as many as the scatter's output has bins when that is more (up to
-# twice that, as the scatter splits its entries into equal blocks): the
-# temporaries stay within a small multiple of max(_BLOCK, output size)
-# entries.  A batch of _BLOCK histogram entries has 2 _BLOCK bins, and each
-# bin costs about 30 bytes while it is counted (the output, the int32
-# indices, bincount's intp copy of them and its counts), so 2^15 keeps a
-# scatter near 2 MB.  Larger blocks only raise the peak memory; smaller ones
-# add per-step overhead on large modules.
+# The scatter step of ``_s_sums`` and the histogram batches of ``_fixed``
+# hold about this many indices at once, or as many as the scatter's output
+# has bins when that is more (up to twice that, as the scatter splits its
+# entries into equal blocks): the temporaries stay within a small multiple of
+# max(_BLOCK, output size) entries.  ``weil_relations_report`` compares
+# blocks of rows of E of about this many entries (at least one row), so no
+# temporary of |D|^2 entries sits beside E.  A batch of _BLOCK histogram
+# entries has 2 _BLOCK bins, and each bin costs about 30 bytes while it is
+# counted (the output, the int32 indices, bincount's intp copy of them and
+# its counts), so 2^15 keeps a scatter near 2 MB.  Larger blocks only raise
+# the peak memory; smaller ones add per-step overhead on large modules.
 _BLOCK = 2**15
 
 
@@ -172,63 +174,81 @@ def _one_hot(exps, L):
 
 
 def weil_relations_report(m):
-    """Exact verification of the defining relations and unitarity, any signature.
+    """Exact proof of the defining relations and unitarity, any signature.
 
-    rho(S) = s0 zeta^E and rho(T) = diag(zeta^(L*Q)) with s0 = conj(G)/|D|,
-    G the Gauss sum, and G conj(G) = |D| (``signature_mod8`` proves it
-    exactly).  Every relation is then one between products of the monomial
-    matrices zeta^E and T = rho(T), checked column by column: ``_s_sums``
-    applies zeta^E to a batch of b columns given as integer histograms, and
-    the power-basis coordinates it returns are compared exactly.
+    rho(S) = s0 zeta^E and rho(T) = diag(zeta^q), q = L*Q, with s0 = conj(G)/|D|,
+    G the Gauss sum and G conj(G) = |D| (``signature_mod8`` proves it
+    exactly).  The relations follow from three premises, each checked exactly
+    on the tables E and q with the generators g_j and the shifts x + g_j:
 
-    - rho(S)^2 = e(-sig/4) P_neg, P_neg the negation permutation, exactly
-      when (zeta^E)^2 e_c = |D| e_(-c): zeta^E on the columns of zeta^E;
+    - symmetry: E = E^t;
+    - additivity: E[:, x + g_j] = E[:, x] + E[:, g_j] mod L for every x and
+      j.  At x = 0 this gives E[:, 0] = 0, and by induction on the length of
+      a word in the generators E[:, x + y] = E[:, x] + E[:, y] for all x, y:
+      every column, and by symmetry every row, is a character;
+    - quadratic refinement: q[x + g_j] = q[x] + q[g_j] - E[x, g_j] mod L for
+      every x and j.  At x = 0 this gives q[0] = E[0, g_j] = 0, and by the
+      same induction q[x + y] = q[x] + q[y] - E[x, y] for all x, y.
+
+    With s = x_i + x_c, each relation is then one column of zeta^E, which
+    ``_s_sums`` computes and which is compared exactly with its closed form:
+
+    - (zeta^E)^2 [i, c] = sum_k zeta^(E[s, k]) = (zeta^E 1)[s], so
+      rho(S)^2 = e(-sig/4) P_neg, P_neg the negation, exactly when
+      zeta^E 1 = |D| e_0;
     - rho(S)^4 is then e(-sig/2), the identity exactly for even signature;
-    - (ST)^3 = S^2 exactly when STS = T^-1 S T^-1 (S and T are
-      invertible), that is, as s0 G = 1, when zeta^E T zeta^E =
-      G T^-1 zeta^E T^-1: zeta^E on the columns T zeta^E e_c against
-      G zeta^(E[i, c] - L Q(x_i) - L Q(x_c)).  Entry (i, c) of the left
-      side is sum_k e(Q(x_k) - B(x_k, x_i + x_c)) = e(-Q(x_i + x_c)) G, as
-      the Gauss sum sum_k e(Q(x_k - x_i - x_c)) is G whatever the shift;
-    - rho(S) is unitary once S^2 holds and the table is that of a symmetric
-      bilinear form, E = E^t and E[:, -c] = -E[:, c] mod L, checked on E:
-      then conj(zeta^E)^t = zeta^E P_neg, so zeta^E conj(zeta^E)^t =
-      (zeta^E)^2 P_neg = |D| P_neg^2 = |D| I.
+    - (ST)^3 = S^2 exactly when STS = T^-1 S T^-1 (S and T are invertible),
+      that is, as s0 G = 1, when zeta^E T zeta^E = G T^-1 zeta^E T^-1.  Entry
+      (i, c) of the left side is sum_k zeta^(E[s, k] + q[k]) =
+      (zeta^E zeta^q)[s], and of the right side G zeta^(E[i, c] - q[i] - q[c])
+      = G zeta^(-q[s]): the relation holds exactly when
+      zeta^E zeta^q = G zeta^-q;
+    - rho(S) is unitary once S^2 holds: additivity gives E[:, -c] = -E[:, c],
+      so with symmetry conj(zeta^E)^t = zeta^E P_neg, and zeta^E conj(zeta^E)^t
+      = (zeta^E)^2 P_neg = |D| P_neg^2 = |D| I.
 
-    The histograms of one batch hold about max(``_BLOCK``, |D| L) entries;
-    nothing but E is |D|^2.
+    A flag is True only when it is proven, so a failed premise makes every
+    flag that rests on it False.  The premises cost O(|D|^2 r), r the number
+    of generators, compared a block of rows of about ``_BLOCK`` entries at a
+    time, and the two columns O(|D|^2); nothing but E is |D|^2.
     """
-    L = m.level
+    L, n = m.level, m.size
     E = _pack(m)
-    n = m.size
     q = m.q_ints
-    neg = m.indices_of(-m.coords)
-    G = m.gauss_sum()
-    RED = _reduction_array(L)
-    phi = RED.shape[1]
-    Gmat = np.array([coordinates(L, root_of_unity(t, L) * G) for t in range(phi)], dtype=np.int64)
-    s2_ok = st3_ok = table_ok = True
-    width = max(1, _BLOCK // (n * L))
-    for c0 in range(0, n, width):
-        cols = np.arange(c0, min(n, c0 + width))
-        at = np.arange(len(cols))
-        blk = E[:, cols]
-        s2 = _s_sums(E, L, _one_hot(blk, L))
+    X = m.coords
+    step = np.eye(X.shape[1], dtype=np.int64)
+    gens = m.indices_of(step)
+    shift = m.indices_of(X[:, None, :] + step)  # shift[x, j]: the index of x + g_j
+    # symmetry and additivity, on rows: once E = E^t holds everywhere, row
+    # additivity is column additivity
+    width = max(1, _BLOCK // n)
+    form_ok = True
+    for x0 in range(0, n, width):
+        rows = E[x0:x0 + width]
+        form_ok = np.array_equal(rows, E[:, x0:x0 + width].T) and all(
+            np.array_equal(E[shift[x0:x0 + width, j]], (rows + E[g]) % L)
+            for j, g in enumerate(gens)
+        )
+        if not form_ok:
+            break
+
+    s2_ok = st3_ok = False
+    if form_ok:
+        s2 = _s_sums(E, L, _one_hot(np.zeros((n, 1), dtype=np.int64), L))[:, 0]
         want = np.zeros_like(s2)
-        want[neg[cols], at, 0] = n
-        s2_ok &= bool(np.array_equal(s2, want))
-
-        table_ok &= bool(np.array_equal(blk, E[cols].T))
-        table_ok &= bool(np.array_equal(E[:, neg[cols]], -blk % L))
-
-        sts = _s_sums(E, L, _one_hot(blk + q[:, None], L))
-        st3_ok &= bool(np.array_equal(sts, RED[(blk - q[:, None] - q[cols]) % L] @ Gmat))
+        want[0, 0] = n
+        s2_ok = np.array_equal(s2, want)
+        if not ((q[shift] - q[:, None] - q[gens] + E[:, gens]) % L).any():  # q refines E
+            G = m.gauss_sum()
+            want = np.array([coordinates(L, root_of_unity(-t, L) * G) for t in range(L)], dtype=np.int64)
+            sts = _s_sums(E, L, _one_hot(q[:, None], L))[:, 0]
+            st3_ok = np.array_equal(sts, want[q])
 
     return {
         "s2_is_negation": s2_ok,
         "s4": s2_ok and m.signature_mod8() % 2 == 0,
         "st3": st3_ok,
-        "s_unitary": s2_ok and table_ok,
+        "s_unitary": s2_ok,
         "t_unitary": True,  # diagonal of roots of unity
         "method": "integer-histogram",
     }

@@ -64,6 +64,15 @@ def test_input_keys_need_one_entry_per_generator():
     assert InputForm(m, {(0, 0, 0, 0): 1, (0, 1, 0, 0): 1}).dense[:2] == [1, 1]
 
 
+def test_input_keys_need_entries_in_range():
+    # each entry must lie in [0, d) for its generator of order d: reduced mod
+    # 2, these keys would name (0,1,0,0) on D_{2,1}
+    m = hyperbolic_pair(2, 1)
+    for key in ((0, 3, 0, 0), (0, -1, 0, 0), (0, 0, 0, 1)):
+        with pytest.raises(ValueError, match="outside"):
+            InputForm(m, {(0, 0, 0, 0): 1, key: 1})
+
+
 def test_lift_constant_is_a_fraction_when_rational():
     # the two members' prefactors multiply to the rational 1, which the lift
     # prints as the Fraction "1", not as a cyclotomic number of conductor 72

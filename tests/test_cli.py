@@ -119,6 +119,21 @@ def test_coefficient_keys_of_the_wrong_length_exit_1(capsys):
     assert "one entry per generator" in err
 
 
+@pytest.mark.parametrize("entry", ["1_0", " 1", "+1", "1 ", "\u0661"])
+def test_key_entries_must_be_plain_decimal_integers(capsys, entry):
+    # int() takes each of these, and "0,1_0,0,0" once named (0,0,0,0) on D_{2,1}
+    coeffs = json.dumps({"0,0,0,0": 1, "0,%s,0,0" % entry: 1})
+    err = _refused(capsys, ["lift", "--N", "2", "--coeffs", coeffs])
+    assert "plain decimal integer" in err
+
+
+@pytest.mark.parametrize("key", ["0,3,0,0", "0,-1,0,0", "0,2,0,0"])
+def test_key_entries_out_of_range_exit_1(capsys, key):
+    # reduced mod 2, each key once printed the lift of {"0,0,0,0":1,"0,1,0,0":1}
+    err = _refused(capsys, ["lift", "--N", "2", "--coeffs", '{"0,0,0,0": 1, "%s": 1}' % key])
+    assert "outside [0, order)" in err
+
+
 @pytest.mark.parametrize(
     "module,field",
     [('{"orders": [2, 2]}', "q_gen"), ("[1]", "orders"), ('{"orders": "22", "q_gen": [], "b_gram": []}', "orders")],

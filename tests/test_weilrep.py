@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction as F
 from functools import partial, reduce
@@ -216,6 +217,59 @@ def dense_relations(m):
         "st3": mat_mul(mat_mul(ST, ST), ST) == S2,
         "s_unitary": mat_mul(S, conj_transpose(S)) == identity(n),
         "t_unitary": mat_mul(T, conj_transpose(T)) == identity(n),
+    }
+
+
+def column_relations(m):
+    """The flags of weil_relations_report, column by column in O(|D|^3).
+
+    Each relation is checked on every column: ``W._s_sums`` applies zeta^E to
+    a batch of columns given as integer histograms, and the power-basis
+    coordinates it returns are compared exactly with the closed forms.
+
+    - rho(S)^2 = e(-sig/4) P_neg exactly when (zeta^E)^2 e_c = |D| e_(-c);
+    - rho(S)^4 is then e(-sig/2), the identity exactly for even signature;
+    - (ST)^3 = S^2 exactly when zeta^E T zeta^E = G T^-1 zeta^E T^-1:
+      zeta^E on the columns T zeta^E e_c against G zeta^(E[i, c] - q_i - q_c);
+    - rho(S) is unitary once S^2 holds and E is the table of a symmetric
+      bilinear form, E = E^t and E[:, -c] = -E[:, c] mod L, checked on E.
+
+    The reference for the report, which proves the same flags from the
+    premises of the tables in O(|D|^2 r).
+    """
+    L = m.level
+    E = W._pack(m)
+    n = m.size
+    q = m.q_ints
+    neg = m.indices_of(-m.coords)
+    G = m.gauss_sum()
+    RED = W._reduction_array(L)
+    phi = RED.shape[1]
+    Gmat = np.array([coordinates(L, root_of_unity(t, L) * G) for t in range(phi)], dtype=np.int64)
+    s2_ok = st3_ok = table_ok = True
+    width = max(1, W._BLOCK // (n * L))
+    for c0 in range(0, n, width):
+        cols = np.arange(c0, min(n, c0 + width))
+        at = np.arange(len(cols))
+        blk = E[:, cols]
+        s2 = W._s_sums(E, L, W._one_hot(blk, L))
+        want = np.zeros_like(s2)
+        want[neg[cols], at, 0] = n
+        s2_ok &= bool(np.array_equal(s2, want))
+
+        table_ok &= bool(np.array_equal(blk, E[cols].T))
+        table_ok &= bool(np.array_equal(E[:, neg[cols]], -blk % L))
+
+        sts = W._s_sums(E, L, W._one_hot(blk + q[:, None], L))
+        st3_ok &= bool(np.array_equal(sts, RED[(blk - q[:, None] - q[cols]) % L] @ Gmat))
+
+    return {
+        "s2_is_negation": s2_ok,
+        "s4": s2_ok and m.signature_mod8() % 2 == 0,
+        "st3": st3_ok,
+        "s_unitary": s2_ok and table_ok,
+        "t_unitary": True,
+        "method": "integer-histogram",
     }
 
 
@@ -573,6 +627,7 @@ def test_histogram_route_matches_dense_oracle(picks, data):
             assert rep["method"] == "integer-histogram"
             flags = ("s2_is_negation", "s4", "st3", "s_unitary", "t_unitary")
             assert {k: rep[k] for k in flags} == dense
+            assert rep == column_relations(m)
             for h in subgroups:
                 assert W.check_vH_action(m, h) is dense_vH(m, S, h.indices) is True
             if data is not None:
@@ -580,14 +635,16 @@ def test_histogram_route_matches_dense_oracle(picks, data):
                 assert apply_S(m, vec) == s_vec
 
 
-# blocks of 2^16 (above the default), the default, one entry, and 3 |D| L + 1
-@pytest.mark.parametrize("block", sorted({2**16, W._BLOCK, 1, 3 * 27 + 1}))
+# blocks of 2^16 (above the default), the default, one entry, 3 |D| L + 1
+# (the column oracle's batches of three columns) and 3 |D| + 1 (the proof's
+# blocks of three rows)
+@pytest.mark.parametrize("block", sorted({2**16, W._BLOCK, 1, 3 * 27 + 1, 3 * 9 + 1}))
 @pytest.mark.parametrize("entries", [[(1, 2)], [(1, 2), (2, 1)]], ids=["one", "pair"])
 def test_relations_report_rejects_a_wrong_table(monkeypatch, block, entries):
     # one entry of the exponent table off by one, or a symmetric pair of
     # them: rho(S) is no longer the Weil action, and every relation that
-    # involves it must fail, whatever the batches of columns (|D| L = 27
-    # entries per column)
+    # involves it must fail, as the column oracle finds, whatever the blocks
+    # (|D| = 9 entries per row, |D| L = 27 histogram entries per column)
     m = hyperbolic_pair(3, 1)
     E = W._pack(m).copy()
     for i, k in entries:
@@ -595,6 +652,7 @@ def test_relations_report_rejects_a_wrong_table(monkeypatch, block, entries):
     monkeypatch.setattr(W, "_exponents", lambda _: E)
     monkeypatch.setattr(W, "_BLOCK", block)
     rep = W.weil_relations_report(m)
+    assert rep == column_relations(m)
     assert not rep["s2_is_negation"] and not rep["s4"]
     assert not rep["st3"]
     assert not rep["s_unitary"]
@@ -616,6 +674,143 @@ def test_relations_report_rejects_a_wrong_q(monkeypatch, m, block):
         monkeypatch.setitem(m.__dict__, "q_ints", wrong)
         rep = W.weil_relations_report(m)
         assert rep["s2_is_negation"] and not rep["st3"], j
+
+
+# the modules of repro check 6
+CHECK6 = [(N, 1) for N in range(1, 13)] + [(2, 2), (4, 2), (6, 2), (3, 3)]
+
+
+def presented(rng, N, Np, steps=4):
+    """D_{N,N'} with each hyperbolic block in the basis of a random SL2(Z).
+
+    Block (Z/n)^2 with Q(x, y) = xy/n and the generators g1 = (a, c),
+    g2 = (b, d) of a product of elementary matrices: Q(g1) = ac/n,
+    Q(g2) = bd/n and B(g1, g2) = (ad + bc)/n.  Isometric to D_{N,N'}.
+    """
+    orders, qs, bs = [], [], [[F(0)] * 4 for _ in range(4)]
+    for i, n in ((0, N), (2, Np)):
+        a, b, c, d = 1, 0, 0, 1
+        for k in range(steps):
+            t = rng.randrange(n)
+            if k % 2:
+                b, d = a * t + b, c * t + d
+            else:
+                a, c = a + b * t, c + d * t
+        orders += [n, n]
+        qs += [F(a * c, n), F(b * d, n)]
+        bs[i][i], bs[i + 1][i + 1] = 2 * qs[i], 2 * qs[i + 1]
+        bs[i][i + 1] = bs[i + 1][i] = F(a * d + b * c, n)
+    return FqModule(orders, qs, bs)
+
+
+RELATIONS_HOLD = {
+    "s2_is_negation": True,
+    "s4": True,
+    "st3": True,
+    "s_unitary": True,
+    "t_unitary": True,
+    "method": "integer-histogram",
+}
+
+
+@pytest.mark.parametrize("N,Np", CHECK6)
+def test_relations_proof_matches_column_oracle(N, Np):
+    # each module of check 6 and two seeded isometric presentations of it
+    rng = random.Random(100 * N + Np)
+    for m in (hyperbolic_pair(N, Np), presented(rng, N, Np), presented(rng, N, Np)):
+        assert W.weil_relations_report(m) == column_relations(m) == RELATIONS_HOLD, m.to_json()
+
+
+@pytest.mark.parametrize("m", [hyperbolic_pair(3, 1), hyperbolic_pair(4, 2)], ids=["D3", "D42"])
+@pytest.mark.parametrize("case", ["generator column", "q at zero", "q at a generator", "q negated"])
+def test_relations_report_fails_a_broken_premise(monkeypatch, m, case):
+    # The row and column of a generator off by one keep E symmetric but not
+    # additive: S^2 and STS fail.  q[0] = 1, q off by one at a generator, or
+    # -q, is no quadratic refinement of E: STS fails, while S^2 reads only E
+    # and holds.  Each as the column oracle finds it.  -q passes the one
+    # column zeta^E zeta^q = G zeta^-q that closes the proof (its Gauss sum
+    # is conj(G)), so only the premise rejects it.  The signature is pinned,
+    # as the Gauss sum of a wrong q is off the circle |G|^2 = |D|.
+    L, g = m.level, m.indices_of(np.eye(len(m.orders), dtype=np.int64))[0]
+    sig = m.signature_mod8()
+    monkeypatch.setattr(m, "signature_mod8", lambda: sig)
+    E, q = W._pack(m).copy(), m.q_ints.copy()
+    if case == "generator column":
+        E[:, g] = (E[:, g] + 1) % L
+        E[g] = E[:, g]
+        monkeypatch.setattr(W, "_exponents", lambda _: E)
+    else:
+        if case == "q negated":
+            q = -q % L
+        else:
+            at = 0 if case == "q at zero" else g
+            q[at] = (q[at] + 1) % L
+        monkeypatch.setitem(m.__dict__, "q_ints", q)
+    rep = W.weil_relations_report(m)
+    assert rep == column_relations(m)
+    assert rep["s2_is_negation"] is (case != "generator column")
+    assert not rep["st3"]
+
+
+def table_square(E, L):
+    """(zeta^E)^2 as power-basis coordinates, with no symmetry of E assumed.
+
+    Entry (i, c) is sum_k zeta^(E[i, k] + E[k, c]), counted as a histogram of
+    the exponents over k.
+    """
+    H = W._one_hot(E[:, :, None] + E[None, :, :], L).sum(axis=1)
+    return H @ W._reduction_array(L)
+
+
+@pytest.mark.parametrize("N,twist", [(4, "swap"), (5, "swap"), (5, "double"), (3, "double")])
+def test_relations_report_needs_a_bilinear_table(monkeypatch, N, twist):
+    # Tables that pass the column zeta^E 1 = |D| e_0, as their rows hold the
+    # exponents of E permuted, but are no table of a symmetric bilinear form,
+    # and whose square is not |D| P_neg:
+    # - swap: rows and columns of two elements x, y with y != -x exchanged,
+    #   symmetric but not additive;
+    # - double: E[i, a k], a doubling the first coordinate, additive in each
+    #   argument but not symmetric.
+    # The column oracle reads such tables as symmetric and cannot judge the
+    # second kind, so the exact square is the reference.
+    m = hyperbolic_pair(N, 1)
+    E = W._pack(m)
+    if twist == "swap":
+        perm = np.arange(m.size)
+        perm[[1, 2]] = [2, 1]
+        E = E[np.ix_(perm, perm)]
+    else:
+        X = m.coords.copy()
+        X[:, 0] *= 2
+        E = E[:, m.indices_of(X)]
+    want = np.zeros((m.size, m.size, len(coordinates(m.level, 1))), dtype=np.int64)
+    want[m.indices_of(-m.coords), np.arange(m.size), 0] = m.size
+    assert not np.array_equal(table_square(E, m.level), want)
+    assert np.array_equal(table_square(W._pack(m), m.level), want)
+    monkeypatch.setattr(W, "_exponents", lambda _: E)
+    rep = W.weil_relations_report(m)
+    assert not rep["s2_is_negation"] and not rep["s4"] and not rep["st3"] and not rep["s_unitary"]
+
+
+@pytest.mark.parametrize("N,Np", [(30, 1), (20, 1), (6, 3)])
+def test_relations_hold_on_large_modules(N, Np):
+    # |D| = 900, 400 and 324
+    assert W.weil_relations_report(hyperbolic_pair(N, Np)) == RELATIONS_HOLD
+
+
+def test_relations_report_holds_no_table_beside_E():
+    # with E and the element tables built, the report's temporaries stay
+    # below the 4 |D|^2 bytes of one more int32 table like E, so E and they
+    # fit in the 12 |D|^2 bytes that ``_pack`` charges
+    m = hyperbolic_pair(30, 1)
+    W._pack(m), m.q_ints, m.gauss_sum()
+    tracemalloc.start()
+    try:
+        assert W.weil_relations_report(m)["st3"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * m.size**2
 
 
 def test_byte_budget_refuses_before_allocating(monkeypatch):
