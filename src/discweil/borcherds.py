@@ -27,7 +27,7 @@ from .qseries import (
     product_terms,
 )
 from .subgroups import isotropic_rows
-from .weilrep import _fixed
+from .weilrep import _fixed, _isotropic_block
 
 
 class InputForm:
@@ -82,7 +82,7 @@ class InputForm:
         inside = set(iso)
         if any(v and i not in inside for i, v in enumerate(self.dense)):
             raise ValueError("not invariant: support contains a non-isotropic element")
-        if not _fixed(m, [[self.dense[i] for i in iso]]):
+        if not _fixed(m, _isotropic_block(m), [[self.dense[i] for i in iso]]):
             raise ValueError("not invariant under the S generator")
 
 

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction as F
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations_with_replacement
 from math import lcm, prod
 from types import SimpleNamespace
@@ -28,6 +28,31 @@ A2 = FqModule((3,), [F(1, 3)], [[F(2, 3)]])  # signature 2
 # rho(S), rho(T^k) and their products as dense matrices of CycNumbers, built
 # entry by entry from the module's tuple arithmetic: the reference for the
 # histogram route of the library.  SL2(Z) matrices enter as words in S and T^k.
+
+
+@lru_cache(maxsize=32)
+def exponents(m):
+    """The whole |D| x |D| exponent table E = -X (L B_gen) X^t mod L, read-only int32.
+
+    The dense table by one reduction of the r x |D| factor, cached 32
+    modules deep: the reference for ``W._exponent_block``, which builds only
+    the blocks its callers read.
+    """
+    L = m.level
+    X = m.coords
+    E = X @ matmul_mod(m._gram, X.T, L)
+    np.negative(E, out=E)
+    E %= L
+    E = E.astype(np.int32)
+    E.flags.writeable = False
+    return E
+
+
+def one_hot(exps, L):
+    """Histograms at conductor L of the roots of unity zeta_L^exps, one per entry."""
+    H = np.zeros(exps.shape + (L,), dtype=np.int64)
+    np.put_along_axis(H, (exps % L)[..., None], 1, axis=-1)
+    return H
 
 
 def dense_scalar(m):
@@ -159,7 +184,7 @@ def apply_S(m, vec):
         elif v:
             V[k, 0, 0] = v.numerator * (den // v.denominator)
     s0 = dense_scalar(m)
-    sums = W._s_sums(W._pack(m), m.level, V)[:, 0]
+    sums = W._s_sums(exponents(m), m.level, V)[:, 0]
     return [from_coordinates(M, coords) * (s0 / den) for coords in sums.tolist()]
 
 
@@ -180,13 +205,14 @@ def add_at_s_sums(E, L, V):
     for the counting into 2M bins and the fold of ``_s_sums``, with the same
     choice of int64 or Python ints.
     """
-    n, b, M = V.shape
+    b, M = V.shape[1:]
+    n = E.shape[1]
     RED = W._reduction_array(M)
     if int(np.abs(V).sum()) * int(np.abs(RED).max()) < 2**63:
         V = V.astype(np.int64, copy=False)
     else:
         V, RED = V.astype(object), RED.astype(object)
-    out = np.zeros_like(V)
+    out = np.zeros((n, b, M), dtype=V.dtype)
     k, c, j = np.nonzero(V)
     rows = np.arange(0, n * b * M, b * M)
     at = rows + (c * M)[:, None] + (j[:, None] + M // L * E[k].astype(np.int64)) % M
@@ -235,11 +261,12 @@ def column_relations(m):
       bilinear form, E = E^t and E[:, -c] = -E[:, c] mod L, checked on E.
 
     The reference for the report, which proves the same flags from the
-    premises of the tables in O(|D|^2 r).
+    premises of the tables in O(|D|^2 r).  It reads the whole table through
+    ``W._exponent_block``, so it sees a table a test installs there.
     """
     L = m.level
-    E = W._pack(m)
     n = m.size
+    E = W._exponent_block(m, np.arange(n), np.arange(n))
     q = m.q_ints
     neg = m.indices_of(-m.coords)
     G = m.gauss_sum()
@@ -252,7 +279,7 @@ def column_relations(m):
         cols = np.arange(c0, min(n, c0 + width))
         at = np.arange(len(cols))
         blk = E[:, cols]
-        s2 = W._s_sums(E, L, W._one_hot(blk, L))
+        s2 = W._s_sums(E, L, one_hot(blk, L))
         want = np.zeros_like(s2)
         want[neg[cols], at, 0] = n
         s2_ok &= bool(np.array_equal(s2, want))
@@ -260,7 +287,7 @@ def column_relations(m):
         table_ok &= bool(np.array_equal(blk, E[cols].T))
         table_ok &= bool(np.array_equal(E[:, neg[cols]], -blk % L))
 
-        sts = W._s_sums(E, L, W._one_hot(blk + q[:, None], L))
+        sts = W._s_sums(E, L, one_hot(blk + q[:, None], L))
         st3_ok &= bool(np.array_equal(sts, RED[(blk - q[:, None] - q[cols]) % L] @ Gmat))
 
     return {
@@ -394,7 +421,7 @@ def power_basis_rows(m):
     (G the Gauss sum, equal to 1/scalar(S)) expands to phi(L) integer rows,
     of which the nonzero ones are kept, in the order (beta, coordinate).
     """
-    E = W._pack(m)
+    E = exponents(m)
     RED = W._reduction_array(m.level)
     iso = list(m.isotropic_indices)
     gcan = np.array(coordinates(m.level, m.gauss_sum()), dtype=np.int64)
@@ -416,14 +443,14 @@ def oracle_rank(rows):
 # ------------------------------------------------------ full-system oracle
 # The fixed-point system on all |D| rows, and the exponent table by two
 # reduced products: the references for the square system the certificate
-# eliminates and for the table ``_exponents`` builds by one reduction.
+# eliminates and for the table ``exponents`` builds by one reduction.
 
 
 def full_residues(m, q):
     """The |D| x |iso| system zeta^E[:, iso] - G I mod q, zeta_L sent to t of order L."""
     L, iso = m.level, list(m.isotropic_indices)
     t = pow(primitive_root(q), (q - 1) // L, q)
-    A = np.array([pow(t, e, q) for e in range(L)], dtype=np.int64)[W._pack(m)[:, iso]]
+    A = np.array([pow(t, e, q) for e in range(L)], dtype=np.int64)[exponents(m)[:, iso]]
     at = (iso, np.arange(len(iso)))
     g = sum(c * pow(t, j, q) for j, c in enumerate(coordinates(L, m.gauss_sum()))) % q
     A[at] = (A[at] - g) % q
@@ -431,9 +458,9 @@ def full_residues(m, q):
 
 
 def certified_system(m, residues):
-    """(rref, pivots, kernel) of the fixed-point system given by its residues."""
+    """(rref, pivots, kernel) of the fixed-point system whose residues mod q are residues(q)."""
     ncols = len(m.isotropic_indices)
-    return _certified(partial(residues, m), ncols, partial(W._fixed, m), m.level)
+    return _certified(residues, ncols, partial(W._fixed, m, W._isotropic_block(m)), m.level)
 
 
 def summed(picks):
@@ -459,8 +486,9 @@ DOUBLES = (
 @example(hyperbolic_pair(6, 1))
 def test_square_system_matches_full_system_oracle(m):
     # the square block and all |D| rows have one kernel, so one RREF
-    assert certified_system(m, W._residues) == certified_system(m, full_residues)
-    assert W._residues(m, _prime(0, m.level)).shape == (len(m.isotropic_indices),) * 2
+    square = partial(W._residues, m, W._isotropic_block(m))
+    assert certified_system(m, square) == certified_system(m, partial(full_residues, m))
+    assert square(_prime(0, m.level)).shape == (len(m.isotropic_indices),) * 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -468,9 +496,13 @@ def test_square_system_matches_full_system_oracle(m):
 @example(hyperbolic_pair(12, 2))
 def test_exponents_match_two_matmul_oracle(m):
     L, X = m.level, m.coords
-    E = W._exponents(m)
+    E = exponents(m)
     assert E.dtype == np.int32 and not E.flags.writeable
     assert np.array_equal(E, -matmul_mod(matmul_mod(X, m._gram, L), X.T, L) % L)
+    every = np.arange(m.size)
+    block = W._exponent_block(m, every, every)
+    assert block.dtype == np.int32 and block.flags.c_contiguous
+    assert np.array_equal(block, E)
 
 
 def test_invariant_space_methods_agree():
@@ -495,8 +527,8 @@ def test_bad_prime_is_rejected(monkeypatch):
         residues, fixed = W._residues, W._fixed
         primes, verdicts = [], []
 
-        def corrupted(mod, q):
-            A = residues(mod, q)
+        def corrupted(mod, rows, q):
+            A = residues(mod, rows, q)
             primes.append(q)
             if q == first:
                 A[1:] = 0
@@ -537,7 +569,7 @@ def test_fixed_matches_dense_oracle(m, data):
     dense = [0] * m.size
     for g, v in zip(iso, vec):
         dense[g] = v
-    assert W._fixed(m, [vec]) is (mat_apply(dense_S(m), dense) == dense)
+    assert W._fixed(m, W._isotropic_block(m), [vec]) is (mat_apply(dense_S(m), dense) == dense)
 
 
 def test_invariant_vectors_are_fixed_by_generators():
@@ -646,10 +678,10 @@ def test_relations_report_rejects_a_wrong_table(monkeypatch, block, entries):
     # involves it must fail, as the column oracle finds, whatever the blocks
     # (|D| = 9 entries per row, |D| L = 27 histogram entries per column)
     m = hyperbolic_pair(3, 1)
-    E = W._pack(m).copy()
+    E = exponents(m).copy()
     for i, k in entries:
         E[i, k] = (E[i, k] + 1) % m.level
-    monkeypatch.setattr(W, "_exponents", lambda _: E)
+    monkeypatch.setattr(W, "_exponent_block", lambda _, I, J: E[np.ix_(I, J)])
     monkeypatch.setattr(W, "_BLOCK", block)
     rep = W.weil_relations_report(m)
     assert rep == column_relations(m)
@@ -721,6 +753,50 @@ def test_relations_proof_matches_column_oracle(N, Np):
         assert W.weil_relations_report(m) == column_relations(m) == RELATIONS_HOLD, m.to_json()
 
 
+# seeded isometric presentations of small D_{N,N'}
+PRESENTED = st.builds(
+    lambda seed, pair: presented(random.Random(seed), *pair),
+    st.integers(0, 2**16),
+    st.sampled_from([(2, 1), (3, 1), (4, 1), (6, 1), (2, 2), (4, 2), (3, 3)]),
+)
+
+
+def index_lists(m):
+    return st.lists(st.integers(0, m.size - 1), max_size=2 * m.size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(SUMS, PRESENTED).flatmap(
+        lambda m: st.tuples(st.just(m), index_lists(m), index_lists(m))
+    )
+)
+@example((hyperbolic_pair(6, 1), [], [0, 5, 5]))  # no rows, a repeated column
+@example((hyperbolic_pair(6, 1), [7, 7, 0], []))  # a repeated row, no columns
+@example((hyperbolic_pair(6, 1), [], []))
+def test_exponent_block_matches_dense_oracle(case):
+    m, I, J = case
+    I, J = np.array(I, dtype=np.int64), np.array(J, dtype=np.int64)
+    block = W._exponent_block(m, I, J)
+    assert block.dtype == np.int32 and block.shape == (len(I), len(J))
+    assert np.array_equal(block, exponents(m)[np.ix_(I, J)])
+
+
+def test_exponent_block_refuses_int64_overflow(monkeypatch):
+    # only the orders and level of modules the range argument does not
+    # cover: refused before the byte budget or any table is read
+    monkeypatch.setenv("WEILREP_MAX_D", str(2**130))
+    none = np.zeros(0, dtype=np.int64)
+    # (L - 1) sum_j (d_j - 1) = 4 (2^31 - 1)^2 >= 2^63
+    m = SimpleNamespace(size=2**124, level=2**31, orders=(2**31,) * 4)
+    with pytest.raises(EnumerationBoundError, match="int64"):
+        W._exponent_block(m, none, none)
+    # a level above 2^31, whose exponents do not fit int32
+    m = SimpleNamespace(size=2**32 + 2, level=2**32 + 2, orders=(2**32 + 2,))
+    with pytest.raises(EnumerationBoundError, match="int64"):
+        W._exponent_block(m, none, none)
+
+
 @pytest.mark.parametrize("m", [hyperbolic_pair(3, 1), hyperbolic_pair(4, 2)], ids=["D3", "D42"])
 @pytest.mark.parametrize("case", ["generator column", "q at zero", "q at a generator", "q negated"])
 def test_relations_report_fails_a_broken_premise(monkeypatch, m, case):
@@ -734,11 +810,11 @@ def test_relations_report_fails_a_broken_premise(monkeypatch, m, case):
     L, g = m.level, m.indices_of(np.eye(len(m.orders), dtype=np.int64))[0]
     sig = m.signature_mod8()
     monkeypatch.setattr(m, "signature_mod8", lambda: sig)
-    E, q = W._pack(m).copy(), m.q_ints.copy()
+    E, q = exponents(m).copy(), m.q_ints.copy()
     if case == "generator column":
         E[:, g] = (E[:, g] + 1) % L
         E[g] = E[:, g]
-        monkeypatch.setattr(W, "_exponents", lambda _: E)
+        monkeypatch.setattr(W, "_exponent_block", lambda _, I, J: E[np.ix_(I, J)])
     else:
         if case == "q negated":
             q = -q % L
@@ -758,7 +834,7 @@ def table_square(E, L):
     Entry (i, c) is sum_k zeta^(E[i, k] + E[k, c]), counted as a histogram of
     the exponents over k.
     """
-    H = W._one_hot(E[:, :, None] + E[None, :, :], L).sum(axis=1)
+    H = one_hot(E[:, :, None] + E[None, :, :], L).sum(axis=1)
     return H @ W._reduction_array(L)
 
 
@@ -774,7 +850,7 @@ def test_relations_report_needs_a_bilinear_table(monkeypatch, N, twist):
     # The column oracle reads such tables as symmetric and cannot judge the
     # second kind, so the exact square is the reference.
     m = hyperbolic_pair(N, 1)
-    E = W._pack(m)
+    E = exponents(m)
     if twist == "swap":
         perm = np.arange(m.size)
         perm[[1, 2]] = [2, 1]
@@ -786,8 +862,8 @@ def test_relations_report_needs_a_bilinear_table(monkeypatch, N, twist):
     want = np.zeros((m.size, m.size, len(coordinates(m.level, 1))), dtype=np.int64)
     want[m.indices_of(-m.coords), np.arange(m.size), 0] = m.size
     assert not np.array_equal(table_square(E, m.level), want)
-    assert np.array_equal(table_square(W._pack(m), m.level), want)
-    monkeypatch.setattr(W, "_exponents", lambda _: E)
+    assert np.array_equal(table_square(exponents(m), m.level), want)
+    monkeypatch.setattr(W, "_exponent_block", lambda _, I, J: E[np.ix_(I, J)])
     rep = W.weil_relations_report(m)
     assert not rep["s2_is_negation"] and not rep["s4"] and not rep["st3"] and not rep["s_unitary"]
 
@@ -799,11 +875,10 @@ def test_relations_hold_on_large_modules(N, Np):
 
 
 def test_relations_report_holds_no_table_beside_E():
-    # with E and the element tables built, the report's temporaries stay
-    # below the 4 |D|^2 bytes of one more int32 table like E, so E and they
-    # fit in the 12 |D|^2 bytes that ``_pack`` charges
+    # from a module with nothing built, the report and every table it
+    # builds (the element tables and blocks of E) stay below the 4 |D|^2
+    # bytes of the one int32 table E it never builds
     m = hyperbolic_pair(30, 1)
-    W._pack(m), m.q_ints, m.gauss_sum()
     tracemalloc.start()
     try:
         assert W.weil_relations_report(m)["st3"]
@@ -821,12 +896,15 @@ def test_byte_budget_refuses_before_allocating(monkeypatch):
     def no_table(*_):
         raise AssertionError("the table was built")
 
-    monkeypatch.setattr(W, "_exponents", no_table)
-    monkeypatch.setattr(subgroups, "BYTE_BUDGET", 12 * m.size**2 - 1)
+    # one byte under the certificate's 12 |iso| |D| bytes of rows E[iso]:
+    # the report's first block, all 16 rows of D_{4,1}, is refused before
+    # any row is built, and so is the certificate
+    monkeypatch.setattr(W, "_pairing", no_table)
+    monkeypatch.setattr(subgroups, "BYTE_BUDGET", 12 * len(m.isotropic_indices) * m.size - 1)
     with pytest.raises(EnumerationBoundError, match="exponent table"):
         W.weil_relations_report(m)
     assert cli.main(["invariants", "--N", "4"]) == 3
-    # on D_{2,1} the table fits, the fixed-point system (36 bytes for each
+    # on D_{2,1} the rows fit, the fixed-point system (36 bytes for each
     # of its |iso|^2 residues) does not, and no residue is computed
     monkeypatch.undo()
     m = hyperbolic_pair(2, 1)
@@ -845,6 +923,39 @@ def test_s_sums_refuses_int32_overflow():
     V = SimpleNamespace(shape=(2**10 + 1, 2**10, 2**10), size=(2**10 + 1) * 2**20)
     with pytest.raises(EnumerationBoundError, match="int32"):
         W._s_sums(None, 1, V)
+
+
+def test_s_sums_charges_its_histograms_before_allocating(monkeypatch):
+    from discweil import subgroups
+
+    # Z/1009 with Q = x^2/1009, |D| = L = 1009: rho(S) of v^H for H = 0 is
+    # counted into |D| 2L int64 bins, with bincount's counts of the same
+    # size, and reduced by the L x phi(L) int64 reduction array, 40.7 MB in
+    # all, while the one row E[0] it reads is 12 kB
+    m = FqModule((1009,), [F(1, 1009)], [[F(2, 1009)]])
+    n, L = m.size, m.level
+    charge = 8 * (4 * n * L + L * (L - 1))
+    h = SimpleNamespace(indices=[0])
+    monkeypatch.setattr(subgroups, "BYTE_BUDGET", charge - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationBoundError, match="rho"):
+            W.check_vH_action(m, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    monkeypatch.setattr(subgroups, "BYTE_BUDGET", charge)
+    assert W.check_vH_action(m, h)
+
+
+def test_residues_are_c_contiguous():
+    # rows[:, iso] gathers columns in Fortran order when iso is not all of
+    # D; the elimination of such a table is slower (see ``W._residues``)
+    m = hyperbolic_pair(6, 3)
+    assert len(m.isotropic_indices) < m.size
+    A = W._residues(m, W._isotropic_block(m), _prime(0, m.level))
+    assert A.flags.c_contiguous
 
 
 # nonzero values: small ones of both signs, and ones of 2^62 and more, which
@@ -877,19 +988,23 @@ SCATTER_VALUES = st.lists(
 def test_s_sums_matches_add_at_oracle(picks, b, stretch, values, density, seed, block):
     # random histograms at a conductor M = stretch * L, the default block or
     # one of 2bM nonzero entries (then several blocks when dense), against
-    # the scatter by np.add.at and exponents mod M
+    # the scatter by np.add.at and exponents mod M; and the same vectors
+    # given on the rows of their support alone, with those rows of E
     m = summed(picks)
-    E, L = W._pack(m), m.level
+    E, L = exponents(m), m.level
     rng = np.random.default_rng(seed)
     shape = (m.size, b, stretch * L)
     V = np.array(values, dtype=object)[rng.integers(0, len(values), shape)]
     V[rng.random(shape) >= density] = 0
+    support = np.flatnonzero(V.any(axis=(1, 2)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(W, "_BLOCK", block)
         got = W._s_sums(E, L, V)
+        on_support = W._s_sums(W._exponent_block(m, support, np.arange(m.size)), L, V[support])
     want = add_at_s_sums(E, L, V)
-    assert got.dtype == want.dtype
+    assert got.dtype == want.dtype == on_support.dtype
     assert np.array_equal(got, want)
+    assert np.array_equal(on_support, want)
 
 
 @pytest.mark.parametrize("block", [W._BLOCK, 400])
@@ -917,18 +1032,21 @@ def test_s_sums_counts_at_least_its_bins(monkeypatch, block):
 
 
 def test_exponent_table_peak_is_its_charge():
-    # _pack charges 12 bytes per entry of E: the int64 product and its int32
-    # copy.  The module's coordinates and Gram matrix are its own tables,
-    # built before; the slack covers the r x |D| factor and small arrays.
+    # the certificate's rows E[iso] are charged 12 bytes per entry: the
+    # int64 product and its int32 copy.  The module's coordinates, Gram
+    # matrix and isotropic elements are its own tables, and the r x |D|
+    # factor is cached, all built before; the slack covers the gathers of
+    # coordinates and factor and small arrays.
     m = hyperbolic_pair(12, 2)
-    m.coords, m._gram
+    m.coords, m._gram, m.isotropic_indices, W._pairing(m)
     tracemalloc.start()
     try:
-        W._exponents.__wrapped__(m)
+        rows = W._isotropic_block(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * m.size**2 + 2**15
+    assert rows.shape == (len(m.isotropic_indices), m.size)
+    assert peak <= 12 * rows.size + 2**15
 
 
 def test_apply_S_exact_beyond_int64():
