@@ -151,11 +151,16 @@ class FqModule:
         q.flags.writeable = False
         return q
 
+    @cached_property
+    def pairing(self):
+        """L*B(g_j, x) in [0, L) for every generator g_j and element x: the r x |D| table, read-only."""
+        P = matmul_mod(self._gram, self.coords.T, self.level)
+        P.flags.writeable = False
+        return P
+
     def b_ints(self, x):
         """L*B(x, y) in [0, L) for every element y, in index order."""
-        L, _, bg = self._int_tables
-        v = [sum(b * int(c) for b, c in zip(row, x)) % L for row in bg]
-        return matmul_mod(self.coords, np.array(v, dtype=np.int64).reshape(-1, 1), L)[:, 0]
+        return matmul_mod(np.array([x], dtype=np.int64), self.pairing, self.level)[0]
 
     def index(self, x):
         i = 0
@@ -226,8 +231,7 @@ class FqModule:
 
     def radical_size(self):
         """Number of x with B(x, .) identically zero.  1 means non-degenerate."""
-        R = matmul_mod(self.coords, self._gram, self.level)
-        return int(np.count_nonzero(~R.any(axis=1)))
+        return int(np.count_nonzero(~self.pairing.any(axis=0)))
 
     # -- Gauss sum and signature --------------------------------------------
 

@@ -15,6 +15,7 @@ subgroups and the isotropic and self-dual isotropic ones.
 """
 
 import os
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt, lcm
@@ -165,6 +166,8 @@ def _greedy_gens(m, indices):
 def _bound_check(size):
     """Refuse |D| = ``size`` over WEILREP_MAX_D, else over DEFAULT_BOUND."""
     env = os.environ.get("WEILREP_MAX_D")
+    if env and not re.fullmatch("[0-9]+", env):
+        raise ValueError("WEILREP_MAX_D must be a plain decimal integer >= 0, not %r" % env)
     bound = int(env) if env else DEFAULT_BOUND
     if size > bound:
         raise EnumerationBoundError(

@@ -3,24 +3,26 @@
 rho(S) is the scalar conj(G)/|D| (G the Gauss sum) times the monomial matrix
 zeta_L^E, E = -L*B mod L the exponent table, and rho(T) is the diagonal
 zeta_L^(L*Q).  So rho(S) applied to a vector, and every product of the
-generators, is a scalar times sums of roots of unity described by integer
-exponent histograms.  One routine, ``_s_sums``, applies zeta^E to a batch of
-vectors given as histograms over their support rows: it counts the shifted
-exponents with ``np.bincount`` into twice the conductor's bins, folds the
-upper half onto the lower, and reduces the result to power-basis coordinates
-by one integer matrix multiplication, in blocks that count at least as many
-indices as they have bins.  The v^H check and the invariant certificate go
-through it, a block of columns at a time, and compare exact integer arrays,
-for modules of any signature.  ``weil_relations_report`` proves the
+generators, is a scalar times sums of roots of unity of the level.  One
+routine, ``_s_sums``, applies zeta^E to a batch of monomial vectors at the
+level, an integer times zeta_L^s at each element of their support: it
+counts the shifted exponents with ``np.bincount`` into twice the level's
+bins, folds the upper half onto the lower, and reduces the bins at and
+above phi(L) to power-basis coordinates by the tail of cyclo's table of
+powers, in blocks that count at least as many indices as they have bins.
+The v^H check, the invariant certificate and the relations report go
+through it, a block at a time, and compare exact integer arrays, for
+modules of any signature.  ``weil_relations_report`` proves the
 relations from the structure of the tables, checked on the generators in
 O(|D|^2 r): E is symmetric and additive, and L*Q refines it.  These reduce
 S^2 and STS = T^-1 S T^-1 (equivalent to (ST)^3 = S^2) to one column of
 zeta^E each, compared with |D| e_0 and with the Gauss sum times roots of
 unity; unitarity then follows from S^2.
-The integer tables are the module's element table (coordinates, L*Q) and
-the blocks E[I, J] of the exponent table that ``_exponent_block`` builds on
-demand, each held behind the enumeration bound and the byte budget.  No
-|D| x |D| table is built: each reader builds only the rows it reads.
+The integer tables are the module's element and pairing tables
+(coordinates, L*Q, L*B on the generators) and the blocks E[I, J] of the
+exponent table that ``_exponent_block`` builds on demand, each held behind
+the enumeration bound and the byte budget.  No |D| x |D| table is built:
+each reader builds only the rows it reads.
 
 The invariant space has one certificate.  Its vectors are those over the
 isotropic elements (the rho(T)-fixed ones) in the kernel of the square
@@ -32,14 +34,13 @@ measured against that kernel.  No floating point and no unverified
 heuristics.
 """
 
-from functools import lru_cache, partial
+from functools import partial
 from math import prod
 
 import numpy as np
 
 from .arith import factorize, primitive_root
-from .cyclo import coordinates, root_of_unity
-from .fqmod import matmul_mod
+from .cyclo import _reduction_rows, coordinates, root_of_unity
 from .linalg import _certified, rational_rref
 from .subgroups import (
     EnumerationBoundError,
@@ -56,38 +57,26 @@ class CertificationError(RuntimeError):
 
 # --------------------------------------------------------------- numpy pack
 
-# The scatter step of ``_s_sums`` and the histogram batches of ``_fixed``
-# hold about this many indices at once, or as many as the scatter's output
-# has bins when that is more (up to twice that, as the scatter splits its
-# entries into equal blocks): the temporaries stay within a small multiple of
-# max(_BLOCK, output size) entries.  ``weil_relations_report`` builds blocks
-# of rows of E of about this many entries (at least one row), so no
-# temporary of |D|^2 entries is ever built.  A batch of _BLOCK histogram
-# entries has 2 _BLOCK bins, and each bin costs about 30 bytes while it is
-# counted (the output, the int32 indices, bincount's intp copy of them and
-# its counts), so 2^15 keeps a scatter near 2 MB.  Larger blocks only raise
-# the peak memory; smaller ones add per-step overhead on large modules.
+# The scatter step of ``_s_sums`` holds about this many indices at once, or
+# as many as the scatter's output has bins when that is more (up to twice
+# that, as the scatter splits its entries into equal blocks): the
+# temporaries stay within a small multiple of max(_BLOCK, output size)
+# entries.  ``weil_relations_report`` builds blocks of rows of E of about
+# this many entries (at least one row), so no temporary of |D|^2 entries is
+# ever built.  A batch of ``_fixed``, _BLOCK / (|D| L) vectors, has 2 _BLOCK
+# bins, and each bin costs about 30 bytes while it is counted (the output,
+# the int32 indices, bincount's intp copy of them and its counts), so 2^15
+# keeps a scatter near 2 MB.  Larger blocks only raise the peak memory;
+# smaller ones add per-step overhead on large modules.
 _BLOCK = 2**15
-
-
-@lru_cache(maxsize=32)
-def _pairing(m):
-    """(L B_gen) X^t mod L, X the element coordinates: the r x |D| factor of E.
-
-    Entry (j, k) is L*B(g_j, x_k) mod L for the generator g_j.  Read-only,
-    and no larger than the module's own coordinate table.
-    """
-    P = matmul_mod(m._gram, m.coords.T, m.level)
-    P.flags.writeable = False
-    return P
 
 
 def _exponent_block(m, I, J):
     """E[I, J] of the exponent table E[i, k] = -L*B(x_i, x_k) mod L, as int32.
 
     I and J are arrays of element indices, in any order, repeated or empty.
-    The block is -X[I] P[:, J] mod L with P the r x |D| factor of
-    ``_pairing``: one int64 product, then an int32 copy, so it peaks at 12
+    The block is -X[I] P[:, J] mod L with P the r x |D| table
+    ``m.pairing``: one int64 product, then an int32 copy, so it peaks at 12
     bytes per entry.  The element bound, the range below and that charge on
     the byte budget are checked on every call, before anything is built.
     B is symmetric, so E is too: E[I, J] is the transpose of E[J, I].
@@ -103,7 +92,7 @@ def _exponent_block(m, I, J):
     if L > 2**31 or (L - 1) * sum(d - 1 for d in m.orders) >= 2**63:
         raise EnumerationBoundError("level %d: exponents overflow int64 products or int32" % L)
     _byte_check(len(I) * len(J), 12, "a block of the exponent table")
-    E = m.coords[I] @ _pairing(m)[:, J]
+    E = m.coords[I] @ m.pairing[:, J]
     np.negative(E, out=E)
     E %= L
     return E.astype(np.int32)
@@ -114,65 +103,70 @@ def _isotropic_block(m):
     return _exponent_block(m, np.array(m.isotropic_indices), np.arange(m.size))
 
 
-@lru_cache(maxsize=None)
-def _reduction_array(M):
-    """Row e = the power-basis coordinates of zeta_M^e, a read-only int64 array."""
-    RED = np.array([coordinates(M, root_of_unity(e, M)) for e in range(M)], dtype=np.int64)
-    RED.flags.writeable = False
-    return RED
+def _s_sums(E, L, V, S=None):
+    """zeta^E on b monomial vectors: sum_k V[k, c] zeta_L^(E[k, i] + S[k, c]).
 
+    E is a block E[K, J] of the exponent table of a module of level L, V an
+    integer array of shape (|K|, b) with entries of any size, and S an
+    optional integer array of V's shape with entries in [0, L) (0 when
+    omitted): vector c has the entry V[k, c] zeta_L^S[k, c] at the element of
+    row k of E.  Returns the (|J|, b, phi(L)) power-basis coordinates,
+    counted in int64 when no sum can reach 2^63 and in Python ints (an
+    object array) otherwise.  As E is symmetric, these are the entries J of
+    zeta^E v_c when K holds the support of every v_c.
 
-def _s_sums(E, L, V):
-    """rho(S) without its scalar on a batch of b vectors: sum_k zeta_L^E[k, i] v_c[k].
-
-    E is a block E[K, J] of the exponent table of a module of level L, and
-    V[k, c] the exponent histogram at a conductor M divisible by L of the
-    entry of vector c at the element of row k of E, v_c[k] =
-    sum_j V[k, c, j] zeta_M^j, with integer entries of any size.  Returns
-    the (|J|, b, phi(M)) power-basis coordinates, counted in int64 when no
-    sum can reach 2^63 and in Python ints (an object array) otherwise.  As
-    E is symmetric, these are the entries J of zeta^E v_c when K holds the
-    support of every v_c.
-
-    Entry (k, c, j) of V lands at exponent j + (M/L) E[k, i] of row i, which
-    is below 2M: the histograms are counted into 2M bins per (i, c) and
-    folded, bin e + M onto bin e, so no index is reduced mod M.  The counting
-    is ``np.bincount`` of the landing indices, once for each distinct value
-    w of V in a block of its nonzero entries, added as w times the exact
-    int64 counts (cast to Python ints on the object path); no float touches
-    a value.  A block holds at least 2bM nonzero entries (all of them when V
+    Entry (k, c) lands at exponent E[k, i] + S[k, c] of row i, which is below
+    2L: the entries are counted into 2L bins per (i, c) and folded, bin e + L
+    onto bin e, so no index is reduced mod L.  The counting is
+    ``np.bincount`` of the landing indices, once for each distinct value w
+    of V in a block of its nonzero entries, added as w times the exact int64
+    counts (cast to Python ints on the object path); no float touches a
+    value.  A block holds at least 2bL nonzero entries (all of them when V
     has fewer), so it counts at least as many indices as its bincount has
-    bins, and about ``_BLOCK`` indices when that is more.
+    bins, and about ``_BLOCK`` indices when that is more.  The bins below
+    phi(L) are already power-basis coordinates, so only the bins e >= phi(L)
+    are reduced, by the (L - phi) x phi tail of cyclo's table of the powers
+    of zeta_L.
 
-    The landing indices are int32, like E, and below |J| b 2M.  A call for
-    which that, or |K| b 2M, passes 2^31 is refused, |K| b 2M first, from
-    V's shape alone, before E is read.  The output and bincount's counts
-    (each |J| b 2M int64) and the reduction array (M phi(M) int64) are
-    charged on the byte budget before any of them is allocated.
+    The landing indices are int32, like E, and below |J| b 2L.  A call for
+    which that, or |K| b 2L, passes 2^31 is refused, |K| b 2L first, from
+    V's shape alone, before E is read.  Charged on the byte budget before any
+    of them is allocated: the output and bincount's counts (each |J| b 2L
+    int64), the int32 offsets of the |J| rows of the output, the tail
+    ((L - phi) phi int64), 16 bytes for each landing index of the largest
+    block (the int32 indices, the copy of them masked to one value and
+    bincount's intp copy), and 40 bytes for each entry of V (its cast copy,
+    the positions of its nonzero entries, and the values, offsets and mask
+    of a block).  The object path charges its arrays at 8 bytes an entry,
+    without the Python ints they point to.
     """
-    k, b, M = V.shape
-    if k * b * 2 * M > 2**31 or E.shape[1] * b * 2 * M > 2**31:
-        raise EnumerationBoundError("%d vectors at conductor %d overflow int32 indices" % (b, M))
+    K, b = V.shape
+    if K * b * 2 * L > 2**31 or E.shape[1] * b * 2 * L > 2**31:
+        raise EnumerationBoundError("%d vectors at level %d overflow int32 indices" % (b, L))
     n = E.shape[1]
-    phi = prod((p - 1) * p ** (e - 1) for p, e in factorize(M))
-    _byte_check(4 * n * b * M + M * phi, 8, "the histograms of rho(S)")
-    stretch = M // L
-    RED = _reduction_array(M)
-    if int(np.abs(V).sum()) * int(np.abs(RED).max()) < 2**63:
+    phi = prod((p - 1) * p ** (e - 1) for p, e in factorize(L))
+    nonzero = np.count_nonzero(V)
+    blocks = max(1, nonzero // max(_BLOCK // n, 2 * b * L))
+    indices = -(-nonzero // blocks) * n
+    need = 32 * n * b * L + 4 * n + 8 * (L - phi) * phi + 16 * indices + 40 * K * b
+    _byte_check(need, 1, "the sums of rho(S)")
+    tail = np.array(_reduction_rows(L)[phi:], dtype=np.int64).reshape(L - phi, phi)
+    if int(np.abs(V).sum()) * int(np.abs(tail).max(initial=1)) < 2**63:
         V = V.astype(np.int64, copy=False)
     else:
-        V, RED = V.astype(object), RED.astype(object)
-    out = np.zeros((n, b, 2 * M), dtype=V.dtype)
+        V, tail = V.astype(object), tail.astype(object)
+    out = np.zeros((n, b, 2 * L), dtype=V.dtype)
     flat = out.reshape(-1)
-    rows = np.arange(0, out.size, 2 * b * M, dtype=np.int32)
-    ks, cs, js = (a.astype(np.int32) for a in np.nonzero(V))
-    blocks = max(1, len(ks) // max(_BLOCK // n, 2 * b * M))
+    rows = np.arange(0, out.size, 2 * b * L, dtype=np.int32)
+    ks, cs = np.nonzero(V)
     for t in range(blocks):
         lo, hi = len(ks) * t // blocks, len(ks) * (t + 1) // blocks
-        k, c, j = ks[lo:hi], cs[lo:hi], js[lo:hi]
-        # out[i, c, j + stretch E[k, i]] += V[k, c, j]
-        at = rows + (2 * M * c + j)[:, None] + stretch * E[k]
-        w = V[k, c, j]
+        k, c = ks[lo:hi], cs[lo:hi]
+        # out[i, c, E[k, i] + S[k, c]] += V[k, c]
+        at = E[k]
+        at += rows
+        at += (2 * L * c if S is None else 2 * L * c + S[k, c])[:, None]
+        w = V[k, c]
         values = set(w.tolist())
         for x in values:
             hit = at if len(values) == 1 else at[w == x]
@@ -181,20 +175,10 @@ def _s_sums(E, L, V):
             counts *= x
             flat += counts
             del counts  # so the charge bounds the fold and reduction below too
-    return (out[..., :M] + out[..., M:]) @ RED
-
-
-def _row_sums(E, shift, L):
-    """sum_k zeta_L^(E[i, k] + shift[k]) for each row i of E, as power-basis coordinates.
-
-    shift is 0 or a row of values in [0, L), so every exponent is below 2L.
-    As in ``_s_sums``, they are counted by ``np.bincount`` into 2L bins per
-    row and folded, with no reduction mod L: a block of |K| rows holds
-    |K| |D| indices and 2 |K| L bins.
-    """
-    at = E + shift + 2 * L * np.arange(len(E))[:, None]
-    counts = np.bincount(at.reshape(-1), minlength=2 * L * len(E)).reshape(len(E), 2, L)
-    return counts.sum(axis=1) @ _reduction_array(L)
+    out[..., :L] += out[..., L:]
+    sums = out[..., phi:L] @ tail
+    sums += out[..., :phi]
+    return sums
 
 
 # ------------------------------------------------- exact identity checks
@@ -255,6 +239,8 @@ def weil_relations_report(m):
     # G zeta^-t, the closed form of (zeta^E zeta^q)[s] at t = q[s]
     closed = np.array([coordinates(L, root_of_unity(-t, L) * G) for t in range(L)], dtype=np.int64)
     width = max(1, _BLOCK // n)
+    ones = np.ones((n, 2), dtype=np.int64)
+    shifts = np.stack([np.zeros_like(q), q], axis=1)
     form_ok = s2_ok = st3_ok = True
     for x0 in range(0, n, width):
         K = every[x0:x0 + width]
@@ -266,14 +252,15 @@ def weil_relations_report(m):
         )
         if not form_ok:
             break
-        if s2_ok:
-            want = np.zeros((len(K), closed.shape[1]), dtype=np.int64)
-            want[K == 0, 0] = n
-            s2_ok = np.array_equal(_row_sums(rows, 0, L), want)
+        # rows K of the columns zeta^E 1 and zeta^E zeta^q
+        cols = _s_sums(rows.T, L, ones, shifts)
+        want = np.zeros((len(K), closed.shape[1]), dtype=np.int64)
+        want[K == 0, 0] = n
+        s2_ok = s2_ok and np.array_equal(cols[:, 0], want)
         st3_ok = (
             st3_ok
             and not ((q[shift[K]] - q[K, None] - q[gens] + rows[:, gens]) % L).any()  # q refines E
-            and np.array_equal(_row_sums(rows, q, L), closed[q[K]])
+            and np.array_equal(cols[:, 1], closed[q[K]])
         )
     s2_ok = form_ok and s2_ok
     return {
@@ -290,9 +277,7 @@ def check_vH_action(m, h):
     """Exact check of rho(S) v^H = s0 |H| v^{H perp}, s0 the scalar of rho(S)."""
     idx = np.array(list(h.indices), dtype=np.int64)
     E = _exponent_block(m, idx, np.arange(m.size))
-    V = np.zeros((len(idx), 1, m.level), dtype=np.int64)
-    V[:, 0, 0] = 1
-    got = _s_sums(E, m.level, V)[:, 0]
+    got = _s_sums(E, m.level, np.ones((len(idx), 1), dtype=np.int64))[:, 0]
     target = np.zeros_like(got)
     target[~E.any(axis=0), 0] = len(idx)
     return bool(np.array_equal(got, target))
@@ -322,19 +307,18 @@ def _fixed(m, rows, vectors):
     """zeta^E v == G v exactly, for integer vectors v over the isotropic elements.
 
     rows is E[iso].  Such a v is fixed by rho(T), and rho(S) v = s0 zeta^E v
-    = v exactly when zeta^E v = G v, as s0 G = 1.  ``_s_sums`` applies
-    zeta^E to a block of the vectors at a time, each block of about
-    ``_BLOCK`` histogram entries over D.
+    = v exactly when zeta^E v = G v, as s0 G = 1.  ``_s_sums`` takes the
+    vectors as they are, integer vectors over the rows of E[iso] with no
+    exponent, ``_BLOCK`` // (|D| L) of them at a time (at least one), so
+    that the |D| b 2L bins of a block stay near 2 ``_BLOCK``.
     """
     n, L, iso = m.size, m.level, list(m.isotropic_indices)
     gcan = np.array(coordinates(L, m.gauss_sum()), dtype=object)
     width = max(1, _BLOCK // (n * L))
     for c0 in range(0, len(vectors), width):
-        K = np.array(vectors[c0:c0 + width], dtype=object).T
-        V = np.zeros((len(iso), K.shape[1], L), dtype=object)
-        V[:, :, 0] = K
-        want = np.zeros((n, K.shape[1], len(gcan)), dtype=object)
-        want[iso] = K[:, :, None] * gcan
+        V = np.array(vectors[c0:c0 + width], dtype=object).T
+        want = np.zeros((n, V.shape[1], len(gcan)), dtype=object)
+        want[iso] = V[:, :, None] * gcan
         if not np.array_equal(_s_sums(rows, L, V), want):
             return False
     return True
@@ -347,7 +331,8 @@ def _certificate(m):
     of the square |iso| x |iso| system zeta^E[iso, iso] - G I, with entries
     in Z[zeta_L].  ``linalg`` eliminates it mod primes q = 1 (mod L) and
     accepts a lifted kernel basis only when ``_fixed`` proves every vector
-    invariant on all |D| rows.
+    invariant on all |D| rows: the vectors go to ``_s_sums`` as integer
+    vectors at the level, with no histogram built.
 
     Soundness.  An invariant v lies over the isotropic elements (rho(T)
     fixes it) and solves zeta^E v = G v on every row, so on the isotropic
@@ -369,7 +354,9 @@ def _certificate(m):
     they are built and 4 after, handed to ``_residues`` and ``_fixed`` and
     dropped on return.  A residue table is held as int64 next to them, and
     each elimination step holds three more int64 temporaries of its size:
-    about 36 bytes per entry, checked before the rows are built.
+    about 36 bytes per entry, checked before the rows are built.  Each
+    batch of ``_fixed`` adds what ``_s_sums`` charges for it: its |D| b 2L
+    bins twice and the landing indices of one block.
     ``verify_selfdual_span`` in a fresh interpreter on a 2-core machine,
     with the whole cached table before and these rows after
     (``BENCH_17.json``): D_{24,4} 16.8 s and 1002 MB of peak RSS before,

@@ -158,6 +158,18 @@ def test_bound_exceeded_exits_3():
     assert r.returncode == 0
 
 
+@pytest.mark.parametrize("bound", ["abc", "1e4", "-5", " 16", "1_6"])
+def test_malformed_bound_names_the_variable(monkeypatch, capsys, bound):
+    # int() once rejected "abc" with a message that named no variable, and
+    # took " 16" and "1_6" as 16
+    monkeypatch.setenv("WEILREP_MAX_D", bound)
+    err = _refused(capsys, ["subgroups", "--N", "4"])
+    assert "WEILREP_MAX_D" in err
+    r = run_cli("invariants", "--N", "2", env={"WEILREP_MAX_D": bound})
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1 and "WEILREP_MAX_D" in r.stderr
+
+
 def test_oversized_module_exits_3_before_it_is_built(monkeypatch, capsys):
     # a 20000^4-element module would not fit in memory: the bound is checked
     # from the orders, before any FqModule (and its element table) exists

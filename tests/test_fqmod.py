@@ -49,6 +49,17 @@ def test_bilinearity_and_polarization():
             assert bx == m.b_value(x, y)
 
 
+@pytest.mark.parametrize("m", [hyperbolic_pair(4, 2), direct_sum(hyperbolic(3), FqModule((4,), [F(3, 8)], [[F(3, 4)]]))])
+def test_pairing_table_is_b_on_generators(m):
+    # one cached read-only r x |D| table: L*B(g_j, x), also read by b_ints
+    els = element_list(m)
+    gens = [tuple(int(i == j) for i in range(len(m.orders))) for j in range(len(m.orders))]
+    assert m.pairing is m.pairing and not m.pairing.flags.writeable
+    assert m.pairing.tolist() == [[m.b_int(g, x) for x in els] for g in gens]
+    for x in els[::5]:
+        assert m.b_ints(x).tolist() == [m.b_int(x, y) for y in els]
+
+
 def test_index_round_trip():
     m = hyperbolic_pair(3, 3)
     for i in range(m.size):

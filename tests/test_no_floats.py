@@ -2,9 +2,12 @@
 
 The README promises no floating point anywhere in a verification path.
 This pins it: no ``cmath``, no call of float, complex or a square root, no
-float or complex dtype and no float literal.  The one exception is the
-wall-clock budgets of the reproduction checks in acceptance.py, seconds
-compared with time deltas, which decide no mathematical result.
+float or complex dtype and no float literal; nor numpy's float routes: no
+``weights=`` keyword (``np.bincount`` sums weights in float64) and no call
+of ``np.mean``, ``np.average``, ``np.divide``, ``np.true_divide`` or
+``np.linalg``.  The one exception is the wall-clock budgets of the
+reproduction checks in acceptance.py, seconds compared with time deltas,
+which decide no mathematical result.
 """
 
 import ast
@@ -17,6 +20,7 @@ ALLOWED_LITERALS = {"acceptance.py": {60.0, 120.0, 300.0}}
 FLOAT_NAMES = {"float", "complex"}
 NUMPY_FLOAT_TYPES = ("float", "complex", "double", "single", "half", "longdouble", "cdouble", "csingle")
 FLOAT_DTYPE_CODES = ("f", "c", "d", "e", "g")
+NUMPY_FLOAT_CALLS = ("mean", "average", "divide", "true_divide", "linalg")
 
 
 def _dotted(node):
@@ -57,13 +61,18 @@ def violations(source, filename):
                 out.append((line, "import cmath"))
         elif isinstance(node, ast.Call):
             name = _dotted(node.func)
+            parts = name.split(".") if name else []
             if name in FLOAT_NAMES or name in ("math.sqrt", "np.sqrt", "numpy.sqrt", "sqrt"):
+                out.append((line, "call of %s" % name))
+            elif len(parts) > 1 and parts[0] in ("np", "numpy") and parts[1] in NUMPY_FLOAT_CALLS:
                 out.append((line, "call of %s" % name))
             if name and name.endswith(".astype") and node.args and _is_float_dtype(node.args[0]):
                 out.append((line, "float dtype"))
             for kw in node.keywords:
                 if kw.arg == "dtype" and _is_float_dtype(kw.value):
                     out.append((line, "float dtype"))
+                elif kw.arg == "weights":
+                    out.append((line, "weights="))
         elif isinstance(node, ast.Attribute):
             if _is_float_dtype(node):
                 out.append((line, "numpy float type %s" % _dotted(node)))
@@ -95,6 +104,12 @@ def test_no_floats_in_src(path):
         "t = np.float64",
         "x = 0.5",
         "budget = 61.0",
+        "c = np.bincount(a, weights=w)",
+        "m = np.mean(a)",
+        "m = numpy.average(a, axis=0)",
+        "q = np.divide(a, b)",
+        "q = np.true_divide(a, b)",
+        "r = np.linalg.matrix_rank(a)",
     ],
 )
 def test_guard_flags_each_kind(snippet):

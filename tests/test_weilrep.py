@@ -48,11 +48,14 @@ def exponents(m):
     return E
 
 
-def one_hot(exps, L):
-    """Histograms at conductor L of the roots of unity zeta_L^exps, one per entry."""
-    H = np.zeros(exps.shape + (L,), dtype=np.int64)
-    np.put_along_axis(H, (exps % L)[..., None], 1, axis=-1)
-    return H
+@lru_cache(maxsize=None)
+def powers_table(L):
+    """Row e: the power-basis coordinates of zeta_L^e, 0 <= e < L, as int64.
+
+    The whole L x phi(L) table, from cyclo's public numbers: the dense
+    reduction, the reference for the fold and tail rows of ``W._s_sums``.
+    """
+    return np.array([coordinates(L, root_of_unity(e, L)) for e in range(L)], dtype=np.int64)
 
 
 def dense_scalar(m):
@@ -166,26 +169,23 @@ def apply_T_power(m, k, vec):
 def apply_S(m, vec):
     """rho(S) applied to a dense list of ints, Fractions or CycNumbers, exact.
 
-    The vector enters the library's ``_s_sums`` as exponent histograms over
-    one common denominator; the scalar conj(G)/|D| is applied after, as a
-    plain Fraction when it is rational, which keeps conductors small.
+    Over one common denominator each entry is split into its power-basis
+    coordinates at the common conductor M, and the library's ``_s_sums``
+    applies zeta^E to each coordinate j, one column of integers each; column
+    j is then multiplied by zeta_M^j.  The scalar conj(G)/|D| is applied
+    after, as a plain Fraction when it is rational, which keeps conductors
+    small.
     """
-    n = m.size
-    M = lcm(m.level, *(v.conductor for v in vec if isinstance(v, CycNumber)))
+    L = m.level
+    M = lcm(L, *(v.conductor for v in vec if isinstance(v, CycNumber)))
     vals = [v if isinstance(v, CycNumber) else F(v) for v in vec]
     den = lcm(*(v.den if isinstance(v, CycNumber) else v.denominator for v in vals))
-    V = np.zeros((n, 1, M), dtype=object)
-    for k, v in enumerate(vals):
-        if isinstance(v, CycNumber):
-            step, f = M // v.conductor, den // v.den
-            for j, c in enumerate(v.coords):
-                if c:
-                    V[k, 0, j * step] = c * f
-        elif v:
-            V[k, 0, 0] = v.numerator * (den // v.denominator)
-    s0 = dense_scalar(m)
-    sums = W._s_sums(exponents(m), m.level, V)[:, 0]
-    return [from_coordinates(M, coords) * (s0 / den) for coords in sums.tolist()]
+    V = np.array([coordinates(M, v * den) for v in vals], dtype=object)
+    s0 = dense_scalar(m) / den
+    return [
+        sum((root_of_unity(j, M) * from_coordinates(L, c) for j, c in enumerate(row)), F(0)) * s0
+        for row in W._s_sums(exponents(m), L, V).tolist()
+    ]
 
 
 def apply_word(m, word, vec):
@@ -198,25 +198,27 @@ def apply_word(m, word, vec):
     return vec
 
 
-def add_at_s_sums(E, L, V):
-    """``W._s_sums`` by ``np.add.at`` at the exponents reduced mod M.
+def add_at_s_sums(E, L, V, S=None):
+    """``W._s_sums`` by ``np.add.at`` at the exponents reduced mod L.
 
-    The direct scatter, every entry added at its exponent mod M: the oracle
-    for the counting into 2M bins and the fold of ``_s_sums``, with the same
-    choice of int64 or Python ints.
+    The direct scatter, every entry added at its exponent mod L, reduced by
+    the whole table of powers: the oracle for the counting into 2L bins, the
+    fold and the tail reduction of ``_s_sums``, with the same choice of int64
+    or Python ints.
     """
-    b, M = V.shape[1:]
+    b = V.shape[1]
     n = E.shape[1]
-    RED = W._reduction_array(M)
+    RED = powers_table(L)
     if int(np.abs(V).sum()) * int(np.abs(RED).max()) < 2**63:
         V = V.astype(np.int64, copy=False)
     else:
         V, RED = V.astype(object), RED.astype(object)
-    out = np.zeros((n, b, M), dtype=V.dtype)
-    k, c, j = np.nonzero(V)
-    rows = np.arange(0, n * b * M, b * M)
-    at = rows + (c * M)[:, None] + (j[:, None] + M // L * E[k].astype(np.int64)) % M
-    np.add.at(out.reshape(-1), at, V[k, c, j][:, None])
+    out = np.zeros((n, b, L), dtype=V.dtype)
+    k, c = np.nonzero(V)
+    shift = 0 if S is None else S[k, c][:, None]
+    rows = np.arange(0, n * b * L, b * L)
+    at = rows + (c * L)[:, None] + (E[k].astype(np.int64) + shift) % L
+    np.add.at(out.reshape(-1), at, V[k, c][:, None])
     return out @ RED
 
 
@@ -250,8 +252,9 @@ def column_relations(m):
     """The flags of weil_relations_report, column by column in O(|D|^3).
 
     Each relation is checked on every column: ``W._s_sums`` applies zeta^E to
-    a batch of columns given as integer histograms, and the power-basis
-    coordinates it returns are compared exactly with the closed forms.
+    a batch of columns given as monomial vectors, ones times zeta^S, and the
+    power-basis coordinates it returns are compared exactly with the closed
+    forms.
 
     - rho(S)^2 = e(-sig/4) P_neg exactly when (zeta^E)^2 e_c = |D| e_(-c);
     - rho(S)^4 is then e(-sig/2), the identity exactly for even signature;
@@ -270,7 +273,7 @@ def column_relations(m):
     q = m.q_ints
     neg = m.indices_of(-m.coords)
     G = m.gauss_sum()
-    RED = W._reduction_array(L)
+    RED = powers_table(L)
     phi = RED.shape[1]
     Gmat = np.array([coordinates(L, root_of_unity(t, L) * G) for t in range(phi)], dtype=np.int64)
     s2_ok = st3_ok = table_ok = True
@@ -279,7 +282,8 @@ def column_relations(m):
         cols = np.arange(c0, min(n, c0 + width))
         at = np.arange(len(cols))
         blk = E[:, cols]
-        s2 = W._s_sums(E, L, one_hot(blk, L))
+        ones = np.ones(blk.shape, dtype=np.int64)
+        s2 = W._s_sums(E, L, ones, blk)
         want = np.zeros_like(s2)
         want[neg[cols], at, 0] = n
         s2_ok &= bool(np.array_equal(s2, want))
@@ -287,7 +291,7 @@ def column_relations(m):
         table_ok &= bool(np.array_equal(blk, E[cols].T))
         table_ok &= bool(np.array_equal(E[:, neg[cols]], -blk % L))
 
-        sts = W._s_sums(E, L, one_hot(blk + q[:, None], L))
+        sts = W._s_sums(E, L, ones, (blk + q[:, None]) % L)
         st3_ok &= bool(np.array_equal(sts, RED[(blk - q[:, None] - q[cols]) % L] @ Gmat))
 
     return {
@@ -422,7 +426,7 @@ def power_basis_rows(m):
     of which the nonzero ones are kept, in the order (beta, coordinate).
     """
     E = exponents(m)
-    RED = W._reduction_array(m.level)
+    RED = powers_table(m.level)
     iso = list(m.isotropic_indices)
     gcan = np.array(coordinates(m.level, m.gauss_sum()), dtype=np.int64)
     A = RED[E[:, iso]]  # (|D|, |iso|, phi): coordinates of zeta^E[beta, gamma]
@@ -831,11 +835,10 @@ def test_relations_report_fails_a_broken_premise(monkeypatch, m, case):
 def table_square(E, L):
     """(zeta^E)^2 as power-basis coordinates, with no symmetry of E assumed.
 
-    Entry (i, c) is sum_k zeta^(E[i, k] + E[k, c]), counted as a histogram of
-    the exponents over k.
+    Entry (i, c) is sum_k zeta^(E[i, k] + E[k, c]): ``W._s_sums`` on the
+    rows k of E^t, each column c the vector of the roots zeta^E[k, c].
     """
-    H = one_hot(E[:, :, None] + E[None, :, :], L).sum(axis=1)
-    return H @ W._reduction_array(L)
+    return W._s_sums(E.T, L, np.ones(E.shape, dtype=np.int64), E)
 
 
 @pytest.mark.parametrize("N,twist", [(4, "swap"), (5, "swap"), (5, "double"), (3, "double")])
@@ -896,10 +899,15 @@ def test_byte_budget_refuses_before_allocating(monkeypatch):
     def no_table(*_):
         raise AssertionError("the table was built")
 
+    class NoPairing:
+        """Stands for the module's pairing table, which every block is built from."""
+
+        __getitem__ = no_table
+
     # one byte under the certificate's 12 |iso| |D| bytes of rows E[iso]:
     # the report's first block, all 16 rows of D_{4,1}, is refused before
     # any row is built, and so is the certificate
-    monkeypatch.setattr(W, "_pairing", no_table)
+    monkeypatch.setitem(m.__dict__, "pairing", NoPairing())
     monkeypatch.setattr(subgroups, "BYTE_BUDGET", 12 * len(m.isotropic_indices) * m.size - 1)
     with pytest.raises(EnumerationBoundError, match="exponent table"):
         W.weil_relations_report(m)
@@ -915,14 +923,21 @@ def test_byte_budget_refuses_before_allocating(monkeypatch):
     with pytest.raises(EnumerationBoundError, match="fixed-point system"):
         W.invariant_space(m)
     assert cli.main(["invariants", "--N", "2"]) == 3
+    # the report's blocks of rows fit too, but not the sums of its two
+    # columns, which are charged like every call of ``_s_sums``; under the
+    # default budget it runs, and never computes a residue
+    with pytest.raises(EnumerationBoundError, match="rho"):
+        W.weil_relations_report(m)
+    monkeypatch.setattr(subgroups, "BYTE_BUDGET", 2**31)
     assert W.weil_relations_report(m)["st3"]
 
 
 def test_s_sums_refuses_int32_overflow():
-    # only the shape of 2^30 + 1 histogram entries: refused before any use
-    V = SimpleNamespace(shape=(2**10 + 1, 2**10, 2**10), size=(2**10 + 1) * 2**20)
+    # only the shape of 2^20 + 2^10 vector entries at level 2^10, whose
+    # 2^31 + 2^21 landing indices overflow int32: refused before any use
+    V = SimpleNamespace(shape=(2**10 + 1, 2**10))
     with pytest.raises(EnumerationBoundError, match="int32"):
-        W._s_sums(None, 1, V)
+        W._s_sums(None, 2**10, V)
 
 
 def test_s_sums_charges_its_histograms_before_allocating(monkeypatch):
@@ -930,11 +945,12 @@ def test_s_sums_charges_its_histograms_before_allocating(monkeypatch):
 
     # Z/1009 with Q = x^2/1009, |D| = L = 1009: rho(S) of v^H for H = 0 is
     # counted into |D| 2L int64 bins, with bincount's counts of the same
-    # size, and reduced by the L x phi(L) int64 reduction array, 40.7 MB in
-    # all, while the one row E[0] it reads is 12 kB
+    # size, |D| int32 row offsets, the |D| landing indices (16 bytes each)
+    # of its one entry (40 bytes), and reduced by the one tail row of phi(L)
+    # int64, 32.6 MB in all, while the one row E[0] it reads is 12 kB
     m = FqModule((1009,), [F(1, 1009)], [[F(2, 1009)]])
     n, L = m.size, m.level
-    charge = 8 * (4 * n * L + L * (L - 1))
+    charge = 32 * n * L + 4 * n + 8 * (L - 1) + 16 * n + 40
     h = SimpleNamespace(indices=[0])
     monkeypatch.setattr(subgroups, "BYTE_BUDGET", charge - 1)
     tracemalloc.start()
@@ -947,6 +963,49 @@ def test_s_sums_charges_its_histograms_before_allocating(monkeypatch):
     assert peak < 2**20
     monkeypatch.setattr(subgroups, "BYTE_BUDGET", charge)
     assert W.check_vH_action(m, h)
+
+
+@pytest.mark.parametrize("case", ["fixed", "columns", "vH"])
+def test_s_sums_peak_is_within_its_charge(monkeypatch, case):
+    # one call, with its inputs and cyclo's table of powers built before,
+    # allocates no more than it charges (the slack covers Python objects
+    # and array headers):
+    # - fixed: a vector of seven values over the 520 isotropic elements of
+    #   D_{100,1}, as ``_fixed`` hands it over: blocks of 2L entries of
+    #   10^4 landing indices each, with a masked copy for each value;
+    # - columns: the report's zeta^E 1 and zeta^E zeta^q on 32 rows of
+    #   Z/1009 with Q = x^2/1009, one block of 2 |D| entries;
+    # - vH: v^H for H = 0 on the same module, one entry
+    charges = []
+    check = W._byte_check
+
+    def recorded(entries, width, what):
+        charges.append(entries * width)
+        return check(entries, width, what)
+
+    if case == "fixed":
+        m = hyperbolic_pair(100, 1)
+        E = W._isotropic_block(m)
+        values = np.random.default_rng(0).integers(-3, 4, (len(m.isotropic_indices), 1))
+        args = (np.array(values.tolist(), dtype=object), None)
+    else:
+        m = FqModule((1009,), [F(1, 1009)], [[F(2, 1009)]])
+        if case == "columns":
+            E = W._exponent_block(m, np.arange(m.size), np.arange(32))
+            args = (np.ones((m.size, 2), dtype=np.int64), np.stack([0 * m.q_ints, m.q_ints], axis=1))
+        else:
+            E = W._exponent_block(m, np.array([0]), np.arange(m.size))
+            args = (np.ones((1, 1), dtype=np.int64), None)
+    root_of_unity(1, m.level)
+    monkeypatch.setattr(W, "_byte_check", recorded)
+    tracemalloc.start()
+    try:
+        W._s_sums(E, m.level, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charges) == 1
+    assert peak <= charges[0] + 2**15
 
 
 def test_residues_are_c_contiguous():
@@ -972,36 +1031,47 @@ SCATTER_VALUES = st.lists(
 )
 
 
+# Z/101 with Q = x^2/101: at a prime level the tail of the table of powers
+# is the one row of all -1, zeta^(p-1) = -(1 + ... + zeta^(p-2))
+Z101 = FqModule((101,), [F(1, 101)], [[F(2, 101)]])
+
+
 @settings(max_examples=60)
 @given(
-    st.sampled_from(SMALL_SUMS),
+    st.sampled_from(SMALL_SUMS).map(summed),
     st.integers(1, 3),
-    st.integers(1, 4),
+    st.booleans(),
     SCATTER_VALUES,
     st.sampled_from([0.2, 0.6, 1.0]),
     st.integers(0, 2**32 - 1),
     st.sampled_from([W._BLOCK, 1]),
 )
-@example((8,), 3, 4, [1, -2, 3], 1.0, 0, 1)  # Z/4: 384 nonzeros, blocks of 192
-@example((0, 6), 2, 3, [2**62, -1], 0.6, 1, 1)  # Z/3 + Z/2, object path
-@example((2,), 1, 1, [1], 1.0, 2, W._BLOCK)  # Z/5, one value, one block
-def test_s_sums_matches_add_at_oracle(picks, b, stretch, values, density, seed, block):
-    # random histograms at a conductor M = stretch * L, the default block or
-    # one of 2bM nonzero entries (then several blocks when dense), against
-    # the scatter by np.add.at and exponents mod M; and the same vectors
-    # given on the rows of their support alone, with those rows of E
-    m = summed(picks)
+@example(hyperbolic_pair(2, 2), 3, True, [1, -2, 3], 1.0, 0, 1)  # 48 nonzeros, blocks of 12
+@example(summed((8,)), 3, True, [1, -2, 3], 1.0, 0, 1)  # Z/4 with x^2/8: level 8, a 2-power
+@example(summed((0, 6)), 2, False, [2**62, -1], 0.6, 1, 1)  # Z/3 + Z/2, object path
+@example(summed((2,)), 1, False, [1], 1.0, 2, W._BLOCK)  # Z/5, one value, one block
+@example(summed((4,)), 2, True, [2, -1], 0.6, 3, 1)  # Z/7: a prime level
+@example(Z101, 3, True, [1, -2, 3, 5], 1.0, 4, W._BLOCK)  # Z/101: the tail is all -1
+def test_s_sums_matches_add_at_oracle(m, b, shifted, values, density, seed, block):
+    # random integer vectors with b columns and, when shifted, random
+    # exponents S in [0, L): the default block or one of 2bL nonzero entries
+    # (then several blocks when dense and |D| > 2L), against the scatter by
+    # np.add.at at exponents mod L and the whole table of powers; and the
+    # same vectors given on the rows of their support alone, with those rows
+    # of E
     E, L = exponents(m), m.level
     rng = np.random.default_rng(seed)
-    shape = (m.size, b, stretch * L)
+    shape = (m.size, b)
     V = np.array(values, dtype=object)[rng.integers(0, len(values), shape)]
     V[rng.random(shape) >= density] = 0
-    support = np.flatnonzero(V.any(axis=(1, 2)))
+    S = rng.integers(0, L, shape) if shifted else None
+    support = np.flatnonzero(V.any(axis=1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(W, "_BLOCK", block)
-        got = W._s_sums(E, L, V)
-        on_support = W._s_sums(W._exponent_block(m, support, np.arange(m.size)), L, V[support])
-    want = add_at_s_sums(E, L, V)
+        got = W._s_sums(E, L, V, S)
+        rows = W._exponent_block(m, support, np.arange(m.size))
+        on_support = W._s_sums(rows, L, V[support], None if S is None else S[support])
+    want = add_at_s_sums(E, L, V, S)
     assert got.dtype == want.dtype == on_support.dtype
     assert np.array_equal(got, want)
     assert np.array_equal(on_support, want)
@@ -1034,11 +1104,11 @@ def test_s_sums_counts_at_least_its_bins(monkeypatch, block):
 def test_exponent_table_peak_is_its_charge():
     # the certificate's rows E[iso] are charged 12 bytes per entry: the
     # int64 product and its int32 copy.  The module's coordinates, Gram
-    # matrix and isotropic elements are its own tables, and the r x |D|
-    # factor is cached, all built before; the slack covers the gathers of
-    # coordinates and factor and small arrays.
+    # matrix, isotropic elements and r x |D| pairing table are its own
+    # tables, all built before; the slack covers the gathers of coordinates
+    # and pairing and small arrays.
     m = hyperbolic_pair(12, 2)
-    m.coords, m._gram, m.isotropic_indices, W._pairing(m)
+    m.coords, m._gram, m.isotropic_indices, m.pairing
     tracemalloc.start()
     try:
         rows = W._isotropic_block(m)
