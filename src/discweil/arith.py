@@ -1,7 +1,7 @@
 """Small number-theoretic helpers used throughout the package."""
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 cache = lru_cache(maxsize=None)
 

@@ -102,6 +102,7 @@ def cmd_invariants(args):
 
 
 def cmd_lnn_selfdual(args):
+    _bound_check((args.N * args.Nprime) ** 2)
     for spec in catalog_for(args.N, args.Nprime):
         h = assemble(spec)
         _emit(

@@ -11,9 +11,10 @@ A CycNumber of conductor M is stored canonically: integer coordinates
 (c_0, ..., c_(phi-1)) in the power basis 1, zeta_M, ..., zeta_M^(phi(M)-1)
 over a positive denominator coprime to their content, so equality reads
 fields.  A sum adds coordinates and a product is an integer convolution
-reduced by the cached coordinates of the powers zeta_M^e.  The text form
-depends only on the value: r zeta_M^e prints as r*zM^e (r > 0 where
--zeta_M^e is a power too), anything else as the power-basis sum.
+reduced by the one cached table of the powers zeta_M^e, 0 <= e < M, whose
+rows hold only their nonzero coordinates.  The text form depends only on
+the value: r zeta_M^e prints as r*zM^e (r > 0 where -zeta_M^e is a power
+too), anything else as the power-basis sum.
 """
 
 from fractions import Fraction
@@ -64,42 +65,37 @@ def cyclotomic_poly(M):
 
 
 @cache
-def _reduction_rows(M):
-    """Row e = integer coordinates of zeta_M^e in the power basis, 0 <= e < M."""
-    phi = cyclotomic_poly(M)
-    deg = len(phi) - 1
-    rows = []
-    cur = [0] * deg
-    cur[0] = 1
-    for e in range(M):
-        rows.append(tuple(cur))
-        # multiply by x and reduce
-        top = cur[deg - 1]
-        cur = [0] + cur[: deg - 1]
-        if top:
-            for j in range(deg):
-                cur[j] -= top * phi[j]
+def _powers(M):
+    """Row e = the nonzero (index, value) pairs of the power-basis integer
+    coordinates of zeta_M^e, by index, 0 <= e < M.
+
+    Below phi(M) a row is ((e, 1),); from phi(M) on, row e is row e - 1
+    times x, reduced once by Phi_M, so no dense row is ever built.
+    """
+    poly = cyclotomic_poly(M)
+    deg = len(poly) - 1
+    low = [(j, c) for j, c in enumerate(poly[:deg]) if c]
+    rows = [((e, 1),) for e in range(min(deg, M))]
+    for _ in range(deg, M):
+        cur = {j + 1: r for j, r in rows[-1] if j + 1 < deg}
+        last, top = rows[-1][-1]
+        if last == deg - 1:
+            for j, c in low:
+                cur[j] = cur.get(j, 0) - top * c
+        rows.append(tuple(sorted((j, r) for j, r in cur.items() if r)))
     return tuple(rows)
 
 
 @cache
-def _sparse_rows(M):
-    """Row e of _reduction_rows(M) as its nonzero (index, value) pairs."""
-    return tuple(
-        tuple((j, r) for j, r in enumerate(row) if r) for row in _reduction_rows(M)
-    )
-
-
-@cache
 def _monomials(M):
-    """Coordinates of zeta_M^e -> e; every such row is primitive."""
-    return {row: e for e, row in enumerate(_reduction_rows(M))}
+    """Sparse row of zeta_M^e -> e; every such row is primitive."""
+    return {row: e for e, row in enumerate(_powers(M))}
 
 
 def _reduce(M, terms):
     """Power-basis integer coordinates of sum c zeta_M^e over (e, c) pairs."""
-    rows = _sparse_rows(M)
-    out = [0] * len(_reduction_rows(M)[0])
+    rows = _powers(M)
+    out = [0] * degree(M)
     for e, c in terms:
         for j, r in rows[e % M]:
             out[j] += c * r
@@ -108,7 +104,7 @@ def _reduce(M, terms):
 
 def degree(M):
     """phi(M), the number of power-basis coordinates of Q(zeta_M)."""
-    return len(_reduction_rows(M)[0])
+    return len(cyclotomic_poly(M)) - 1
 
 
 def sparse_coordinates(M, terms):
@@ -122,7 +118,7 @@ def fold(M, full):
     ints: the top half full[phi:] reduced once by the coordinates of zeta_M^k."""
     n = (len(full) + 1) // 2
     out = full[:n]
-    rows = _sparse_rows(M)
+    rows = _powers(M)
     for k in range(n, len(full)):
         c = full[k]
         if c:
@@ -198,10 +194,10 @@ class CycNumber:
         """(r, e) with self = r zeta_M^e, r > 0 where there is a choice; or None."""
         g = gcd(*self.coords)
         table = _monomials(self.conductor)
-        unit = tuple(c // g for c in self.coords)
+        unit = tuple((j, c // g) for j, c in enumerate(self.coords) if c)
         if unit in table:
             return Fraction(g, self.den), table[unit]
-        unit = tuple(-c for c in unit)
+        unit = tuple((j, -c) for j, c in unit)
         if unit in table:
             return Fraction(-g, self.den), table[unit]
         return None
@@ -333,7 +329,7 @@ def root_of_unity(a, M):
     """zeta_M^a."""
     if M < 1:
         raise ValueError("conductor must be positive")
-    return _make(M, _reduction_rows(M)[a % M], 1)
+    return _make(M, _reduce(M, ((a, 1),)), 1)
 
 
 def exp_frac(fr):

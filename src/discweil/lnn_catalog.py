@@ -14,7 +14,7 @@ alone; only ``assemble`` and ``hxyz_subgroup`` build a module.
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import divisors, factorize, is_prime, sigma0
+from .arith import divisors, factorize, is_prime
 from .fqmod import hyperbolic, hyperbolic_pair
 from .subgroups import Subgroup, SubgroupClass
 

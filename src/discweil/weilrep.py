@@ -8,8 +8,9 @@ routine, ``_s_sums``, applies zeta^E to a batch of monomial vectors at the
 level, an integer times zeta_L^s at each element of their support: it
 counts the shifted exponents with ``np.bincount`` into twice the level's
 bins, folds the upper half onto the lower, and reduces the bins at and
-above phi(L) to power-basis coordinates by the tail of cyclo's table of
-powers, in blocks that count at least as many indices as they have bins.
+above phi(L) to power-basis coordinates by the rows phi(L) to L - 1 of
+cyclo's one sparse table of the powers of zeta_L, filled into a dense
+int64 tail, in blocks that count at least as many indices as they have bins.
 The v^H check, the invariant certificate and the relations report go
 through it, a block at a time, and compare exact integer arrays, for
 modules of any signature.  ``weil_relations_report`` proves the
@@ -35,12 +36,11 @@ heuristics.
 """
 
 from functools import partial
-from math import prod
 
 import numpy as np
 
-from .arith import factorize, primitive_root
-from .cyclo import _reduction_rows, coordinates, root_of_unity
+from .arith import primitive_root
+from .cyclo import _powers, coordinates, degree, root_of_unity
 from .linalg import _certified, rational_rref
 from .subgroups import (
     EnumerationBoundError,
@@ -125,8 +125,9 @@ def _s_sums(E, L, V, S=None):
     has fewer), so it counts at least as many indices as its bincount has
     bins, and about ``_BLOCK`` indices when that is more.  The bins below
     phi(L) are already power-basis coordinates, so only the bins e >= phi(L)
-    are reduced, by the (L - phi) x phi tail of cyclo's table of the powers
-    of zeta_L.
+    are reduced, by the (L - phi) x phi int64 tail filled from the sparse
+    rows phi(L) to L - 1 of cyclo's table of the powers of zeta_L; phi comes
+    from ``cyclo.degree``, so that table is read only after the charge.
 
     The landing indices are int32, like E, and below |J| b 2L.  A call for
     which that, or |K| b 2L, passes 2^31 is refused, |K| b 2L first, from
@@ -144,13 +145,15 @@ def _s_sums(E, L, V, S=None):
     if K * b * 2 * L > 2**31 or E.shape[1] * b * 2 * L > 2**31:
         raise EnumerationBoundError("%d vectors at level %d overflow int32 indices" % (b, L))
     n = E.shape[1]
-    phi = prod((p - 1) * p ** (e - 1) for p, e in factorize(L))
+    phi = degree(L)
     nonzero = np.count_nonzero(V)
     blocks = max(1, nonzero // max(_BLOCK // n, 2 * b * L))
     indices = -(-nonzero // blocks) * n
     need = 32 * n * b * L + 4 * n + 8 * (L - phi) * phi + 16 * indices + 40 * K * b
     _byte_check(need, 1, "the sums of rho(S)")
-    tail = np.array(_reduction_rows(L)[phi:], dtype=np.int64).reshape(L - phi, phi)
+    at = [(e * phi + j, r) for e, row in enumerate(_powers(L)[phi:]) for j, r in row]
+    tail = np.zeros((L - phi, phi), dtype=np.int64)
+    tail.reshape(-1)[[i for i, _ in at]] = [r for _, r in at]
     if int(np.abs(V).sum()) * int(np.abs(tail).max(initial=1)) < 2**63:
         V = V.astype(np.int64, copy=False)
     else:

@@ -158,6 +158,16 @@ def test_bound_exceeded_exits_3():
     assert r.returncode == 0
 
 
+def test_lnn_selfdual_obeys_the_bound():
+    # the catalog of D_{4,1} has |D| = 16: refused under a bound of 10 with
+    # one error line and nothing printed, streamed under a bound of 16
+    r = run_cli("lnn", "selfdual", "--N", "4", env={"WEILREP_MAX_D": "10"})
+    assert r.returncode == 3 and r.stdout == ""
+    assert r.stderr.startswith("error: |D| = ") and r.stderr.count("\n") == 1
+    r = run_cli("lnn", "selfdual", "--N", "4", env={"WEILREP_MAX_D": "16"})
+    assert r.returncode == 0 and r.stdout
+
+
 @pytest.mark.parametrize("bound", ["abc", "1e4", "-5", " 16", "1_6"])
 def test_malformed_bound_names_the_variable(monkeypatch, capsys, bound):
     # int() once rejected "abc" with a message that named no variable, and
@@ -186,6 +196,7 @@ def test_oversized_module_exits_3_before_it_is_built(monkeypatch, capsys):
         ["invariants", *big],
         ["invariants", "--module", module],
         ["lift", *big, "--coeffs", "{}"],
+        ["lnn", "selfdual", "--N", "20000"],
     ):
         assert cli.main(argv) == 3
         err = capsys.readouterr().err

@@ -329,3 +329,20 @@ def test_text_of_monomials():
     assert str(-root_of_unity(5, 15)) == "-1*z15^5"  # -zeta_15^5 is no power of zeta_15
     assert str(root_of_unity(1, 12) + 1) == "1 + 1*z12^1"
     assert str(root_of_unity(1, 12) - root_of_unity(1, 12)) == "0"
+
+
+def test_text_of_every_power_and_its_negative():
+    # the text form finds a power by the sparse row of its primitive part:
+    # -zeta^e is the power zeta^(e + M/2) at even M and no power at odd M
+    for M in range(1, 49):
+        for e in range(M):
+            z = root_of_unity(e, M)
+            if 2 * e % M == 0:  # +-1, a Fraction
+                sign = 1 if e == 0 else -1
+                assert type(z) is F and str(z) == str(F(sign)) and str(-z) == str(F(-sign))
+                continue
+            assert str(z) == "1*z%d^%d" % (M, e)
+            if M % 2 == 0:
+                assert str(-z) == "1*z%d^%d" % (M, (e + M // 2) % M)
+            else:
+                assert str(-z) == "-1*z%d^%d" % (M, e)

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 from functools import reduce
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from discweil import cyclo
 from discweil.cyclo import exp_frac
 from discweil.fqmod import (
     DegenerateFormError,
@@ -201,3 +203,21 @@ def test_element_table_has_no_overflow():
     rng = random.Random(1)
     for i in [rng.randrange(d) for _ in range(2000)]:
         assert int(m.q_ints[i]) == m.q_int((i,)) == (d - 2) * i * i % d
+
+
+def test_signature_holds_no_table_of_powers():
+    # the table of the powers of zeta_1009 holds 2 * 1008 entries, not a dense
+    # 1009 x 1008 table of Python ints (8 MiB)
+    m = FqModule((1009,), [F(1, 1009)], [[F(2, 1009)]])
+    m.q_ints
+    for f in vars(cyclo).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert m.signature_mod8() == 0
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20

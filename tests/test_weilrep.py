@@ -15,7 +15,16 @@ from test_linalg import fraction_kernel, fraction_rref
 
 from discweil import weilrep as W
 from discweil.arith import primitive_root
-from discweil.cyclo import CycNumber, coordinates, from_coordinates, from_powers, root_of_unity
+from discweil.cyclo import (
+    CycNumber,
+    _powers,
+    coordinates,
+    cyclotomic_poly,
+    degree,
+    from_coordinates,
+    from_powers,
+    root_of_unity,
+)
 from discweil.fqmod import FqModule, direct_sum, hyperbolic_pair, matmul_mod
 from discweil.linalg import _certified, _prime
 from discweil.subgroups import EnumerationBoundError, enumerate_subgroups
@@ -52,10 +61,29 @@ def exponents(m):
 def powers_table(L):
     """Row e: the power-basis coordinates of zeta_L^e, 0 <= e < L, as int64.
 
-    The whole L x phi(L) table, from cyclo's public numbers: the dense
-    reduction, the reference for the fold and tail rows of ``W._s_sums``.
+    The whole L x phi(L) table, by integer long division of each x^e by the
+    monic Phi_L, with no use of cyclo's table of powers: the reference for
+    that table, for ``root_of_unity`` and for the fold and tail rows of
+    ``W._s_sums``.
     """
-    return np.array([coordinates(L, root_of_unity(e, L)) for e in range(L)], dtype=np.int64)
+    poly = np.array(cyclotomic_poly(L), dtype=np.int64)
+    deg = len(poly) - 1
+    rem = np.eye(L, dtype=np.int64)  # row e: x^e, low degree first
+    for i in range(L - 1, deg - 1, -1):
+        # clear x^i from the rows e >= i: subtract c x^(i - deg) Phi_L
+        rem[i:, i - deg:i + 1] -= rem[i:, i, None] * poly
+    return rem[:, :deg]
+
+
+@pytest.mark.parametrize("M", [*range(1, 65), 1009, 1024, 1155])
+def test_table_of_powers_matches_long_division(M):
+    want = powers_table(M)
+    assert degree(M) == want.shape[1]
+    rows = _powers(M)
+    assert len(rows) == M
+    for e in range(M):
+        assert rows[e] == tuple((j, int(r)) for j, r in enumerate(want[e]) if r)
+        assert coordinates(M, root_of_unity(e, M)) == want[e].tolist()
 
 
 def dense_scalar(m):
