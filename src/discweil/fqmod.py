@@ -9,12 +9,13 @@ read off the Gauss sum in a cyclotomic field, with no floating point.
 Element x = (x_1, ..., x_k) has index sum_i x_i * d_{i+1} * ... * d_k (a
 mixed radix, first coordinate most significant), and every per-element
 computation reads one integer element table built with numpy in index
-order and cached on the module: the coordinate rows ``coords`` and the
-values ``q_ints`` = L*Q(x) in [0, L), L the level.  ``indices_of`` maps
-coordinate rows back to indices.  Table arithmetic is int64 and reduced mod
-L after every product; each product is of a coordinate x_i < d_i and a value
-below L, so no intermediate exceeds d_i * L (at most L^2 when the form is
-non-degenerate, as the exponent of D then divides L).
+order and cached on the module: ``coords``, ``q_ints`` = L*Q(x) in [0, L)
+(L the level) and the r x |D| table ``pairing`` of L*B on the generators.
+Each is an int64 product reduced mod L once; an entry sums coordinates
+x_j < d_j times residues below L, at most (L - 1) sum_j (d_j - 1).  A module
+for which that reaches 2^63, or of level above 2^31 (exponents past int32),
+or whose tables are over the byte budget is refused before any is built.
+``indices_of`` maps coordinate rows back to indices.
 """
 
 import json
@@ -26,6 +27,7 @@ import numpy as np
 
 from .arith import factorize
 from .cyclo import from_powers, root_of_unity
+from .subgroups import EnumerationBoundError, _byte_check
 
 
 def mod1(fr):
@@ -40,18 +42,6 @@ def _frac_str(fr):
 
 class DegenerateFormError(ValueError):
     pass
-
-
-def matmul_mod(A, B, L):
-    """A @ B mod L for non-negative int64 arrays, reduced after every product."""
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    t = np.empty_like(out)
-    for j in range(A.shape[1]):
-        np.multiply(A[:, j, None], B[None, j], out=t)
-        t %= L
-        out += t
-        out %= L
-    return out
 
 
 class FqModule:
@@ -88,6 +78,12 @@ class FqModule:
                 raise ValueError("B(g,g) must equal 2 Q(g)")
             if mod1(self.orders[i] ** 2 * self.qs[i]) != 0:
                 raise ValueError("Q value incompatible with order")
+        L = self.level
+        if L > 2**31 or (L - 1) * sum(d - 1 for d in self.orders) >= 2**63:
+            raise EnumerationBoundError("level %d: exponents overflow int64 products or int32" % L)
+        # coords and pairing, 8 r bytes per element each, q_ints, 8, and the
+        # |D| x r product that q_ints is summed from
+        _byte_check(self.size, 8 * (3 * k + 1), "the element tables")
         if self.radical_size() != 1:
             raise DegenerateFormError("bilinear form is degenerate")
 
@@ -147,20 +143,25 @@ class FqModule:
         L, qg, _ = self._int_tables
         U = np.triu(self._gram, 1) + np.diag(np.array(qg, dtype=np.int64))
         X = self.coords
-        q = (X * matmul_mod(X, U.T, L) % L).sum(axis=1) % L
+        Y = X @ U.T
+        Y %= L
+        Y *= X
+        q = Y.sum(axis=1)
+        q %= L
         q.flags.writeable = False
         return q
 
     @cached_property
     def pairing(self):
         """L*B(g_j, x) in [0, L) for every generator g_j and element x: the r x |D| table, read-only."""
-        P = matmul_mod(self._gram, self.coords.T, self.level)
+        P = self._gram @ self.coords.T
+        P %= self.level
         P.flags.writeable = False
         return P
 
     def b_ints(self, x):
         """L*B(x, y) in [0, L) for every element y, in index order."""
-        return matmul_mod(np.array([x], dtype=np.int64), self.pairing, self.level)[0]
+        return np.array(x, dtype=np.int64) @ self.pairing % self.level
 
     def index(self, x):
         i = 0

@@ -4,13 +4,11 @@ rho(S) is the scalar conj(G)/|D| (G the Gauss sum) times the monomial matrix
 zeta_L^E, E = -L*B mod L the exponent table, and rho(T) is the diagonal
 zeta_L^(L*Q).  So rho(S) applied to a vector, and every product of the
 generators, is a scalar times sums of roots of unity of the level.  One
-routine, ``_s_sums``, applies zeta^E to a batch of monomial vectors at the
-level, an integer times zeta_L^s at each element of their support: it
-counts the shifted exponents with ``np.bincount`` into twice the level's
-bins, folds the upper half onto the lower, and reduces the bins at and
-above phi(L) to power-basis coordinates by the rows phi(L) to L - 1 of
-cyclo's one sparse table of the powers of zeta_L, filled into a dense
-int64 tail, in blocks that count at least as many indices as they have bins.
+routine, ``_s_sums``, applies zeta^E to a batch of integer vectors: it
+counts the exponents, each already in [0, L), with ``np.bincount`` into the
+level's L bins, in blocks that count at least as many indices as they have
+bins, and reduces the bins to power-basis coordinates at the radical of L
+by the tail of cyclo's sparse table of the powers of its root of unity.
 The v^H check, the invariant certificate and the relations report go
 through it, a block at a time, and compare exact integer arrays, for
 modules of any signature.  ``weil_relations_report`` proves the
@@ -36,10 +34,11 @@ heuristics.
 """
 
 from functools import partial
+from math import prod
 
 import numpy as np
 
-from .arith import primitive_root
+from .arith import factorize, primitive_root
 from .cyclo import _powers, coordinates, degree, root_of_unity
 from .linalg import _certified, rational_rref
 from .subgroups import (
@@ -63,10 +62,10 @@ class CertificationError(RuntimeError):
 # temporaries stay within a small multiple of max(_BLOCK, output size)
 # entries.  ``weil_relations_report`` builds blocks of rows of E of about
 # this many entries (at least one row), so no temporary of |D|^2 entries is
-# ever built.  A batch of ``_fixed``, _BLOCK / (|D| L) vectors, has 2 _BLOCK
+# ever built.  A batch of ``_fixed``, _BLOCK / (|D| L) vectors, has _BLOCK
 # bins, and each bin costs about 30 bytes while it is counted (the output,
 # the int32 indices, bincount's intp copy of them and its counts), so 2^15
-# keeps a scatter near 2 MB.  Larger blocks only raise the peak memory;
+# keeps a scatter near 1 MB.  Larger blocks only raise the peak memory;
 # smaller ones add per-step overhead on large modules.
 _BLOCK = 2**15
 
@@ -75,26 +74,17 @@ def _exponent_block(m, I, J):
     """E[I, J] of the exponent table E[i, k] = -L*B(x_i, x_k) mod L, as int32.
 
     I and J are arrays of element indices, in any order, repeated or empty.
-    The block is -X[I] P[:, J] mod L with P the r x |D| table
-    ``m.pairing``: one int64 product, then an int32 copy, so it peaks at 12
-    bytes per entry.  The element bound, the range below and that charge on
-    the byte budget are checked on every call, before anything is built.
-    B is symmetric, so E is too: E[I, J] is the transpose of E[J, I].
-
-    Range.  An entry of the int64 product is a sum of r terms, a coordinate
-    x_j <= d_j - 1 times a residue of P <= L - 1: at most
-    (L - 1) sum_j (d_j - 1).  A module for which that reaches 2^63 is
-    refused, and so is one of level above 2^31, whose exponents would not
-    fit int32.
+    The block is -X[I] P[:, J] mod L, P = ``m.pairing``: one int64 product
+    (below 2^63 by the module's range rule), then an int32 copy, so it
+    peaks at 12 bytes per entry.  The element bound and that charge on the
+    byte budget are checked on every call, before anything is built.  B is
+    symmetric, so E is too: E[I, J] is the transpose of E[J, I].
     """
-    L = m.level
     _bound_check(m.size)
-    if L > 2**31 or (L - 1) * sum(d - 1 for d in m.orders) >= 2**63:
-        raise EnumerationBoundError("level %d: exponents overflow int64 products or int32" % L)
     _byte_check(len(I) * len(J), 12, "a block of the exponent table")
     E = m.coords[I] @ m.pairing[:, J]
     np.negative(E, out=E)
-    E %= L
+    E %= m.level
     return E.astype(np.int32)
 
 
@@ -103,72 +93,75 @@ def _isotropic_block(m):
     return _exponent_block(m, np.array(m.isotropic_indices), np.arange(m.size))
 
 
-def _s_sums(E, L, V, S=None):
-    """zeta^E on b monomial vectors: sum_k V[k, c] zeta_L^(E[k, i] + S[k, c]).
+def _s_sums(E, L, V):
+    """zeta^E on b integer vectors: sum_k V[k, c] zeta_L^E[k, i].
 
-    E is a block E[K, J] of the exponent table of a module of level L, V an
-    integer array of shape (|K|, b) with entries of any size, and S an
-    optional integer array of V's shape with entries in [0, L) (0 when
-    omitted): vector c has the entry V[k, c] zeta_L^S[k, c] at the element of
-    row k of E.  Returns the (|J|, b, phi(L)) power-basis coordinates,
-    counted in int64 when no sum can reach 2^63 and in Python ints (an
-    object array) otherwise.  As E is symmetric, these are the entries J of
-    zeta^E v_c when K holds the support of every v_c.
+    E is an int32 block E[K, J] of the exponent table of a module of level
+    L, or any int32 array of exponents in [0, L), and V an integer array of
+    shape (|K|, b), entries of any size: vector c is V[k, c] at row k of E.
+    Returns the (|J|, b, phi(L)) power-basis coordinates, in int64 when no
+    sum can reach 2^63 and in Python ints (an object array) otherwise.  As
+    E is symmetric, these are the entries J of zeta^E v_c when K holds the
+    support of every v_c.
 
-    Entry (k, c) lands at exponent E[k, i] + S[k, c] of row i, which is below
-    2L: the entries are counted into 2L bins per (i, c) and folded, bin e + L
-    onto bin e, so no index is reduced mod L.  The counting is
-    ``np.bincount`` of the landing indices, once for each distinct value w
-    of V in a block of its nonzero entries, added as w times the exact int64
-    counts (cast to Python ints on the object path); no float touches a
-    value.  A block holds at least 2bL nonzero entries (all of them when V
-    has fewer), so it counts at least as many indices as its bincount has
-    bins, and about ``_BLOCK`` indices when that is more.  The bins below
-    phi(L) are already power-basis coordinates, so only the bins e >= phi(L)
-    are reduced, by the (L - phi) x phi int64 tail filled from the sparse
-    rows phi(L) to L - 1 of cyclo's table of the powers of zeta_L; phi comes
-    from ``cyclo.degree``, so that table is read only after the charge.
+    Entry (k, c) lands at bin E[k, i] of the L bins of (i, c), counted by
+    ``np.bincount`` once for each distinct value w of V in a block of its
+    nonzero entries and added as w times the exact int64 counts (cast to
+    Python ints on the object path); no float touches a value.  A block
+    holds at least bL nonzero entries (all of them when V has fewer), so it
+    counts at least as many indices as its bincount has bins, and about
+    ``_BLOCK`` indices when that is more.
 
-    The landing indices are int32, like E, and below |J| b 2L.  A call for
-    which that, or |K| b 2L, passes 2^31 is refused, |K| b 2L first, from
-    V's shape alone, before E is read.  Charged on the byte budget before any
-    of them is allocated: the output and bincount's counts (each |J| b 2L
-    int64), the int32 offsets of the |J| rows of the output, the tail
-    ((L - phi) phi int64), 16 bytes for each landing index of the largest
-    block (the int32 indices, the copy of them masked to one value and
-    bincount's intp copy), and 40 bytes for each entry of V (its cast copy,
+    The bins are reduced at the radical r of L: with s = L / r,
+    Phi_L(x) = Phi_r(x^s), so bin a s + t is zeta_r^a zeta_L^t, and the
+    power basis is zeta_L^(a s + t) for a < phi(r), t < s.  The rows
+    a >= phi(r) are contracted with the (r - phi(r)) x phi(r) int64 tail
+    filled, after the charge, from the sparse rows phi(r) to r - 1 of
+    cyclo's table of the powers of zeta_r.  At a squarefree level s = 1.
+
+    The landing indices are int32, like E, and below |J| b L.  A call for
+    which that, or |K| b L, passes 2^31 is refused, |K| b L first, from V's
+    shape alone, before E is read.  Charged on the byte budget before any of
+    them is allocated: the bins and bincount's counts (each |J| b L int64),
+    the int32 offsets of the |J| rows of the bins, the tail
+    ((r - phi(r)) phi(r) int64), 16 bytes for each landing index of the
+    largest block (the int32 indices, the copy of them masked to one value
+    and bincount's intp copy), 40 bytes for each entry of V (its cast copy,
     the positions of its nonzero entries, and the values, offsets and mask
-    of a block).  The object path charges its arrays at 8 bytes an entry,
-    without the Python ints they point to.
+    of a block), and numpy's buffer of ``np.getbufsize()`` entries for
+    adding the strided low bins.  The object path charges its arrays at 8
+    bytes an entry, without the Python ints they point to.
     """
     K, b = V.shape
-    if K * b * 2 * L > 2**31 or E.shape[1] * b * 2 * L > 2**31:
+    if K * b * L > 2**31 or E.shape[1] * b * L > 2**31:
         raise EnumerationBoundError("%d vectors at level %d overflow int32 indices" % (b, L))
     n = E.shape[1]
-    phi = degree(L)
+    r = prod(p for p, _ in factorize(L))
+    phi = degree(r)
     nonzero = np.count_nonzero(V)
-    blocks = max(1, nonzero // max(_BLOCK // n, 2 * b * L))
+    blocks = max(1, nonzero // max(_BLOCK // n, b * L))
     indices = -(-nonzero // blocks) * n
-    need = 32 * n * b * L + 4 * n + 8 * (L - phi) * phi + 16 * indices + 40 * K * b
+    need = 16 * n * b * L + 4 * n + 8 * (r - phi) * phi + 16 * indices + 40 * K * b
+    need += 8 * np.getbufsize()
     _byte_check(need, 1, "the sums of rho(S)")
-    at = [(e * phi + j, r) for e, row in enumerate(_powers(L)[phi:]) for j, r in row]
-    tail = np.zeros((L - phi, phi), dtype=np.int64)
-    tail.reshape(-1)[[i for i, _ in at]] = [r for _, r in at]
+    at = [(a * phi + j, x) for a, row in enumerate(_powers(r)[phi:]) for j, x in row]
+    tail = np.zeros((r - phi, phi), dtype=np.int64)
+    tail.reshape(-1)[[i for i, _ in at]] = [x for _, x in at]
     if int(np.abs(V).sum()) * int(np.abs(tail).max(initial=1)) < 2**63:
         V = V.astype(np.int64, copy=False)
     else:
         V, tail = V.astype(object), tail.astype(object)
-    out = np.zeros((n, b, 2 * L), dtype=V.dtype)
+    out = np.zeros((n, b, L), dtype=V.dtype)
     flat = out.reshape(-1)
-    rows = np.arange(0, out.size, 2 * b * L, dtype=np.int32)
+    rows = np.arange(0, out.size, b * L, dtype=np.int32)
     ks, cs = np.nonzero(V)
     for t in range(blocks):
         lo, hi = len(ks) * t // blocks, len(ks) * (t + 1) // blocks
         k, c = ks[lo:hi], cs[lo:hi]
-        # out[i, c, E[k, i] + S[k, c]] += V[k, c]
+        # out[i, c, E[k, i]] += V[k, c]
         at = E[k]
         at += rows
-        at += (2 * L * c if S is None else 2 * L * c + S[k, c])[:, None]
+        at += (L * c)[:, None]
         w = V[k, c]
         values = set(w.tolist())
         for x in values:
@@ -177,11 +170,11 @@ def _s_sums(E, L, V, S=None):
             counts = counts.astype(out.dtype, copy=False)
             counts *= x
             flat += counts
-            del counts  # so the charge bounds the fold and reduction below too
-    out[..., :L] += out[..., L:]
-    sums = out[..., phi:L] @ tail
-    sums += out[..., :phi]
-    return sums
+            del counts  # so the charge bounds the reduction below too
+    bins = out.reshape(n, b, r, L // r)
+    sums = tail.T @ bins[:, :, phi:]
+    sums += bins[:, :, :phi]
+    return sums.reshape(n, b, -1)
 
 
 # ------------------------------------------------- exact identity checks
@@ -229,7 +222,8 @@ def weil_relations_report(m):
     of generators, and the two columns O(|D|^2).  Each block of rows E[K] of
     about ``_BLOCK`` entries is built once, compared with itself for
     additivity and refinement and with the block E[gens, K] for symmetry,
-    and summed for rows K of both columns, then dropped.
+    and summed, beside its shift (E[K]^t + q) mod L in one ``_s_sums``
+    call, for rows K of both columns, then dropped.
     """
     L, n = m.level, m.size
     q = m.q_ints
@@ -242,8 +236,7 @@ def weil_relations_report(m):
     # G zeta^-t, the closed form of (zeta^E zeta^q)[s] at t = q[s]
     closed = np.array([coordinates(L, root_of_unity(-t, L) * G) for t in range(L)], dtype=np.int64)
     width = max(1, _BLOCK // n)
-    ones = np.ones((n, 2), dtype=np.int64)
-    shifts = np.stack([np.zeros_like(q), q], axis=1)
+    ones = np.ones((n, 1), dtype=np.int64)
     form_ok = s2_ok = st3_ok = True
     for x0 in range(0, n, width):
         K = every[x0:x0 + width]
@@ -255,15 +248,19 @@ def weil_relations_report(m):
         )
         if not form_ok:
             break
-        # rows K of the columns zeta^E 1 and zeta^E zeta^q
-        cols = _s_sums(rows.T, L, ones, shifts)
+        # rows K of zeta^E 1 and zeta^E zeta^q: E[K]^t and beside it (E[K]^t + q) mod L
+        _byte_check(rows.size, 16, "a shifted block of the exponent table")
+        both = np.empty((n, 2 * len(K)), dtype=np.int32)
+        both[:, :len(K)] = rows.T
+        np.remainder(rows.T + q[:, None], L, out=both[:, len(K):])
+        cols = _s_sums(both, L, ones)[:, 0]
         want = np.zeros((len(K), closed.shape[1]), dtype=np.int64)
         want[K == 0, 0] = n
-        s2_ok = s2_ok and np.array_equal(cols[:, 0], want)
+        s2_ok = s2_ok and np.array_equal(cols[:len(K)], want)
         st3_ok = (
             st3_ok
             and not ((q[shift[K]] - q[K, None] - q[gens] + rows[:, gens]) % L).any()  # q refines E
-            and np.array_equal(cols[:, 1], closed[q[K]])
+            and np.array_equal(cols[len(K):], closed[q[K]])
         )
     s2_ok = form_ok and s2_ok
     return {
@@ -311,9 +308,9 @@ def _fixed(m, rows, vectors):
 
     rows is E[iso].  Such a v is fixed by rho(T), and rho(S) v = s0 zeta^E v
     = v exactly when zeta^E v = G v, as s0 G = 1.  ``_s_sums`` takes the
-    vectors as they are, integer vectors over the rows of E[iso] with no
-    exponent, ``_BLOCK`` // (|D| L) of them at a time (at least one), so
-    that the |D| b 2L bins of a block stay near 2 ``_BLOCK``.
+    vectors as they are, over the rows of E[iso], ``_BLOCK`` // (|D| L) of
+    them at a time (at least one), so that the |D| b L bins of a block stay
+    near ``_BLOCK``.
     """
     n, L, iso = m.size, m.level, list(m.isotropic_indices)
     gcan = np.array(coordinates(L, m.gauss_sum()), dtype=object)
@@ -358,7 +355,7 @@ def _certificate(m):
     dropped on return.  A residue table is held as int64 next to them, and
     each elimination step holds three more int64 temporaries of its size:
     about 36 bytes per entry, checked before the rows are built.  Each
-    batch of ``_fixed`` adds what ``_s_sums`` charges for it: its |D| b 2L
+    batch of ``_fixed`` adds what ``_s_sums`` charges for it: its |D| b L
     bins twice and the landing indices of one block.
     ``verify_selfdual_span`` in a fresh interpreter on a 2-core machine,
     with the whole cached table before and these rows after

@@ -5,11 +5,12 @@ import tracemalloc
 from fractions import Fraction as F
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from discweil import cyclo
+from discweil import cyclo, subgroups
 from discweil.cyclo import exp_frac
 from discweil.fqmod import (
     DegenerateFormError,
@@ -19,11 +20,28 @@ from discweil.fqmod import (
     hyperbolic_pair,
     p_primary_decomposition,
 )
+from discweil.subgroups import EnumerationBoundError
 
 
 def element_list(m):
     """All elements of m as coordinate tuples, in index order (lexicographic)."""
     return tuple(itertools.product(*[range(d) for d in m.orders]))
+
+
+def matmul_mod(A, B, L):
+    """A @ B mod L for non-negative int64 arrays, reduced after every product.
+
+    The oracle for the module's tables, which take plain int64 products and
+    reduce once, under the module's range rule.
+    """
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    t = np.empty_like(out)
+    for j in range(A.shape[1]):
+        np.multiply(A[:, j, None], B[None, j], out=t)
+        t %= L
+        out += t
+        out %= L
+    return out
 
 
 def smul(m, k, x):
@@ -203,6 +221,45 @@ def test_element_table_has_no_overflow():
     rng = random.Random(1)
     for i in [rng.randrange(d) for _ in range(2000)]:
         assert int(m.q_ints[i]) == m.q_int((i,)) == (d - 2) * i * i % d
+
+
+def test_module_refuses_exponents_beyond_int64():
+    # the range rule of the element tables, checked before the byte budget
+    # and before any table is built
+    p = 2**31 - 1
+    # (L - 1) sum_j (d_j - 1) = 4 (p - 1)^2 >= 2^63, at a level below 2^31
+    diag = [[F(2, p) if i == j else 0 for j in range(4)] for i in range(4)]
+    with pytest.raises(EnumerationBoundError, match="int64"):
+        FqModule((p,) * 4, [F(1, p)] * 4, diag)
+    # a level above 2^31, whose exponents do not fit int32
+    d = 2**31 + 1
+    with pytest.raises(EnumerationBoundError, match="int64"):
+        _cyclic(d, F(1, d))
+    # inside the range, its 2^31 - 1 elements are over the byte budget
+    with pytest.raises(EnumerationBoundError, match="element tables"):
+        _cyclic(p, F(1, p))
+
+
+def test_element_tables_are_charged_before_they_are_built(monkeypatch):
+    # (Z/300)^2 with Q = xy/300: 90,000 elements, charged 8 (3r + 1) = 56
+    # bytes each for coords, pairing, q_ints and the product q_ints is
+    # summed from.  One byte under the charge, construction is refused with
+    # nothing built; at the charge, construction and q_ints stay within it.
+    n, charge = 300**2, 56 * 300**2
+    for budget in (charge - 1, charge):
+        monkeypatch.setattr(subgroups, "BYTE_BUDGET", budget)
+        tracemalloc.start()
+        try:
+            if budget < charge:
+                with pytest.raises(EnumerationBoundError, match="element tables"):
+                    hyperbolic(300)
+            else:
+                m = hyperbolic(300)
+                assert m.size == n and m.q_ints.shape == (n,)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2**16 if budget < charge else charge + 2**15)
 
 
 def test_signature_holds_no_table_of_powers():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_fqmod import COMPONENTS, element_list, negated, smul
+from test_fqmod import COMPONENTS, _cyclic, element_list, matmul_mod, negated, smul
 from test_linalg import fraction_kernel, fraction_rref
 
 from discweil import weilrep as W
@@ -25,7 +25,7 @@ from discweil.cyclo import (
     from_powers,
     root_of_unity,
 )
-from discweil.fqmod import FqModule, direct_sum, hyperbolic_pair, matmul_mod
+from discweil.fqmod import FqModule, direct_sum, hyperbolic_pair
 from discweil.linalg import _certified, _prime
 from discweil.subgroups import EnumerationBoundError, enumerate_subgroups
 
@@ -63,7 +63,7 @@ def powers_table(L):
 
     The whole L x phi(L) table, by integer long division of each x^e by the
     monic Phi_L, with no use of cyclo's table of powers: the reference for
-    that table, for ``root_of_unity`` and for the fold and tail rows of
+    that table, for ``root_of_unity`` and for the reduction of the bins of
     ``W._s_sums``.
     """
     poly = np.array(cyclotomic_poly(L), dtype=np.int64)
@@ -230,9 +230,11 @@ def add_at_s_sums(E, L, V, S=None):
     """``W._s_sums`` by ``np.add.at`` at the exponents reduced mod L.
 
     The direct scatter, every entry added at its exponent mod L, reduced by
-    the whole table of powers: the oracle for the counting into 2L bins, the
-    fold and the tail reduction of ``_s_sums``, with the same choice of int64
-    or Python ints.
+    the whole table of powers: the oracle for the counting into L bins and
+    the reduction at the radical of ``_s_sums``, with the same choice of
+    int64 or Python ints.  Vector c may also carry exponents S[k, c] (0 when
+    omitted), entry V[k, c] zeta_L^S[k, c] at the element of row k, which
+    the oracles of the report read.
     """
     b = V.shape[1]
     n = E.shape[1]
@@ -279,10 +281,10 @@ def dense_relations(m):
 def column_relations(m):
     """The flags of weil_relations_report, column by column in O(|D|^3).
 
-    Each relation is checked on every column: ``W._s_sums`` applies zeta^E to
-    a batch of columns given as monomial vectors, ones times zeta^S, and the
-    power-basis coordinates it returns are compared exactly with the closed
-    forms.
+    Each relation is checked on every column: ``add_at_s_sums`` applies
+    zeta^E to a batch of columns given as monomial vectors, ones times
+    zeta^S, and the power-basis coordinates it returns are compared exactly
+    with the closed forms.
 
     - rho(S)^2 = e(-sig/4) P_neg exactly when (zeta^E)^2 e_c = |D| e_(-c);
     - rho(S)^4 is then e(-sig/2), the identity exactly for even signature;
@@ -311,7 +313,7 @@ def column_relations(m):
         at = np.arange(len(cols))
         blk = E[:, cols]
         ones = np.ones(blk.shape, dtype=np.int64)
-        s2 = W._s_sums(E, L, ones, blk)
+        s2 = add_at_s_sums(E, L, ones, blk)
         want = np.zeros_like(s2)
         want[neg[cols], at, 0] = n
         s2_ok &= bool(np.array_equal(s2, want))
@@ -319,7 +321,7 @@ def column_relations(m):
         table_ok &= bool(np.array_equal(blk, E[cols].T))
         table_ok &= bool(np.array_equal(E[:, neg[cols]], -blk % L))
 
-        sts = W._s_sums(E, L, ones, (blk + q[:, None]) % L)
+        sts = add_at_s_sums(E, L, ones, (blk + q[:, None]) % L)
         st3_ok &= bool(np.array_equal(sts, RED[(blk - q[:, None] - q[cols]) % L] @ Gmat))
 
     return {
@@ -793,6 +795,23 @@ PRESENTED = st.builds(
 )
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(SUMS, PRESENTED))
+@example(hyperbolic_pair(12, 2))
+@example(presented(random.Random(1), 30, 6))  # |D| = 32400, level 30
+def test_element_tables_match_products_reduced_at_every_step(m):
+    # q_ints, pairing and b_ints take plain int64 products reduced once:
+    # against products reduced mod L after every product, which need no
+    # range rule
+    L, X, gram = m.level, m.coords, m._gram
+    U = np.triu(gram, 1)
+    U[np.diag_indices_from(U)] = m._int_tables[1]  # L*Q on the generators
+    assert np.array_equal(m.q_ints, (X * matmul_mod(X, U.T, L) % L).sum(axis=1) % L)
+    assert np.array_equal(m.pairing, matmul_mod(gram, X.T, L))
+    for x in X[:: max(1, m.size // 7)]:
+        assert np.array_equal(m.b_ints(x), matmul_mod(x[None], m.pairing, L)[0])
+
+
 def index_lists(m):
     return st.lists(st.integers(0, m.size - 1), max_size=2 * m.size)
 
@@ -812,21 +831,6 @@ def test_exponent_block_matches_dense_oracle(case):
     block = W._exponent_block(m, I, J)
     assert block.dtype == np.int32 and block.shape == (len(I), len(J))
     assert np.array_equal(block, exponents(m)[np.ix_(I, J)])
-
-
-def test_exponent_block_refuses_int64_overflow(monkeypatch):
-    # only the orders and level of modules the range argument does not
-    # cover: refused before the byte budget or any table is read
-    monkeypatch.setenv("WEILREP_MAX_D", str(2**130))
-    none = np.zeros(0, dtype=np.int64)
-    # (L - 1) sum_j (d_j - 1) = 4 (2^31 - 1)^2 >= 2^63
-    m = SimpleNamespace(size=2**124, level=2**31, orders=(2**31,) * 4)
-    with pytest.raises(EnumerationBoundError, match="int64"):
-        W._exponent_block(m, none, none)
-    # a level above 2^31, whose exponents do not fit int32
-    m = SimpleNamespace(size=2**32 + 2, level=2**32 + 2, orders=(2**32 + 2,))
-    with pytest.raises(EnumerationBoundError, match="int64"):
-        W._exponent_block(m, none, none)
 
 
 @pytest.mark.parametrize("m", [hyperbolic_pair(3, 1), hyperbolic_pair(4, 2)], ids=["D3", "D42"])
@@ -863,10 +867,10 @@ def test_relations_report_fails_a_broken_premise(monkeypatch, m, case):
 def table_square(E, L):
     """(zeta^E)^2 as power-basis coordinates, with no symmetry of E assumed.
 
-    Entry (i, c) is sum_k zeta^(E[i, k] + E[k, c]): ``W._s_sums`` on the
-    rows k of E^t, each column c the vector of the roots zeta^E[k, c].
+    Entry (i, c) is sum_k zeta^(E[i, k] + E[k, c]): ``add_at_s_sums`` on
+    the rows k of E^t, each column c the vector of the roots zeta^E[k, c].
     """
-    return W._s_sums(E.T, L, np.ones(E.shape, dtype=np.int64), E)
+    return add_at_s_sums(E.T, L, np.ones(E.shape, dtype=np.int64), E)
 
 
 @pytest.mark.parametrize("N,twist", [(4, "swap"), (5, "swap"), (5, "double"), (3, "double")])
@@ -961,9 +965,9 @@ def test_byte_budget_refuses_before_allocating(monkeypatch):
 
 
 def test_s_sums_refuses_int32_overflow():
-    # only the shape of 2^20 + 2^10 vector entries at level 2^10, whose
-    # 2^31 + 2^21 landing indices overflow int32: refused before any use
-    V = SimpleNamespace(shape=(2**10 + 1, 2**10))
+    # only the shape of 2^21 + 2^10 vector entries at level 2^10, whose
+    # 2^31 + 2^20 landing indices overflow int32: refused before any use
+    V = SimpleNamespace(shape=(2**11 + 1, 2**10))
     with pytest.raises(EnumerationBoundError, match="int32"):
         W._s_sums(None, 2**10, V)
 
@@ -972,13 +976,14 @@ def test_s_sums_charges_its_histograms_before_allocating(monkeypatch):
     from discweil import subgroups
 
     # Z/1009 with Q = x^2/1009, |D| = L = 1009: rho(S) of v^H for H = 0 is
-    # counted into |D| 2L int64 bins, with bincount's counts of the same
+    # counted into |D| L int64 bins, with bincount's counts of the same
     # size, |D| int32 row offsets, the |D| landing indices (16 bytes each)
-    # of its one entry (40 bytes), and reduced by the one tail row of phi(L)
-    # int64, 32.6 MB in all, while the one row E[0] it reads is 12 kB
+    # of its one entry (40 bytes) and numpy's buffer of 8192 int64 for the
+    # strided add, and reduced by the one tail row of phi(L) int64, 16.4 MB
+    # in all, while the one row E[0] it reads is 12 kB
     m = FqModule((1009,), [F(1, 1009)], [[F(2, 1009)]])
     n, L = m.size, m.level
-    charge = 32 * n * L + 4 * n + 8 * (L - 1) + 16 * n + 40
+    charge = 16 * n * L + 4 * n + 8 * (L - 1) + 16 * n + 40 + 8 * np.getbufsize()
     h = SimpleNamespace(indices=[0])
     monkeypatch.setattr(subgroups, "BYTE_BUDGET", charge - 1)
     tracemalloc.start()
@@ -999,10 +1004,11 @@ def test_s_sums_peak_is_within_its_charge(monkeypatch, case):
     # allocates no more than it charges (the slack covers Python objects
     # and array headers):
     # - fixed: a vector of seven values over the 520 isotropic elements of
-    #   D_{100,1}, as ``_fixed`` hands it over: blocks of 2L entries of
+    #   D_{100,1}, as ``_fixed`` hands it over: blocks of L entries of
     #   10^4 landing indices each, with a masked copy for each value;
     # - columns: the report's zeta^E 1 and zeta^E zeta^q on 32 rows of
-    #   Z/1009 with Q = x^2/1009, one block of 2 |D| entries;
+    #   Z/1009 with Q = x^2/1009, the rows E[K]^t and (E[K]^t + q) mod L
+    #   side by side, one block of |D| entries;
     # - vH: v^H for H = 0 on the same module, one entry
     charges = []
     check = W._byte_check
@@ -1015,20 +1021,21 @@ def test_s_sums_peak_is_within_its_charge(monkeypatch, case):
         m = hyperbolic_pair(100, 1)
         E = W._isotropic_block(m)
         values = np.random.default_rng(0).integers(-3, 4, (len(m.isotropic_indices), 1))
-        args = (np.array(values.tolist(), dtype=object), None)
+        V = np.array(values.tolist(), dtype=object)
     else:
         m = FqModule((1009,), [F(1, 1009)], [[F(2, 1009)]])
         if case == "columns":
             E = W._exponent_block(m, np.arange(m.size), np.arange(32))
-            args = (np.ones((m.size, 2), dtype=np.int64), np.stack([0 * m.q_ints, m.q_ints], axis=1))
+            E = np.concatenate([E, (E + m.q_ints[:, None]) % m.level], axis=1).astype(np.int32)
+            V = np.ones((m.size, 1), dtype=np.int64)
         else:
             E = W._exponent_block(m, np.array([0]), np.arange(m.size))
-            args = (np.ones((1, 1), dtype=np.int64), None)
+            V = np.ones((1, 1), dtype=np.int64)
     root_of_unity(1, m.level)
     monkeypatch.setattr(W, "_byte_check", recorded)
     tracemalloc.start()
     try:
-        W._s_sums(E, m.level, *args)
+        W._s_sums(E, m.level, V)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1068,38 +1075,40 @@ Z101 = FqModule((101,), [F(1, 101)], [[F(2, 101)]])
 @given(
     st.sampled_from(SMALL_SUMS).map(summed),
     st.integers(1, 3),
-    st.booleans(),
     SCATTER_VALUES,
     st.sampled_from([0.2, 0.6, 1.0]),
     st.integers(0, 2**32 - 1),
     st.sampled_from([W._BLOCK, 1]),
 )
-@example(hyperbolic_pair(2, 2), 3, True, [1, -2, 3], 1.0, 0, 1)  # 48 nonzeros, blocks of 12
-@example(summed((8,)), 3, True, [1, -2, 3], 1.0, 0, 1)  # Z/4 with x^2/8: level 8, a 2-power
-@example(summed((0, 6)), 2, False, [2**62, -1], 0.6, 1, 1)  # Z/3 + Z/2, object path
-@example(summed((2,)), 1, False, [1], 1.0, 2, W._BLOCK)  # Z/5, one value, one block
-@example(summed((4,)), 2, True, [2, -1], 0.6, 3, 1)  # Z/7: a prime level
-@example(Z101, 3, True, [1, -2, 3, 5], 1.0, 4, W._BLOCK)  # Z/101: the tail is all -1
-def test_s_sums_matches_add_at_oracle(m, b, shifted, values, density, seed, block):
-    # random integer vectors with b columns and, when shifted, random
-    # exponents S in [0, L): the default block or one of 2bL nonzero entries
-    # (then several blocks when dense and |D| > 2L), against the scatter by
-    # np.add.at at exponents mod L and the whole table of powers; and the
-    # same vectors given on the rows of their support alone, with those rows
-    # of E
+@example(hyperbolic_pair(2, 2), 3, [1, -2, 3], 1.0, 0, 1)  # 48 nonzeros, blocks of 6
+@example(summed((8,)), 3, [1, -2, 3], 1.0, 0, 1)  # Z/4 with x^2/8: level 8, a 2-power
+@example(summed((0, 6)), 2, [2**62, -1], 0.6, 1, 1)  # Z/3 + Z/2, object path
+@example(summed((2,)), 1, [1], 1.0, 2, W._BLOCK)  # Z/5, one value, one block
+@example(summed((4,)), 2, [2, -1], 0.6, 3, 1)  # Z/7: a prime level
+@example(Z101, 3, [1, -2, 3, 5], 1.0, 4, W._BLOCK)  # Z/101: the tail is all -1
+# levels with square factors, reduced at their radicals 2, 3, 2 and 6
+@example(_cyclic(8, F(1, 16)), 2, [1, -2, 3], 1.0, 5, 1)  # level 16
+@example(_cyclic(27, F(1, 27)), 2, [1, -2, 2**62], 0.6, 6, W._BLOCK)  # level 27, object path
+@example(_cyclic(16, F(3, 32)), 3, [1, -1, 4], 1.0, 7, 1)  # level 32
+@example(direct_sum(_cyclic(4, F(1, 8)), _cyclic(9, F(1, 9))), 2, [1, 5], 0.6, 8, 1)  # level 72
+def test_s_sums_matches_add_at_oracle(m, b, values, density, seed, block):
+    # random integer vectors with b columns: the default block or one of bL
+    # nonzero entries (then several blocks when dense and |D| > L), against
+    # the scatter by np.add.at at exponents mod L and the whole table of
+    # powers; and the same vectors given on the rows of their support alone,
+    # with those rows of E
     E, L = exponents(m), m.level
     rng = np.random.default_rng(seed)
     shape = (m.size, b)
     V = np.array(values, dtype=object)[rng.integers(0, len(values), shape)]
     V[rng.random(shape) >= density] = 0
-    S = rng.integers(0, L, shape) if shifted else None
     support = np.flatnonzero(V.any(axis=1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(W, "_BLOCK", block)
-        got = W._s_sums(E, L, V, S)
+        got = W._s_sums(E, L, V)
         rows = W._exponent_block(m, support, np.arange(m.size))
-        on_support = W._s_sums(rows, L, V[support], None if S is None else S[support])
-    want = add_at_s_sums(E, L, V, S)
+        on_support = W._s_sums(rows, L, V[support])
+    want = add_at_s_sums(E, L, V)
     assert got.dtype == want.dtype == on_support.dtype
     assert np.array_equal(got, want)
     assert np.array_equal(on_support, want)
@@ -1107,7 +1116,7 @@ def test_s_sums_matches_add_at_oracle(m, b, shifted, values, density, seed, bloc
 
 @pytest.mark.parametrize("block", [W._BLOCK, 400])
 def test_s_sums_counts_at_least_its_bins(monkeypatch, block):
-    # a b = 1 call on the 400 elements of D_{20,1}: 2 |D| L = 16000 bins.
+    # a b = 1 call on the 400 elements of D_{20,1}: |D| L = 8000 bins.
     # With a block of 400 indices and no floor on the block, each bincount
     # would zero all the bins for one entry's 400 indices.
     m = hyperbolic_pair(20, 1)
@@ -1127,6 +1136,25 @@ def test_s_sums_counts_at_least_its_bins(monkeypatch, block):
     assert sum(size for size, _ in calls) == m.size**2
     for size, minlength in calls:
         assert minlength <= max(2 * block, size)
+
+
+def test_s_sums_reduces_at_the_radical():
+    # Z/1024 with Q = x^2/2048: level 2^11, radical 2, so the bins are
+    # reduced by the 1 x 1 tail of zeta_2, where the tail of the level is
+    # (L - phi) phi int64 = 8 MiB; the sums of four rows of zeta^E 1 (the
+    # report's first column on a small block) stay far below that
+    m = _cyclic(1024, F(1, 2048))
+    L = m.level
+    E = W._exponent_block(m, np.arange(m.size), np.arange(4))
+    V = np.ones((m.size, 1), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        got = W._s_sums(E, L, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert np.array_equal(got, add_at_s_sums(E, L, V))
 
 
 def test_exponent_table_peak_is_its_charge():
