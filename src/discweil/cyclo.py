@@ -147,10 +147,10 @@ def from_coordinates(M, coords):
 
 
 def from_powers(M, coeffs):
-    """The number sum v zeta_M^e of an exponent -> rational map."""
-    fr = [(e, Fraction(v)) for e, v in coeffs.items()]
-    den = lcm(*(v.denominator for _, v in fr))
-    return _make(M, _reduce(M, ((e, v.numerator * (den // v.denominator)) for e, v in fr)), den)
+    """The number sum v zeta_M^e of an exponent -> rational map, its values
+    ints or Fractions."""
+    den = lcm(*(v.denominator for v in coeffs.values()))
+    return _make(M, _reduce(M, ((e, v.numerator * (den // v.denominator)) for e, v in coeffs.items())), den)
 
 
 def coordinates(M, x):

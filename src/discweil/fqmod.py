@@ -116,16 +116,23 @@ class FqModule:
         )
 
     @cached_property
+    def _radix(self):
+        """The generator orders as a read-only int64 array."""
+        d = np.array(self.orders, dtype=np.int64)
+        d.flags.writeable = False
+        return d
+
+    @cached_property
     def coords(self):
         """All elements as rows of an int64 array, in index order."""
         idx = np.arange(self.size, dtype=np.int64)[:, None]
-        X = idx // self._strides % np.array(self.orders, dtype=np.int64)
+        X = idx // self._strides % self._radix
         X.flags.writeable = False  # shared by every caller of this module
         return X
 
     def indices_of(self, rows):
         """Indices of coordinate rows (any int array, last axis the coordinates)."""
-        return np.asarray(rows) % np.array(self.orders, dtype=np.int64) @ self._strides
+        return np.asarray(rows) % self._radix @ self._strides
 
     @cached_property
     def _gram(self):

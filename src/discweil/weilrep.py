@@ -23,24 +23,28 @@ exponent table that ``_exponent_block`` builds on demand, each held behind
 the enumeration bound and the byte budget.  No |D| x |D| table is built:
 each reader builds only the rows it reads.
 
-The invariant space has one certificate.  Its vectors are those over the
-isotropic elements (the rho(T)-fixed ones) in the kernel of the square
-|iso| x |iso| system zeta^E[iso, iso] - G I, which is all of the invariant
-space as rho(S) is unitary; ``linalg`` eliminates it mod primes q = 1
-(mod L) and lifts a kernel basis that ``_s_sums`` proves invariant on all
-|D| rows, exactly.  The v^H of the self-dual isotropic subgroups are
-measured against that kernel.  No floating point and no unverified
-heuristics.
+The invariant space has one certificate.  Its vectors lie over the
+isotropic elements (the rho(T)-fixed ones), in the kernel of the square
+|iso| x |iso| system zeta^E[iso, iso] - G I.  When the module has self-dual
+isotropic subgroups, two bounds prove the dimension: the system's rank mod
+one prime q = 1 (mod L) bounds it above, and the independent v^H that
+``_s_sums`` proves invariant on all |D| rows bound it below.  When they
+meet, the v^H span the invariants.  Otherwise, and for modules with no such
+subgroup, ``linalg`` eliminates the system mod primes q = 1 (mod L) and
+lifts a kernel basis that ``_s_sums`` proves invariant, exactly; that the
+lift closes rests on rho(S) being unitary and on the rationality of the
+invariants.  No floating point and no unverified heuristics.
 """
 
-from functools import partial
+from functools import lru_cache, partial
 from math import prod
 
 import numpy as np
 
 from .arith import factorize, primitive_root
-from .cyclo import _powers, coordinates, degree, root_of_unity
-from .linalg import _certified, rational_rref
+from .cyclo import _powers, coordinates, degree, from_powers
+from .fqmod import q_histogram
+from .linalg import _certified, _prime, _rref_mod, rational_rref
 from .subgroups import (
     EnumerationBoundError,
     _bound_check,
@@ -70,19 +74,20 @@ class CertificationError(RuntimeError):
 _BLOCK = 2**15
 
 
-def _exponent_block(m, I, J):
+def _exponent_block(m, I, J=None):
     """E[I, J] of the exponent table E[i, k] = -L*B(x_i, x_k) mod L, as int32.
 
-    I and J are arrays of element indices, in any order, repeated or empty.
-    The block is -X[I] P[:, J] mod L, P = ``m.pairing``: one int64 product
-    (below 2^63 by the module's range rule), then an int32 copy, so it
-    peaks at 12 bytes per entry.  The element bound and that charge on the
-    byte budget are checked on every call, before anything is built.  B is
-    symmetric, so E is too: E[I, J] is the transpose of E[J, I].
+    I and J are arrays of element indices, in any order, repeated or empty;
+    J = None takes every column, reading ``m.pairing`` as it is.  The block
+    is -X[I] P[:, J] mod L, P = ``m.pairing``: one int64 product (below
+    2^63 by the module's range rule), then an int32 copy, so it peaks at 12
+    bytes per entry.  The element bound and that charge on the byte budget
+    are checked on every call, before anything is built.  B is symmetric,
+    so E is too: E[I, J] is the transpose of E[J, I].
     """
     _bound_check(m.size)
-    _byte_check(len(I) * len(J), 12, "a block of the exponent table")
-    E = m.coords[I] @ m.pairing[:, J]
+    _byte_check(len(I) * (m.size if J is None else len(J)), 12, "a block of the exponent table")
+    E = m.coords[I] @ (m.pairing if J is None else m.pairing[:, J])
     np.negative(E, out=E)
     E %= m.level
     return E.astype(np.int32)
@@ -90,7 +95,24 @@ def _exponent_block(m, I, J):
 
 def _isotropic_block(m):
     """E[iso], the block of the exponent table on the rows of the isotropic elements."""
-    return _exponent_block(m, np.array(m.isotropic_indices), np.arange(m.size))
+    return _exponent_block(m, np.array(m.isotropic_indices))
+
+
+@lru_cache(maxsize=8)
+def _tail(r):
+    """Rows phi(r) to r - 1 of cyclo's table of the powers of zeta_r, dense.
+
+    A read-only (r - phi(r)) x phi(r) int64 array filled from the sparse
+    rows of ``_powers(r)``, and the largest |entry| of it (1 when it is
+    empty).  Every ``_s_sums`` call at a level of radical r reads it; the
+    tails of the last 8 radicals read are kept.
+    """
+    phi = degree(r)
+    at = [(a * phi + j, x) for a, row in enumerate(_powers(r)[phi:]) for j, x in row]
+    tail = np.zeros((r - phi, phi), dtype=np.int64)
+    tail.reshape(-1)[[i for i, _ in at]] = [x for _, x in at]
+    tail.flags.writeable = False
+    return tail, int(np.abs(tail).max(initial=1))
 
 
 def _s_sums(E, L, V):
@@ -116,8 +138,8 @@ def _s_sums(E, L, V):
     Phi_L(x) = Phi_r(x^s), so bin a s + t is zeta_r^a zeta_L^t, and the
     power basis is zeta_L^(a s + t) for a < phi(r), t < s.  The rows
     a >= phi(r) are contracted with the (r - phi(r)) x phi(r) int64 tail
-    filled, after the charge, from the sparse rows phi(r) to r - 1 of
-    cyclo's table of the powers of zeta_r.  At a squarefree level s = 1.
+    of cyclo's table of the powers of zeta_r, read after the charge from
+    ``_tail(r)`` with its largest entry.  At a squarefree level s = 1.
 
     The landing indices are int32, like E, and below |J| b L.  A call for
     which that, or |K| b L, passes 2^31 is refused, |K| b L first, from V's
@@ -144,10 +166,8 @@ def _s_sums(E, L, V):
     need = 16 * n * b * L + 4 * n + 8 * (r - phi) * phi + 16 * indices + 40 * K * b
     need += 8 * np.getbufsize()
     _byte_check(need, 1, "the sums of rho(S)")
-    at = [(a * phi + j, x) for a, row in enumerate(_powers(r)[phi:]) for j, x in row]
-    tail = np.zeros((r - phi, phi), dtype=np.int64)
-    tail.reshape(-1)[[i for i, _ in at]] = [x for _, x in at]
-    if int(np.abs(V).sum()) * int(np.abs(tail).max(initial=1)) < 2**63:
+    tail, top = _tail(r)
+    if int(np.abs(V).sum()) * top < 2**63:
         V = V.astype(np.int64, copy=False)
     else:
         V, tail = V.astype(object), tail.astype(object)
@@ -232,15 +252,22 @@ def weil_relations_report(m):
     gens = m.indices_of(step)
     shift = m.indices_of(X[:, None, :] + step)  # shift[x, j]: the index of x + g_j
     every = np.arange(n)
-    G = m.gauss_sum()
-    # G zeta^-t, the closed form of (zeta^E zeta^q)[s] at t = q[s]
-    closed = np.array([coordinates(L, root_of_unity(-t, L) * G) for t in range(L)], dtype=np.int64)
+    # G zeta^-t, the closed form of (zeta^E zeta^q)[s] at t = q[s], for each
+    # value t of q: the histogram of the Gauss sum G rotated by t, reduced by
+    # cyclo and not by ``_s_sums``, which it checks
+    hist = q_histogram(m)
+    values = np.fromiter(hist, dtype=np.int64, count=len(hist))  # increasing
+    _byte_check(len(values) * degree(L), 8, "the closed forms of the Weil relations")
+    closed = np.array(
+        [coordinates(L, from_powers(L, {(e - t) % L: c for e, c in hist.items()})) for t in hist],
+        dtype=np.int64,
+    )
     width = max(1, _BLOCK // n)
     ones = np.ones((n, 1), dtype=np.int64)
     form_ok = s2_ok = st3_ok = True
     for x0 in range(0, n, width):
         K = every[x0:x0 + width]
-        rows = _exponent_block(m, K, every)
+        rows = _exponent_block(m, K)
         # d = E[x, y] + E[x, g_j] - E[x, y + g_j] lies in (-L, 2L): 0 mod L when 0 or L
         sums = (rows + rows[:, g, None] - rows[:, shift[:, j]] for j, g in enumerate(gens))
         form_ok = all(((d == 0) | (d == L)).all() for d in sums) and np.array_equal(
@@ -260,7 +287,7 @@ def weil_relations_report(m):
         st3_ok = (
             st3_ok
             and not ((q[shift[K]] - q[K, None] - q[gens] + rows[:, gens]) % L).any()  # q refines E
-            and np.array_equal(cols[len(K):], closed[q[K]])
+            and np.array_equal(cols[len(K):], closed[np.searchsorted(values, q[K])])
         )
     s2_ok = form_ok and s2_ok
     return {
@@ -275,8 +302,8 @@ def weil_relations_report(m):
 
 def check_vH_action(m, h):
     """Exact check of rho(S) v^H = s0 |H| v^{H perp}, s0 the scalar of rho(S)."""
-    idx = np.array(list(h.indices), dtype=np.int64)
-    E = _exponent_block(m, idx, np.arange(m.size))
+    idx = np.fromiter(h.indices, dtype=np.int64, count=len(h.indices))
+    E = _exponent_block(m, idx)
     got = _s_sums(E, m.level, np.ones((len(idx), 1), dtype=np.int64))[:, 0]
     target = np.zeros_like(got)
     target[~E.any(axis=0), 0] = len(idx)
@@ -329,26 +356,36 @@ def _certificate(m):
 
     The invariants are the vectors over the isotropic elements in the kernel
     of the square |iso| x |iso| system zeta^E[iso, iso] - G I, with entries
-    in Z[zeta_L].  ``linalg`` eliminates it mod primes q = 1 (mod L) and
-    accepts a lifted kernel basis only when ``_fixed`` proves every vector
-    invariant on all |D| rows: the vectors go to ``_s_sums`` as integer
-    vectors at the level, with no histogram built.
+    in Z[zeta_L]: an invariant v lies over iso (rho(T) fixes it) and solves
+    zeta^E v = G v on every row, so on the isotropic rows.  ``_fixed``
+    proves a vector over iso invariant on all |D| rows: the vectors go to
+    ``_s_sums`` as integer vectors at the level, with no histogram built.
+    The dimension is proven by one of two routes.
 
-    Soundness.  An invariant v lies over the isotropic elements (rho(T)
-    fixes it) and solves zeta^E v = G v on every row, so on the isotropic
-    rows: the square kernel over C contains the invariants.  Reduction mod q
-    is a ring map, so rank_q <= rank_C and the ncols - rank_q lifted vectors
-    are at least as many as the invariants; ``_fixed`` proves each of them
-    invariant, and they are independent, so they span the invariants.
+    Bounds (modules with self-dual isotropic subgroups).  The system is
+    eliminated once, mod the first prime q = 1 (mod L) of ``linalg``.
+    Reduction mod q is a ring map, so rank_q <= rank_C, and the invariants,
+    inside the square kernel over C, have dimension at most |iso| - rank_q.
+    The greedy subfamily of the family's 0/1 rows is independent over Q,
+    so over C (``rational_rref`` proves it), and ``_fixed`` proves it
+    invariant: the dimension is at least its size.  When the two bounds
+    meet, the dimension is proven and the family spans the invariants; no
+    vector is lifted and no theorem on the invariants is assumed.
 
-    Termination.  rho(S) = s0 zeta^E is unitary (``weil_relations_report``).
-    If v lies over iso and (rho(S) v)_x = v_x for every isotropic x, then
-    ||rho(S) v|| = ||v|| leaves no room for entries off iso: rho(S) v = v.
-    So the square kernel over C is exactly the invariant space, which has a
-    basis of rational vectors (McGraw, "The rationality of vector valued
-    modular forms associated with the Weil representation", Math. Ann.
-    2003); the RREF of the system is then rational, and a lucky prime lifts
-    it.
+    Lift (no family, or bounds that do not meet).  ``linalg`` eliminates the
+    system mod primes q = 1 (mod L) and accepts a lifted kernel basis only
+    when ``_fixed`` proves every vector invariant.  The ncols - rank_q
+    lifted vectors are then at least as many as the invariants, proven
+    invariant and independent, so they span the invariants.  The family
+    spans when its greedy subfamily is as large as the kernel and proven
+    invariant.  The lift terminates because rho(S) = s0 zeta^E is unitary
+    (``weil_relations_report``): if v lies over iso and (rho(S) v)_x = v_x
+    for every isotropic x, then ||rho(S) v|| = ||v|| leaves no room for
+    entries off iso, so the square kernel over C is exactly the invariant
+    space, which has a basis of rational vectors (McGraw, "The rationality
+    of vector valued modular forms associated with the Weil representation",
+    Math. Ann. 2003); the RREF of the system is then rational, and a lucky
+    prime lifts it.  Only the lift needs McGraw's theorem.
 
     Memory.  The rows E[iso] are built once, at 12 |iso| |D| bytes while
     they are built and 4 after, handed to ``_residues`` and ``_fixed`` and
@@ -364,29 +401,35 @@ def _certificate(m):
     113 MB after; D_{100,1} 6.1 s and 1174 MB before, 2.6 s and 104 MB
     after.
 
-    Returns (iso, kernel basis, family rows, family pivots, spans): the
-    pivots index the greedy independent subfamily of the 0/1 rows of the
-    self-dual isotropic subgroups, and spans says that this subfamily is
-    proven invariant by ``_fixed`` and as large as the kernel, so that the
-    family spans the invariants.
+    Returns (iso, dimension, kernel basis, family rows, family pivots,
+    spans): the kernel basis is None unless the lift ran; the pivots index
+    the greedy independent subfamily of the 0/1 rows of the self-dual
+    isotropic subgroups, and spans says that this subfamily is proven to
+    span the invariants.
     """
     _bound_check(m.size)
     iso = m.isotropic_indices
     _byte_check(len(iso) ** 2, 36, "the fixed-point system")
     rows = _isotropic_block(m)
     fixed = partial(_fixed, m, rows)
-    kernel = _certified(partial(_residues, m, rows), len(iso), fixed, m.level)[2]
     family = isotropic_rows(m, enumerate_self_dual_isotropic(m))
     # the greedy subfamily (each vector kept when it is not in the span of
     # those before it) is the pivot columns of the family written as columns
     pivots = rational_rref([list(col) for col in zip(*family)])[1] if family else []
-    spans = len(pivots) == len(kernel) and fixed([family[c] for c in pivots])
-    return iso, kernel, family, pivots, spans
+    greedy = [family[c] for c in pivots]
+    if family:
+        q = _prime(0, m.level)
+        upper = len(iso) - len(_rref_mod(_residues(m, rows, q), q))
+        if upper == len(pivots) and fixed(greedy):
+            return iso, upper, None, family, pivots, True
+    kernel = _certified(partial(_residues, m, rows), len(iso), fixed, m.level)[2]
+    spans = len(pivots) == len(kernel) and fixed(greedy)
+    return iso, len(kernel), kernel, family, pivots, spans
 
 
 def _invariants(m):
     """(certified basis of the invariants, rank of the self-dual isotropic family)."""
-    iso, kernel, family, pivots, spans = _certificate(m)
+    iso, _, kernel, family, pivots, spans = _certificate(m)
     if family and not spans:
         raise CertificationError("the self-dual isotropic family does not span the invariants")
     basis = []
@@ -416,11 +459,11 @@ def invariant_dimension(m):
 
 def verify_selfdual_span(m):
     """Compare span{v^H : H self-dual isotropic} with the invariant space."""
-    _, kernel, family, pivots, spans = _certificate(m)
+    _, dimension, _, family, pivots, spans = _certificate(m)
     if not family:
         raise ValueError("no self-dual isotropic subgroup; nothing to compare")
     return {
-        "dimension": len(kernel),
+        "dimension": dimension,
         "family_size": len(family),
         "family_rank": len(pivots),
         "span_equal": spans,

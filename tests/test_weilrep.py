@@ -57,6 +57,11 @@ def exponents(m):
     return E
 
 
+def blocks_of(E):
+    """A stand-in for ``W._exponent_block`` that reads its blocks from the table E."""
+    return lambda _, I, J=None: E[I] if J is None else E[np.ix_(I, J)]
+
+
 @lru_cache(maxsize=None)
 def powers_table(L):
     """Row e: the power-basis coordinates of zeta_L^e, 0 <= e < L, as int64.
@@ -84,6 +89,11 @@ def test_table_of_powers_matches_long_division(M):
     for e in range(M):
         assert rows[e] == tuple((j, int(r)) for j, r in enumerate(want[e]) if r)
         assert coordinates(M, root_of_unity(e, M)) == want[e].tolist()
+    # the dense tail that ``W._s_sums`` reads, kept read-only, and its largest entry
+    tail, top = W._tail(M)
+    assert not tail.flags.writeable and tail.dtype == np.int64
+    assert np.array_equal(tail, want[degree(M):])
+    assert top == int(np.abs(want[degree(M):]).max(initial=1))
 
 
 def dense_scalar(m):
@@ -539,24 +549,56 @@ def test_exponents_match_two_matmul_oracle(m):
     assert np.array_equal(block, E)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(SUMS, DOUBLES))
+@example(hyperbolic_pair(6, 2))
+@example(COMPONENTS[6])  # no self-dual isotropic subgroup: the lift alone
+def test_bound_route_matches_lift_oracle(m):
+    # the certified dimension and spans verdict against the lift on its own
+    rows = W._isotropic_block(m)
+    kernel = certified_system(m, partial(W._residues, m, rows))[2]
+    _, dimension, lifted, family, pivots, spans = W._certificate(m)
+    assert dimension == len(kernel)
+    assert spans == (len(pivots) == len(kernel) and W._fixed(m, rows, [family[c] for c in pivots]))
+    assert (lifted is None) == (bool(family) and spans)
+    assert lifted in (None, kernel)
+
+
+@pytest.mark.parametrize("N, Np, want", [(6, 1, 4), (2, 2, 5), (6, 2, 10)])
+def test_bounds_certify_without_the_lift(monkeypatch, N, Np, want):
+    def no_lift(*_):
+        raise AssertionError("the lift ran")
+
+    monkeypatch.setattr(W, "_certified", no_lift)
+    m = hyperbolic_pair(N, Np)
+    assert len(W.invariant_space(m)) == want
+    rep = W.verify_selfdual_span(m)
+    assert rep["dimension"] == rep["family_rank"] == want and rep["span_equal"]
+
+
 def test_invariant_space_methods_agree():
-    # the certified kernel, and for modules with self-dual isotropic
-    # subgroups the v^H it certifies, against the power-basis oracle
+    # the kernel the lift certifies against the power-basis oracle, and for
+    # modules with self-dual isotropic subgroups the v^H that the bounds
+    # certify against that kernel
     for N, Np, want in [(2, 1, 2), (6, 1, 4), (2, 2, 5)]:
         m = hyperbolic_pair(N, Np)
-        iso, kernel, family, pivots, spans = W._certificate(m)
+        kernel = certified_system(m, partial(W._residues, m, W._isotropic_block(m)))[2]
         assert kernel == oracle_invariants(m)
-        assert spans and len(pivots) == want
+        iso, dimension, lifted, family, pivots, spans = W._certificate(m)
+        assert spans and dimension == len(pivots) == want and lifted is None
         got = [[v[g] for g in iso] for v in W.invariant_space(m)]
         assert oracle_rank(got) == oracle_rank(got + kernel) == want
 
 
 def test_bad_prime_is_rejected(monkeypatch):
     # the residues of the first prime keep only their first row, as if the
-    # prime were unlucky: its kernel is too large and fails the exact check,
-    # and the next prime's smaller key restarts the lift
+    # prime were unlucky: the upper bound |iso| - 1 misses the family's
+    # rank, so the lift runs; its first kernel is too large and fails the
+    # exact check, the next prime's smaller key restarts the lift, and the
+    # certificate is the bounds' one with the lifted kernel
     for m in (hyperbolic_pair(6, 1), direct_sum(COMPONENTS[4], negated(COMPONENTS[4]))):
-        want = W._certificate(m)
+        iso, dimension, _, family, pivots, spans = W._certificate(m)
+        kernel = certified_system(m, partial(W._residues, m, W._isotropic_block(m)))[2]
         first = _prime(0, m.level)
         residues, fixed = W._residues, W._fixed
         primes, verdicts = [], []
@@ -575,9 +617,11 @@ def test_bad_prime_is_rejected(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(W, "_residues", corrupted)
             mp.setattr(W, "_fixed", recorded)
-            assert W._certificate(m) == want
-        assert primes == [first, _prime(1, m.level)]
-        assert verdicts[:2] == [False, True]
+            assert W._certificate(m) == (iso, dimension, kernel, family, pivots, spans)
+        assert spans and dimension == len(kernel) == len(pivots)
+        # the bounds' prime, then the lift's two
+        assert primes == [first, first, _prime(1, m.level)]
+        assert verdicts == [False, True, True]
 
 
 # (Z/3)^3 with signatures 6 and 2: the Gauss sum is not real, and each
@@ -715,7 +759,7 @@ def test_relations_report_rejects_a_wrong_table(monkeypatch, block, entries):
     E = exponents(m).copy()
     for i, k in entries:
         E[i, k] = (E[i, k] + 1) % m.level
-    monkeypatch.setattr(W, "_exponent_block", lambda _, I, J: E[np.ix_(I, J)])
+    monkeypatch.setattr(W, "_exponent_block", blocks_of(E))
     monkeypatch.setattr(W, "_BLOCK", block)
     rep = W.weil_relations_report(m)
     assert rep == column_relations(m)
@@ -850,7 +894,7 @@ def test_relations_report_fails_a_broken_premise(monkeypatch, m, case):
     if case == "generator column":
         E[:, g] = (E[:, g] + 1) % L
         E[g] = E[:, g]
-        monkeypatch.setattr(W, "_exponent_block", lambda _, I, J: E[np.ix_(I, J)])
+        monkeypatch.setattr(W, "_exponent_block", blocks_of(E))
     else:
         if case == "q negated":
             q = -q % L
@@ -898,7 +942,7 @@ def test_relations_report_needs_a_bilinear_table(monkeypatch, N, twist):
     want[m.indices_of(-m.coords), np.arange(m.size), 0] = m.size
     assert not np.array_equal(table_square(E, m.level), want)
     assert np.array_equal(table_square(exponents(m), m.level), want)
-    monkeypatch.setattr(W, "_exponent_block", lambda _, I, J: E[np.ix_(I, J)])
+    monkeypatch.setattr(W, "_exponent_block", blocks_of(E))
     rep = W.weil_relations_report(m)
     assert not rep["s2_is_negation"] and not rep["s4"] and not rep["st3"] and not rep["s_unitary"]
 
@@ -962,6 +1006,25 @@ def test_byte_budget_refuses_before_allocating(monkeypatch):
         W.weil_relations_report(m)
     monkeypatch.setattr(subgroups, "BYTE_BUDGET", 2**31)
     assert W.weil_relations_report(m)["st3"]
+
+
+def test_relations_report_charges_its_closed_forms(monkeypatch):
+    from discweil import subgroups
+
+    # Z/1009 with Q = x^2/1009: L*Q takes 505 values (0 and the squares),
+    # so the closed forms G zeta^-t are 505 rows of phi(L) = 1008 int64,
+    # charged before any is built; the blocks and sums of the report are
+    # smaller
+    m = FqModule((1009,), [F(1, 1009)], [[F(2, 1009)]])
+    assert len(set(m.q_ints.tolist())) == 505
+    charge = 505 * 1008 * 8
+    monkeypatch.setattr(subgroups, "BYTE_BUDGET", charge - 1)
+    monkeypatch.setattr(W, "from_powers", None)
+    with pytest.raises(EnumerationBoundError, match="closed forms"):
+        W.weil_relations_report(m)
+    monkeypatch.undo()
+    monkeypatch.setattr(subgroups, "BYTE_BUDGET", charge)
+    assert W.weil_relations_report(m) == RELATIONS_HOLD
 
 
 def test_s_sums_refuses_int32_overflow():
