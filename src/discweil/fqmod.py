@@ -15,7 +15,9 @@ Each is an int64 product reduced mod L once; an entry sums coordinates
 x_j < d_j times residues below L, at most (L - 1) sum_j (d_j - 1).  A module
 for which that reaches 2^63, or of level above 2^31 (exponents past int32),
 or whose tables are over the byte budget is refused before any is built.
-``indices_of`` maps coordinate rows back to indices.
+``indices_of`` maps coordinate rows back to indices.  An index set can also
+be held as a bitset, a Python int with bit i for index i; ``translate`` moves
+one by an element, a rotation within each digit of the mixed radix.
 """
 
 import json
@@ -133,6 +135,40 @@ class FqModule:
     def indices_of(self, rows):
         """Indices of coordinate rows (any int array, last axis the coordinates)."""
         return np.asarray(rows) % self._radix @ self._strides
+
+    @cached_property
+    def _rotations(self):
+        """Per generator j: d_j, its place value s_j, the repunit of its blocks and its low masks.
+
+        The repunit sets bit 0 of every block of d_j s_j indices; the low
+        mask of t, built on first use, sets the first (d_j - t) s_j bits of
+        every block.  Together they take sum_j d_j ints of |D| bits, in
+        CPython's 30-bit digits, charged on the byte budget here before any
+        is built.
+        """
+        _byte_check(sum(self.orders), 4 * (self.size // 30) + 64, "the rotation masks")
+        n = self.size
+        return [
+            (d, s, ((1 << n) - 1) // ((1 << d * s) - 1), [0] * d)
+            for d, s in zip(self.orders, self._strides.tolist())
+        ]
+
+    def translate(self, bits, x):
+        """The bitset of H + x, for the bitset of an index set H and reduced coordinates x.
+
+        Bit i of ``bits`` stands for index i.  Adding t to coordinate j
+        rotates digit j of every index: the indices whose j-th coordinate is
+        below d_j - t (the low mask of t) move up by t s_j, the others down
+        by (d_j - t) s_j.
+        """
+        for t, (d, s, rep, lows) in zip(x, self._rotations):
+            if t:
+                low = lows[t]
+                if not low:
+                    low = lows[t] = (rep << (d - t) * s) - rep
+                a = bits & low
+                bits = a << t * s | (bits ^ a) >> (d - t) * s
+        return bits
 
     @cached_property
     def _gram(self):

@@ -143,8 +143,10 @@ def _certified(residues, ncols, exact, step=1):
     """(rref, pivots, kernel basis) of the matrix with residues(q) mod q, proven as the module says.
 
     ``residues(q)`` is a fresh int64 array with entries in [0, q), for the
-    primes q = 1 (mod step); ``exact(kernel)`` is true only when every vector
-    of the primitive integer kernel basis is an exact solution.
+    primes q = 1 (mod step): the matrix mod q, or any array row-equivalent
+    to it mod q, such as its RREF, as both have the same RREF.
+    ``exact(kernel)`` is true only when every vector of the primitive
+    integer kernel basis is an exact solution.
     """
     best = None
     for i in count():

@@ -2,9 +2,11 @@
 
 Subgroups are stored by their full element-index set; equality and hashing
 use that canonical set, so no normal-form theory is needed at these sizes.
-Index sets are closed by one sumset helper, {x + y : x in A, y in B}, on the
-module's element table: a span, the join <H, x> and the sum of subgroups of
-coprime orders are all sumsets.  The zero element has index 0.
+The zero element has index 0.  While a set is built it is held as a bitset,
+the Python int with bit i for index i, and closed by one join: <H, x> by
+doubling, cur |= cur + 2^i x, where each translation by an element rotates
+the digits of the mixed radix (``FqModule.translate``).  A span, a step of
+the walk and the sum of subgroups of coprime orders are all such joins.
 Enumeration splits into p-primary parts first (the subgroup lattice of a
 finite abelian group is the product of its p-primary lattices).  Each part's
 lattice is walked along its cover relation: every subgroup of a finite
@@ -17,8 +19,8 @@ subgroups and the isotropic and self-dual isotropic ones.
 import os
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from math import gcd, isqrt, lcm
+from functools import cached_property, partial
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -114,51 +116,70 @@ class Subgroup:
         return "Subgroup(order=%d, gens=%r)" % (self.order, self.gen_tuples())
 
 
-def element_order(m, x):
-    return lcm(*[d // gcd(d, int(c)) for c, d in zip(x, m.orders)])
+def _pack(flags):
+    """|D| booleans in index order as a bitset: the int with bit i set when flag i is."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
-def _array(s):
-    """An index collection (a set or a sequence) as an int64 array."""
-    return np.fromiter(s, np.int64, len(s))
+def _unpack(m, bits):
+    """A bitset as |D| booleans in index order."""
+    raw = np.frombuffer(bits.to_bytes(-(-m.size // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=m.size, bitorder="little").view(bool)
 
 
-def _sumset(m, a, b):
-    """Index set {x + y : x in A, y in B} for index arrays A and B."""
-    X = m.coords
-    return frozenset(m.indices_of(X[a][:, None] + X[b]).ravel().tolist())
+def _bits(m, indices):
+    """An index collection as a bitset."""
+    flags = np.zeros(m.size, dtype=bool)
+    flags[list(indices)] = True
+    return _pack(flags)
 
 
-def _steps(m, h, x):
-    """Indices of 0, x, ..., (r-1)x, r > 0 least with rx in the index array H.
+def _index_set(m, bits):
+    """The indices of a bitset, as a frozenset."""
+    return frozenset(np.flatnonzero(_unpack(m, bits)).tolist())
 
-    These are coset representatives of H in <H, x>: <H, x> is the sumset of
-    H and the steps, with no sum repeated.
+
+def _span(m, h, gens, order):
+    """The bitset of <H, gens>, for the bitset of a subgroup H and reduced generators.
+
+    ``order`` is a multiple of the order r of each generator x mod the span
+    before it.  Doubling keeps cur = H + {0, x, ..., (2^i - 1) x}:
+    cur |= cur + 2^i x.  It is <H, x> once 2^i >= r, and as soon as a step
+    adds nothing (cur is then closed under x), so a join of order r costs
+    about log2 r translations.
     """
-    mult = m.indices_of(np.arange(element_order(m, x) + 1)[:, None] * np.asarray(x))
-    in_h = np.zeros(m.size, dtype=bool)
-    in_h[h] = True
-    return mult[: 1 + int(np.argmax(in_h[mult[1:]]))]
+    for x in gens:
+        n = 1
+        while True:
+            step = h | m.translate(h, x)
+            n *= 2
+            if step == h or n >= order:
+                break
+            h, x = step, tuple(2 * c % d for c, d in zip(x, m.orders))
+        h = step
+    return h
 
 
 def span_indices(m, gen_tuples):
-    """Index set of the subgroup generated by the given element tuples."""
-    cur = np.zeros(1, dtype=np.int64)
-    for g in gen_tuples:
-        cur = _array(_sumset(m, cur, _steps(m, cur, g)))
-    return frozenset(cur.tolist())
+    """Index set of the subgroup generated by the given element tuples.
+
+    The span grows from {0} on a bitset by one doubling join per generator,
+    about log2 of the generator's order translations each.
+    """
+    gens = [tuple(int(c) % d for c, d in zip(g, m.orders)) for g in gen_tuples]
+    return _index_set(m, _span(m, 1, gens, lcm(*m.orders)))
 
 
 def _greedy_gens(m, indices):
     """A short generating list for an index set, smallest indices first."""
-    have = frozenset({0})
+    target, have, exponent = _bits(m, indices), 1, lcm(*m.orders)
     gens = []
     for i in sorted(indices):
-        if i in have:
+        if have >> i & 1:
             continue
         gens.append(m.element_at(i))
-        have = span_indices(m, gens)
-        if have == indices:
+        have = _span(m, have, gens[-1:], exponent)
+        if have == target:
             break
     return gens
 
@@ -188,41 +209,36 @@ def _subgroup_sets_of_subset(m, members, p):
     """All subgroup index sets inside the index set ``members``.
 
     ``members`` is the p-part of D, or its isotropic elements.  The search
-    walks the cover relation of the p-part's subgroup lattice: from each
-    found H it tries only the members x outside H with p*x in H, and the
-    join <H, x> is the sumset of H and {0, x, ..., (p-1)x}, of index p over
-    H.  Every y in <H, x> outside H gives the same join, so those are marked
-    done and each index-p supergroup of H is built once.  Nothing is missed:
-    when H' contains H properly, H'/H has an element of order p, and so a
-    step of index p leads from H towards H'.
+    walks the cover relation of the p-part's subgroup lattice on bitsets:
+    from each found H it tries only the members x outside H with p*x in H,
+    and the join <H, x>, of index p over H, closes by doubling in about
+    log2 p translations.  Every y in <H, x> outside H gives the same join,
+    so those are marked done and each index-p supergroup of H is built
+    once.  Nothing is missed: when H' contains H properly, H'/H has an
+    element of order p, and so a step of index p leads from H towards H'.
 
     A member x joins H only when g + x stays a member for every generator g
     of H: in a subgroup that always holds, and for isotropic g and x,
     Q(g + x) = B(g, x), so <H, x> stays isotropic.  Each group carries the
-    members that may join it, filtered as its generators grow.
+    members that may join it, filtered as its generators grow: the members
+    c with c + x a member are the bitset cand & (members - x).
     """
-    inside = np.zeros(m.size, dtype=bool)
-    inside[_array(members)] = True
+    inside = _bits(m, members)
     X = m.coords
-    multiples = np.arange(p)[:, None]
-    zero = frozenset({0})
-    seen = {zero}
-    queue = [(zero, np.flatnonzero(inside))]
+    times_p = m.indices_of(p * X)
+    seen = {1}
+    queue = [(1, inside)]
     while queue:
         h, cand = queue.pop()
-        ha = _array(h)
-        in_h = np.zeros(m.size, dtype=bool)
-        in_h[ha] = True
-        done = in_h.copy()
-        for i in cand[in_h[m.indices_of(p * X[cand])]].tolist():
-            if done[i]:
-                continue
-            hx = _sumset(m, ha, m.indices_of(multiples * X[i]))
-            done[_array(hx)] = True
+        todo = cand & _pack(_unpack(m, h)[times_p]) & ~h
+        while todo:
+            x = X[(todo & -todo).bit_length() - 1].tolist()
+            hx = _span(m, h, [x], p)
+            todo &= ~hx
             if hx not in seen:
                 seen.add(hx)
-                queue.append((hx, cand[inside[m.indices_of(X[cand] + X[i])]]))
-    return seen
+                queue.append((hx, cand & m.translate(inside, m.neg(x))))
+    return {_index_set(m, b) for b in seen}
 
 
 def _p_primary_index_sets(m):
@@ -251,8 +267,12 @@ def _enumerate(m, isotropic=False, self_dual=False):
     combined = [frozenset({0})]
     for p, part in sorted(_p_primary_index_sets(m).items()):
         sets = _subgroup_sets_of_subset(m, part & iso if isotropic else part, p)
-        psets = [_array(b) for b in sets if not self_dual or len(b) ** 2 == len(part)]
-        combined = [_sumset(m, a, b) for a in map(_array, combined) for b in psets]
+        psets = [b for b in sets if not self_dual or len(b) ** 2 == len(part)]
+        if combined == [frozenset({0})]:  # the first part: its sets as they are
+            combined = psets
+            continue
+        gens, exponent = [_greedy_gens(m, b) for b in psets], lcm(*m.orders)
+        combined = [_index_set(m, _span(m, a, g, exponent)) for a in map(partial(_bits, m), combined) for g in gens]
     uniq = sorted(set(combined), key=lambda s: (len(s), sorted(s)))
     return [Subgroup(m, s) for s in uniq]
 

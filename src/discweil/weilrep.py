@@ -373,10 +373,11 @@ def _certificate(m):
     vector is lifted and no theorem on the invariants is assumed.
 
     Lift (no family, or bounds that do not meet).  ``linalg`` eliminates the
-    system mod primes q = 1 (mod L) and accepts a lifted kernel basis only
-    when ``_fixed`` proves every vector invariant.  The ncols - rank_q
-    lifted vectors are then at least as many as the invariants, proven
-    invariant and independent, so they span the invariants.  The family
+    system mod primes q = 1 (mod L), starting from the bounds' elimination
+    when they ran, and accepts a lifted kernel basis only when ``_fixed``
+    proves every vector invariant.  The ncols - rank_q lifted vectors are
+    then at least as many as the invariants, proven invariant and
+    independent, so they span the invariants.  The family
     spans when its greedy subfamily is as large as the kernel and proven
     invariant.  The lift terminates because rho(S) = s0 zeta^E is unitary
     (``weil_relations_report``): if v lies over iso and (rho(S) v)_x = v_x
@@ -417,12 +418,20 @@ def _certificate(m):
     # those before it) is the pivot columns of the family written as columns
     pivots = rational_rref([list(col) for col in zip(*family)])[1] if family else []
     greedy = [family[c] for c in pivots]
+    reduced = {}
     if family:
         q = _prime(0, m.level)
-        upper = len(iso) - len(_rref_mod(_residues(m, rows, q), q))
-        if upper == len(pivots) and fixed(greedy):
-            return iso, upper, None, family, pivots, True
-    kernel = _certified(partial(_residues, m, rows), len(iso), fixed, m.level)[2]
+        reduced[q] = _residues(m, rows, q)
+        upper = len(iso) - len(_rref_mod(reduced[q], q))
+        if upper == len(pivots):
+            reduced.clear()  # freed before the sums of ``_fixed`` are counted
+            if fixed(greedy):
+                return iso, upper, None, family, pivots, True
+    # when the bounds miss, the lift starts at their prime from their RREF,
+    # which its own elimination leaves as it is
+    kernel = _certified(
+        lambda p: reduced.pop(p) if p in reduced else _residues(m, rows, p), len(iso), fixed, m.level
+    )[2]
     spans = len(pivots) == len(kernel) and fixed(greedy)
     return iso, len(kernel), kernel, family, pivots, spans
 

@@ -1,5 +1,8 @@
+import tracemalloc
+from fractions import Fraction as F
 from functools import reduce
 from itertools import product
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -12,14 +15,15 @@ from discweil.fqmod import FqModule, direct_sum, hyperbolic, hyperbolic_pair
 from discweil.subgroups import (
     EnumerationBoundError,
     Subgroup,
-    _array,
-    _steps,
-    _sumset,
+    _greedy_gens,
+    _pack,
+    _unpack,
     classify,
     complement,
     enumerate_isotropic_subgroups,
     enumerate_self_dual_isotropic,
     enumerate_subgroups,
+    span_indices,
 )
 
 
@@ -41,6 +45,30 @@ def closure(m, gens):
                 seen.add(y)
                 todo.append(y)
     return frozenset(m.index(x) for x in seen)
+
+
+def _array(s):
+    """An index collection (a set or a sequence) as an int64 array."""
+    return np.fromiter(s, np.int64, len(s))
+
+
+def _sumset(m, a, b):
+    """Test oracle: the index set {x + y : x in A, y in B} for index arrays A and B."""
+    X = m.coords
+    return frozenset(m.indices_of(X[a][:, None] + X[b]).ravel().tolist())
+
+
+def _steps(m, h, x):
+    """Indices of 0, x, ..., (r-1)x, r > 0 least with rx in the index array H.
+
+    These are coset representatives of H in <H, x>: <H, x> is the sumset of
+    H and the steps, with no sum repeated.
+    """
+    order = lcm(*[d // gcd(d, int(c)) for c, d in zip(x, m.orders)])
+    mult = m.indices_of(np.arange(order + 1)[:, None] * np.asarray(x))
+    in_h = np.zeros(m.size, dtype=bool)
+    in_h[h] = True
+    return mult[: 1 + int(np.argmax(in_h[mult[1:]]))]
 
 
 def join_every_member(m, members):
@@ -218,10 +246,46 @@ def test_isotropic_enumerations_are_filters(m):
         assert len(sd) == 4  # sigma0(6)
 
 
+# Z/12 + Z/6 with Q = x^2/24 + y^2/12: its 2-part Z/4 + Z/2 mixes exponents
+MIXED = direct_sum(FqModule((12,), [F(1, 24)], [[F(1, 12)]]), FqModule((6,), [F(1, 12)], [[F(1, 6)]]))
+
+
+@settings(max_examples=40)
+@given(st.one_of(DIRECT_SUMS, CHANGED_PAIRS), st.integers(0, 2**16))
+@example(hyperbolic_pair(6, 1), 0)
+@example(MIXED, 0)
+def test_translate_matches_indices_of(m, seed):
+    # orders 6 and 12 are no prime powers: the rotations of one digit then
+    # move whole blocks of the digits after it
+    rng = np.random.default_rng(seed)
+    flags = rng.random(m.size) < 0.5
+    x = m.coords[rng.integers(m.size)]
+    want = np.zeros(m.size, dtype=bool)
+    want[m.indices_of(m.coords[flags] + x)] = True
+    assert (_unpack(m, m.translate(_pack(flags), x.tolist())) == want).all()
+
+
+@settings(max_examples=40)
+@given(st.one_of(DIRECT_SUMS, CHANGED_PAIRS), st.integers(0, 2**16))
+@example(direct_sum(COMPONENTS[4], negated(COMPONENTS[4])), 0)
+@example(MIXED, 0)
+def test_span_indices_matches_closure(m, seed):
+    rng = np.random.default_rng(seed)
+    gens = [m.element_at(int(i)) for i in rng.integers(m.size, size=rng.integers(4))]
+    h = span_indices(m, gens)
+    assert h == closure(m, gens)
+    # the greedy generators span the same set, and each one is needed
+    greedy = _greedy_gens(m, h)
+    assert span_indices(m, greedy) == h
+    assert all(span_indices(m, greedy[:k]) != h for k in range(len(greedy)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(DIRECT_SUMS, CHANGED_PAIRS).filter(lambda m: m.size <= 144))
 @example(hyperbolic_pair(4, 2))
 @example(hyperbolic_pair(3, 3))
+@example(direct_sum(COMPONENTS[4], negated(COMPONENTS[4])))  # p = 7: doubling past 2^2
+@example(MIXED)
 def test_index_p_walk_matches_join_every_member(m):
     got = [[h.indices for h in enum(m)] for enum in ENUMERATIONS]
     with pytest.MonkeyPatch.context() as mp:
@@ -252,3 +316,26 @@ def test_subgroup_counts(m, count):
     subs = enumerate_subgroups(m)
     assert len(subs) == count
     assert len({h.indices for h in subs}) == count
+
+
+def test_rotation_masks_are_charged_before_they_are_built(monkeypatch):
+    # (Z/97)^2: per digit a repunit and 96 masks of up to |D| = 9409 bits,
+    # charged 4 bytes per 30 bits and 64 for the int's header and its slot.
+    # One byte under the charge the walk is refused with no mask built; at
+    # the charge it runs, and every mask the module can need stays within it.
+    charge = 2 * 97 * (4 * (97**2 // 30) + 64)
+    m, fresh, full = hyperbolic(97), hyperbolic(97), (1 << 97**2) - 1
+    monkeypatch.setattr(subgroups, "BYTE_BUDGET", charge - 1)
+    with pytest.raises(EnumerationBoundError, match="rotation masks"):
+        enumerate_subgroups(m)
+    assert "_rotations" not in m.__dict__
+    monkeypatch.setattr(subgroups, "BYTE_BUDGET", charge)
+    assert len(enumerate_subgroups(m)) == 97 + 3
+    tracemalloc.start()
+    try:
+        for j, t in product(range(2), range(1, 97)):
+            fresh.translate(full, (t, 0) if j == 0 else (0, t))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= charge

@@ -593,9 +593,10 @@ def test_invariant_space_methods_agree():
 def test_bad_prime_is_rejected(monkeypatch):
     # the residues of the first prime keep only their first row, as if the
     # prime were unlucky: the upper bound |iso| - 1 misses the family's
-    # rank, so the lift runs; its first kernel is too large and fails the
-    # exact check, the next prime's smaller key restarts the lift, and the
-    # certificate is the bounds' one with the lifted kernel
+    # rank, so the lift runs, starting from the RREF the bounds made; its
+    # first kernel is too large and fails the exact check, the next prime's
+    # smaller key restarts the lift, and the certificate is the bounds' one
+    # with the lifted kernel
     for m in (hyperbolic_pair(6, 1), direct_sum(COMPONENTS[4], negated(COMPONENTS[4]))):
         iso, dimension, _, family, pivots, spans = W._certificate(m)
         kernel = certified_system(m, partial(W._residues, m, W._isotropic_block(m)))[2]
@@ -619,8 +620,8 @@ def test_bad_prime_is_rejected(monkeypatch):
             mp.setattr(W, "_fixed", recorded)
             assert W._certificate(m) == (iso, dimension, kernel, family, pivots, spans)
         assert spans and dimension == len(kernel) == len(pivots)
-        # the bounds' prime, then the lift's two
-        assert primes == [first, first, _prime(1, m.level)]
+        # the bounds' prime, reduced once for both routes, then the lift's second
+        assert primes == [first, _prime(1, m.level)]
         assert verdicts == [False, True, True]
 
 
