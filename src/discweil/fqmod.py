@@ -125,6 +125,15 @@ class FqModule:
         return d
 
     @cached_property
+    def _cofactors(self):
+        """{p: (d_j / p^e_j)_j, p^e_j the p-part of d_j}, p the primes dividing |D| in order."""
+        out = {}
+        for j, d in enumerate(self.orders):
+            for p, e in factorize(d):
+                out.setdefault(p, list(self.orders))[j] = d // p**e
+        return {p: tuple(out[p]) for p in sorted(out)}
+
+    @cached_property
     def coords(self):
         """All elements as rows of an int64 array, in index order."""
         idx = np.arange(self.size, dtype=np.int64)[:, None]
@@ -281,7 +290,8 @@ class FqModule:
 
     def gauss_sum(self):
         """Sum of e(Q(x)) over D, exact, at conductor the level (it lives there)."""
-        return from_powers(self.level, q_histogram(self))
+        hist = np.bincount(self.q_ints, minlength=self.level)  # L*Q(x) -> number of x
+        return from_powers(self.level, {int(e): int(hist[e]) for e in np.flatnonzero(hist)})
 
     def signature_mod8(self):
         """The s in Z/8 with gauss sum = sqrt(|D|) e(s/8) (exact identification).
@@ -364,12 +374,6 @@ def presentation_from_json(obj):
     return out
 
 
-def q_histogram(m):
-    """{L*Q(x): number of x with that value}, over the nonzero counts."""
-    hist = np.bincount(m.q_ints, minlength=m.level)
-    return {int(e): int(hist[e]) for e in np.flatnonzero(hist)}
-
-
 def _sqrt_squarefree(m):
     """The positive square root of a squarefree m >= 1 as a cyclotomic number.
 
@@ -431,29 +435,14 @@ def p_primary_decomposition(m):
     embedding[j] is the element of m realizing the component's j-th generator.
     The components are mutually orthogonal and their sizes multiply to |D|.
     """
-    primes = sorted({p for d in m.orders for p, _ in factorize(d)})
     out = []
-    for p in primes:
-        gens = []
-        for i, d in enumerate(m.orders):
-            e = 0
-            dd = d
-            while dd % p == 0:
-                dd //= p
-                e += 1
-            if e == 0:
-                continue
-            # the p-part of Z/d is generated by (d / p^e) * g_i
-            x = [0] * len(m.orders)
-            x[i] = d // p**e
-            gens.append((p**e, tuple(x)))
-        if not gens:
-            continue
-        orders = [o for o, _ in gens]
-        qs = [m.q_value(x) for _, x in gens]
-        bs = [[m.b_value(x, y) for _, y in gens] for _, x in gens]
-        comp = FqModule(orders, qs, bs)
-        out.append((p, comp, [x for _, x in gens]))
+    strides = m._strides.tolist()
+    for p, cofactors in m._cofactors.items():
+        # the p-part of Z/d_i is generated by c_i g_i (index c_i s_i), of order d_i / c_i
+        parts = [(d // c, c * s) for d, c, s in zip(m.orders, cofactors, strides) if c < d]
+        emb = [m.element_at(i) for _, i in parts]
+        qs, bs = [m.q_value(x) for x in emb], [[m.b_value(x, y) for y in emb] for x in emb]
+        out.append((p, FqModule([o for o, _ in parts], qs, bs), emb))
     if not out:
         # trivial module
         out.append((1, m, []))

@@ -17,14 +17,11 @@ subgroups and the isotropic and self-dual isotropic ones.
 """
 
 import os
-import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import isqrt, lcm
 
 import numpy as np
-
-from .arith import factorize
 
 DEFAULT_BOUND = 10**4
 # Bytes one dense table may take.  Tables too large for it are refused
@@ -187,7 +184,7 @@ def _greedy_gens(m, indices):
 def _bound_check(size):
     """Refuse |D| = ``size`` over WEILREP_MAX_D, else over DEFAULT_BOUND."""
     env = os.environ.get("WEILREP_MAX_D")
-    if env and not re.fullmatch("[0-9]+", env):
+    if env and not (env.isascii() and env.isdigit()):
         raise ValueError("WEILREP_MAX_D must be a plain decimal integer >= 0, not %r" % env)
     bound = int(env) if env else DEFAULT_BOUND
     if size > bound:
@@ -246,12 +243,10 @@ def _p_primary_index_sets(m):
 
     The p-part of Z/d is the multiples of d / p^e, p^e the p-part of d.
     """
-    primes = sorted({p for d in m.orders for p, _ in factorize(d)})
-    out = {}
-    for p in primes:
-        step = np.array([d // p ** dict(factorize(d)).get(p, 0) for d in m.orders])
-        out[p] = frozenset(np.flatnonzero((m.coords % step == 0).all(axis=1)).tolist())
-    return out
+    return {
+        p: frozenset(np.flatnonzero((m.coords % np.array(step) == 0).all(axis=1)).tolist())
+        for p, step in m._cofactors.items()
+    }
 
 
 def _enumerate(m, isotropic=False, self_dual=False):

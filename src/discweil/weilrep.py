@@ -9,14 +9,13 @@ counts the exponents, each already in [0, L), with ``np.bincount`` into the
 level's L bins, in blocks that count at least as many indices as they have
 bins, and reduces the bins to power-basis coordinates at the radical of L
 by the tail of cyclo's sparse table of the powers of its root of unity.
-The v^H check, the invariant certificate and the relations report go
-through it, a block at a time, and compare exact integer arrays, for
-modules of any signature.  ``weil_relations_report`` proves the
-relations from the structure of the tables, checked on the generators in
-O(|D|^2 r): E is symmetric and additive, and L*Q refines it.  These reduce
-S^2 and STS = T^-1 S T^-1 (equivalent to (ST)^3 = S^2) to one column of
-zeta^E each, compared with |D| e_0 and with the Gauss sum times roots of
-unity; unitarity then follows from S^2.
+The v^H check and the invariant certificate go through it, a block at a
+time, and compare exact integer arrays, for modules of any signature.
+``weil_relations_report`` sums no root of unity: it proves the relations
+from the integer tables alone, checked on the generators in O(|D|^2 r).  E
+is symmetric and additive, L*Q is an even refinement of it, and row 0 is
+its only zero row (non-degeneracy); character orthogonality and the
+translation invariance of the Gauss sum do the rest.
 The integer tables are the module's element and pairing tables
 (coordinates, L*Q, L*B on the generators) and the blocks E[I, J] of the
 exponent table that ``_exponent_block`` builds on demand, each held behind
@@ -42,8 +41,7 @@ from math import prod
 import numpy as np
 
 from .arith import factorize, primitive_root
-from .cyclo import _powers, coordinates, degree, from_powers
-from .fqmod import q_histogram
+from .cyclo import _powers, coordinates, degree
 from .linalg import _certified, _prime, _rref_mod, rational_rref
 from .subgroups import (
     EnumerationBoundError,
@@ -119,8 +117,8 @@ def _s_sums(E, L, V):
     """zeta^E on b integer vectors: sum_k V[k, c] zeta_L^E[k, i].
 
     E is an int32 block E[K, J] of the exponent table of a module of level
-    L, or any int32 array of exponents in [0, L), and V an integer array of
-    shape (|K|, b), entries of any size: vector c is V[k, c] at row k of E.
+    L, and V an integer array of shape (|K|, b), entries of any size: vector
+    c is V[k, c] at row k of E.
     Returns the (|J|, b, phi(L)) power-basis coordinates, in int64 when no
     sum can reach 2^63 and in Python ints (an object array) otherwise.  As
     E is symmetric, these are the entries J of zeta^E v_c when K holds the
@@ -201,49 +199,44 @@ def _s_sums(E, L, V):
 
 
 def weil_relations_report(m):
-    """Exact proof of the defining relations and unitarity, any signature.
+    """Exact proof of the defining relations and unitarity, from integer tables.
 
-    rho(S) = s0 zeta^E and rho(T) = diag(zeta^q), q = L*Q, with s0 = conj(G)/|D|,
-    G the Gauss sum and G conj(G) = |D| (``signature_mod8`` proves it
-    exactly).  The relations follow from three premises, each checked exactly
-    on the tables E and q with the generators g_j and the shifts x + g_j:
+    rho(S) = s0 zeta^E and rho(T) = diag(zeta^q), q = L*Q, with s0 = conj(G)/|D|
+    and G = sum_k zeta^q[k] the Gauss sum.  Three premises are checked
+    exactly on the tables E and q, with the generators g_j and the shifts
+    x + g_j:
 
-    - additivity: E[x, y + g_j] = E[x, y] + E[x, g_j] mod L for every x, y
-      and j.  At y = 0 this gives E[x, 0] = 0, and by induction on the
-      length of a word in the generators E[x, y] = sum_i y_i E[x, g_i] for
-      y = sum_i y_i g_i: every row is a character;
-    - symmetry: E[x, g_j] = E[g_j, x] for every x and j.  With additivity
-      this is E = E^t, as then E[x, y] = sum_i y_i E[g_i, x] =
-      sum_i,k y_i x_k E[g_i, g_k] and E[g_i, g_k] = E[g_k, g_i]: every
-      column is a character too;
-    - quadratic refinement: q[x + g_j] = q[x] + q[g_j] - E[x, g_j] mod L for
-      every x and j.  At x = 0 this gives q[0] = E[0, g_j] = 0, and by the
-      same induction q[x + y] = q[x] + q[y] - E[x, y] for all x, y.
+    - additivity: E[x, y + g_j] = E[x, y] + E[x, g_j] mod L for all x, y, j.
+      By induction on words in the generators, every row is a character;
+    - symmetry: E[x, g_j] = E[g_j, x] for all x, j.  With additivity, E = E^t;
+    - refinement: q[x + g_j] = q[x] + q[g_j] - E[x, g_j] mod L for all x, j.
+      By the same induction, q[x + y] = q[x] + q[y] - E[x, y] for all x, y.
 
-    With s = x_i + x_c, each relation is then one column of zeta^E, whose
-    entry s is the sum of row s, compared exactly with its closed form:
+    With s = x_i + x_c, each relation is then one identity for each s:
 
-    - (zeta^E)^2 [i, c] = sum_k zeta^(E[s, k]) = (zeta^E 1)[s], so
-      rho(S)^2 = e(-sig/4) P_neg, P_neg the negation, exactly when
-      zeta^E 1 = |D| e_0;
+    - (zeta^E)^2 [i, c] = sum_k zeta^E[s, k] is |D| when row s is zero and 0
+      otherwise (row s is a character).  So rho(S)^2 = e(-sig/4) P_neg, P_neg
+      the negation, exactly when row 0 is the only zero row: E is
+      non-degenerate, and then s0 G = |G|^2 / |D| = 1;
     - rho(S)^4 is then e(-sig/2), the identity exactly for even signature;
-    - (ST)^3 = S^2 exactly when STS = T^-1 S T^-1 (S and T are invertible),
-      that is, as s0 G = 1, when zeta^E T zeta^E = G T^-1 zeta^E T^-1.  Entry
-      (i, c) of the left side is sum_k zeta^(E[s, k] + q[k]) =
-      (zeta^E zeta^q)[s], and of the right side G zeta^(E[i, c] - q[i] - q[c])
-      = G zeta^(-q[s]): the relation holds exactly when
-      zeta^E zeta^q = G zeta^-q;
+    - st3 is zeta^E T zeta^E = G T^-1 zeta^E T^-1, which is STS = T^-1 S T^-1,
+      that is (ST)^3 = S^2, when s0 G = 1.  Entry (i, c) of the left side is
+      sum_k zeta^(E[s, k] + q[k]) = G zeta^(q[s] + E[s, s]), as k -> k - s
+      permutes D and E[s, k] + q[k] = q[k - s] + q[s] + E[s, s] by
+      refinement; of the right side it is G zeta^-q[s].  So st3 holds exactly
+      when q is even, 2 q[x] + E[x, x] = 0, a form additive in x that is
+      4 q[g_j] - q[2 g_j] at a generator; or when G = 0, that is when q is
+      not zero on the radical of E (|G|^2 is |D| times the sum of zeta^-q
+      over the radical, on which q is a character);
     - rho(S) is unitary once S^2 holds: additivity gives E[:, -c] = -E[:, c],
-      so with symmetry conj(zeta^E)^t = zeta^E P_neg, and zeta^E conj(zeta^E)^t
-      = (zeta^E)^2 P_neg = |D| P_neg^2 = |D| I.
+      so conj(zeta^E)^t = zeta^E P_neg and zeta^E conj(zeta^E)^t = |D| I.
 
     A flag is True only when it is proven, so a failed premise makes every
-    flag that rests on it False.  The premises cost O(|D|^2 r), r the number
-    of generators, and the two columns O(|D|^2).  Each block of rows E[K] of
-    about ``_BLOCK`` entries is built once, compared with itself for
-    additivity and refinement and with the block E[gens, K] for symmetry,
-    and summed, beside its shift (E[K]^t + q) mod L in one ``_s_sums``
-    call, for rows K of both columns, then dropped.
+    flag that rests on it False.  Each block of rows E[K] of about
+    ``_BLOCK`` entries is built once, checked for additivity, refinement and
+    zero rows, and against E[gens, K] for symmetry, then dropped: O(|D|^2 r)
+    for r generators.  No root of unity is summed, but for the Gauss sum of
+    ``signature_mod8`` behind s4.
     """
     L, n = m.level, m.size
     q = m.q_ints
@@ -252,19 +245,9 @@ def weil_relations_report(m):
     gens = m.indices_of(step)
     shift = m.indices_of(X[:, None, :] + step)  # shift[x, j]: the index of x + g_j
     every = np.arange(n)
-    # G zeta^-t, the closed form of (zeta^E zeta^q)[s] at t = q[s], for each
-    # value t of q: the histogram of the Gauss sum G rotated by t, reduced by
-    # cyclo and not by ``_s_sums``, which it checks
-    hist = q_histogram(m)
-    values = np.fromiter(hist, dtype=np.int64, count=len(hist))  # increasing
-    _byte_check(len(values) * degree(L), 8, "the closed forms of the Weil relations")
-    closed = np.array(
-        [coordinates(L, from_powers(L, {(e - t) % L: c for e, c in hist.items()})) for t in hist],
-        dtype=np.int64,
-    )
     width = max(1, _BLOCK // n)
-    ones = np.ones((n, 1), dtype=np.int64)
-    form_ok = s2_ok = st3_ok = True
+    form_ok = s2_ok = refines = True
+    vanishes = False  # G = 0: q is not zero on the radical of E
     for x0 in range(0, n, width):
         K = every[x0:x0 + width]
         rows = _exponent_block(m, K)
@@ -275,25 +258,16 @@ def weil_relations_report(m):
         )
         if not form_ok:
             break
-        # rows K of zeta^E 1 and zeta^E zeta^q: E[K]^t and beside it (E[K]^t + q) mod L
-        _byte_check(rows.size, 16, "a shifted block of the exponent table")
-        both = np.empty((n, 2 * len(K)), dtype=np.int32)
-        both[:, :len(K)] = rows.T
-        np.remainder(rows.T + q[:, None], L, out=both[:, len(K):])
-        cols = _s_sums(both, L, ones)[:, 0]
-        want = np.zeros((len(K), closed.shape[1]), dtype=np.int64)
-        want[K == 0, 0] = n
-        s2_ok = s2_ok and np.array_equal(cols[:len(K)], want)
-        st3_ok = (
-            st3_ok
-            and not ((q[shift[K]] - q[K, None] - q[gens] + rows[:, gens]) % L).any()  # q refines E
-            and np.array_equal(cols[len(K):], closed[np.searchsorted(values, q[K])])
-        )
+        live = rows.any(axis=1)
+        s2_ok = s2_ok and np.array_equal(live, K != 0)
+        refines = refines and not ((q[shift[K]] - q[K, None] - q[gens] + rows[:, gens]) % L).any()
+        vanishes = vanishes or bool((q[K[~live]] % L).any())
+    even = not ((4 * q[gens] - q[m.indices_of(2 * step)]) % L).any()
     s2_ok = form_ok and s2_ok
     return {
         "s2_is_negation": s2_ok,
         "s4": s2_ok and m.signature_mod8() % 2 == 0,
-        "st3": form_ok and st3_ok,
+        "st3": form_ok and refines and (even or vanishes),
         "s_unitary": s2_ok,
         "t_unitary": True,  # diagonal of roots of unity
         "method": "integer-histogram",
@@ -395,12 +369,6 @@ def _certificate(m):
     about 36 bytes per entry, checked before the rows are built.  Each
     batch of ``_fixed`` adds what ``_s_sums`` charges for it: its |D| b L
     bins twice and the landing indices of one block.
-    ``verify_selfdual_span`` in a fresh interpreter on a 2-core machine,
-    with the whole cached table before and these rows after
-    (``BENCH_17.json``): D_{24,4} 16.8 s and 1002 MB of peak RSS before,
-    14.2 s and 158 MB after; D_{30,3} 9.0 s and 781 MB before, 6.2 s and
-    113 MB after; D_{100,1} 6.1 s and 1174 MB before, 2.6 s and 104 MB
-    after.
 
     Returns (iso, dimension, kernel basis, family rows, family pivots,
     spans): the kernel basis is None unless the lift ran; the pivots index

@@ -879,15 +879,19 @@ def test_exponent_block_matches_dense_oracle(case):
 
 
 @pytest.mark.parametrize("m", [hyperbolic_pair(3, 1), hyperbolic_pair(4, 2)], ids=["D3", "D42"])
-@pytest.mark.parametrize("case", ["generator column", "q at zero", "q at a generator", "q negated"])
+@pytest.mark.parametrize(
+    "case", ["generator column", "q at zero", "q at a generator", "q negated", "q plus a character"]
+)
 def test_relations_report_fails_a_broken_premise(monkeypatch, m, case):
     # The row and column of a generator off by one keep E symmetric but not
     # additive: S^2 and STS fail.  q[0] = 1, q off by one at a generator, or
     # -q, is no quadratic refinement of E: STS fails, while S^2 reads only E
-    # and holds.  Each as the column oracle finds it.  -q passes the one
-    # column zeta^E zeta^q = G zeta^-q that closes the proof (its Gauss sum
-    # is conj(G)), so only the premise rejects it.  The signature is pinned,
-    # as the Gauss sum of a wrong q is off the circle |G|^2 = |D|.
+    # and holds.  Each as the column oracle finds it.  -q passes the column
+    # zeta^E zeta^q = G zeta^-q (its Gauss sum is conj(G)), so only the
+    # premise rejects it.  q + E[g] is a refinement still, as the row E[g]
+    # is a character, but not even (2 q[x] + E[x, x] != 0): that column
+    # fails, and STS with it.  The signature is pinned, as the Gauss sum of
+    # a wrong q is off the circle |G|^2 = |D|.
     L, g = m.level, m.indices_of(np.eye(len(m.orders), dtype=np.int64))[0]
     sig = m.signature_mod8()
     monkeypatch.setattr(m, "signature_mod8", lambda: sig)
@@ -899,6 +903,8 @@ def test_relations_report_fails_a_broken_premise(monkeypatch, m, case):
     else:
         if case == "q negated":
             q = -q % L
+        elif case == "q plus a character":
+            q = (q + E[g]) % L
         else:
             at = 0 if case == "q at zero" else g
             q[at] = (q[at] + 1) % L
@@ -946,6 +952,41 @@ def test_relations_report_needs_a_bilinear_table(monkeypatch, N, twist):
     monkeypatch.setattr(W, "_exponent_block", blocks_of(E))
     rep = W.weil_relations_report(m)
     assert not rep["s2_is_negation"] and not rep["s4"] and not rep["st3"] and not rep["s_unitary"]
+
+
+# c E and c q mod L, and then t E[g] added to q, g a generator
+@pytest.mark.parametrize(
+    "N,Np,c,t", [(4, 1, 2, 0), (6, 1, 2, 0), (6, 1, 3, 0), (2, 2, 2, 0), (3, 1, 0, 1)]
+)
+def test_relations_report_needs_a_non_degenerate_table(monkeypatch, N, Np, c, t):
+    # c E is a symmetric bilinear table and c q an even refinement of it,
+    # but the rows of the x with c L B(x, .) = 0 are zero, and some such x
+    # is not 0: the form is degenerate, and S^2 is no negation, as the
+    # column oracle finds.  With c = 0 the table is zero and q = E[g] is
+    # not zero on its radical, all of D: G = 0, and both sides of STS
+    # vanish, so STS holds.
+    m = hyperbolic_pair(N, Np)
+    L, E = m.level, exponents(m)
+    g = m.indices_of(np.eye(len(m.orders), dtype=np.int64))[0]
+    monkeypatch.setattr(W, "_exponent_block", blocks_of(c * E % L))
+    monkeypatch.setitem(m.__dict__, "q_ints", (c * m.q_ints + t * E[g]) % L)
+    rep = W.weil_relations_report(m)
+    assert rep == column_relations(m)
+    assert not rep["s2_is_negation"]
+
+
+@pytest.mark.parametrize(
+    "m",
+    [hyperbolic_pair(6, 2), FqModule((2048,), [F(1, 4096)], [[F(1, 2048)]])],
+    ids=["D62", "Z2048"],
+)
+def test_relations_report_sums_no_root_of_unity(monkeypatch, m):
+    # the report reads integer tables only: the kernel is never called
+    def no_sums(*_):
+        raise AssertionError("the report summed roots of unity")
+
+    monkeypatch.setattr(W, "_s_sums", no_sums)
+    assert W.weil_relations_report(m) == dict(RELATIONS_HOLD, s4=m.signature_mod8() % 2 == 0)
 
 
 @pytest.mark.parametrize("N,Np", [(30, 1), (20, 1), (6, 3)])
@@ -1000,32 +1041,9 @@ def test_byte_budget_refuses_before_allocating(monkeypatch):
     with pytest.raises(EnumerationBoundError, match="fixed-point system"):
         W.invariant_space(m)
     assert cli.main(["invariants", "--N", "2"]) == 3
-    # the report's blocks of rows fit too, but not the sums of its two
-    # columns, which are charged like every call of ``_s_sums``; under the
-    # default budget it runs, and never computes a residue
-    with pytest.raises(EnumerationBoundError, match="rho"):
-        W.weil_relations_report(m)
+    # under the default budget the report runs, and never computes a residue
     monkeypatch.setattr(subgroups, "BYTE_BUDGET", 2**31)
     assert W.weil_relations_report(m)["st3"]
-
-
-def test_relations_report_charges_its_closed_forms(monkeypatch):
-    from discweil import subgroups
-
-    # Z/1009 with Q = x^2/1009: L*Q takes 505 values (0 and the squares),
-    # so the closed forms G zeta^-t are 505 rows of phi(L) = 1008 int64,
-    # charged before any is built; the blocks and sums of the report are
-    # smaller
-    m = FqModule((1009,), [F(1, 1009)], [[F(2, 1009)]])
-    assert len(set(m.q_ints.tolist())) == 505
-    charge = 505 * 1008 * 8
-    monkeypatch.setattr(subgroups, "BYTE_BUDGET", charge - 1)
-    monkeypatch.setattr(W, "from_powers", None)
-    with pytest.raises(EnumerationBoundError, match="closed forms"):
-        W.weil_relations_report(m)
-    monkeypatch.undo()
-    monkeypatch.setattr(subgroups, "BYTE_BUDGET", charge)
-    assert W.weil_relations_report(m) == RELATIONS_HOLD
 
 
 def test_s_sums_refuses_int32_overflow():
@@ -1070,9 +1088,8 @@ def test_s_sums_peak_is_within_its_charge(monkeypatch, case):
     # - fixed: a vector of seven values over the 520 isotropic elements of
     #   D_{100,1}, as ``_fixed`` hands it over: blocks of L entries of
     #   10^4 landing indices each, with a masked copy for each value;
-    # - columns: the report's zeta^E 1 and zeta^E zeta^q on 32 rows of
-    #   Z/1009 with Q = x^2/1009, the rows E[K]^t and (E[K]^t + q) mod L
-    #   side by side, one block of |D| entries;
+    # - columns: zeta^E 1 on 64 columns of Z/1009 with Q = x^2/1009, one
+    #   block of |D| entries;
     # - vH: v^H for H = 0 on the same module, one entry
     charges = []
     check = W._byte_check
@@ -1089,8 +1106,7 @@ def test_s_sums_peak_is_within_its_charge(monkeypatch, case):
     else:
         m = FqModule((1009,), [F(1, 1009)], [[F(2, 1009)]])
         if case == "columns":
-            E = W._exponent_block(m, np.arange(m.size), np.arange(32))
-            E = np.concatenate([E, (E + m.q_ints[:, None]) % m.level], axis=1).astype(np.int32)
+            E = W._exponent_block(m, np.arange(m.size), np.arange(64))
             V = np.ones((m.size, 1), dtype=np.int64)
         else:
             E = W._exponent_block(m, np.array([0]), np.arange(m.size))
