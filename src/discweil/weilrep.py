@@ -4,13 +4,13 @@ rho(S) is the scalar conj(G)/|D| (G the Gauss sum) times the monomial matrix
 zeta_L^E, E = -L*B mod L the exponent table, and rho(T) is the diagonal
 zeta_L^(L*Q).  So rho(S) applied to a vector, and every product of the
 generators, is a scalar times sums of roots of unity of the level.  One
-routine, ``_s_sums``, applies zeta^E to a batch of integer vectors: it
-counts the exponents, each already in [0, L), with ``np.bincount`` into the
-level's L bins, in blocks that count at least as many indices as they have
-bins, and reduces the bins to power-basis coordinates at the radical of L
-by the tail of cyclo's sparse table of the powers of its root of unity.
-The v^H check and the invariant certificate go through it, a block at a
-time, and compare exact integer arrays, for modules of any signature.
+routine, ``_s_sums``, applies zeta^E to a batch of integer vectors, or to
+the vector 1_K of a block of rows: it counts the exponents, each already in
+[0, L), with ``np.bincount`` into the level's L bins and reduces the bins
+to power-basis coordinates at the radical of L by the tail of cyclo's
+sparse table of the powers of its root of unity.  The v^H check (on 1_H)
+and the invariant certificate go through it and compare exact integer
+arrays, for modules of any signature.
 ``weil_relations_report`` sums no root of unity: it proves the relations
 from the integer tables alone, checked on the generators in O(|D|^2 r).  E
 is symmetric and additive, L*Q is an even refinement of it, and row 0 is
@@ -59,16 +59,12 @@ class CertificationError(RuntimeError):
 # --------------------------------------------------------------- numpy pack
 
 # The scatter step of ``_s_sums`` holds about this many indices at once, or
-# as many as the scatter's output has bins when that is more (up to twice
-# that, as the scatter splits its entries into equal blocks): the
-# temporaries stay within a small multiple of max(_BLOCK, output size)
-# entries.  ``weil_relations_report`` builds blocks of rows of E of about
-# this many entries (at least one row), so no temporary of |D|^2 entries is
-# ever built.  A batch of ``_fixed``, _BLOCK / (|D| L) vectors, has _BLOCK
-# bins, and each bin costs about 30 bytes while it is counted (the output,
-# the int32 indices, bincount's intp copy of them and its counts), so 2^15
-# keeps a scatter near 1 MB.  Larger blocks only raise the peak memory;
-# smaller ones add per-step overhead on large modules.
+# up to twice as many as its output has bins when that is more, so its
+# temporaries stay within a small multiple of max(_BLOCK, output size), and
+# ``weil_relations_report`` builds blocks of about this many entries of E
+# (at least one row).  A batch of ``_fixed`` has _BLOCK bins at about 30
+# bytes each while counted, so 2^15 keeps a scatter near 1 MB; larger
+# blocks raise the peak, smaller ones the per-step overhead.
 _BLOCK = 2**15
 
 
@@ -100,10 +96,8 @@ def _isotropic_block(m):
 def _tail(r):
     """Rows phi(r) to r - 1 of cyclo's table of the powers of zeta_r, dense.
 
-    A read-only (r - phi(r)) x phi(r) int64 array filled from the sparse
-    rows of ``_powers(r)``, and the largest |entry| of it (1 when it is
-    empty).  Every ``_s_sums`` call at a level of radical r reads it; the
-    tails of the last 8 radicals read are kept.
+    A read-only (r - phi(r)) x phi(r) int64 array from the sparse rows of
+    ``_powers(r)``, and its largest |entry| (1 when empty); kept per radical.
     """
     phi = degree(r)
     at = [(a * phi + j, x) for a, row in enumerate(_powers(r)[phi:]) for j, x in row]
@@ -113,24 +107,31 @@ def _tail(r):
     return tail, int(np.abs(tail).max(initial=1))
 
 
-def _s_sums(E, L, V):
+@lru_cache(maxsize=8)
+def _radical(L):
+    """(r, phi(r)) for the radical r of L; ``_tail(r)`` is read after the charge."""
+    r = prod(p for p, _ in factorize(L))
+    return r, degree(r)
+
+
+def _s_sums(E, L, V=None):
     """zeta^E on b integer vectors: sum_k V[k, c] zeta_L^E[k, i].
 
     E is an int32 block E[K, J] of the exponent table of a module of level
     L, and V an integer array of shape (|K|, b), entries of any size: vector
-    c is V[k, c] at row k of E.
+    c is V[k, c] at row k of E; V = None is the one vector 1_K (b = 1).
     Returns the (|J|, b, phi(L)) power-basis coordinates, in int64 when no
     sum can reach 2^63 and in Python ints (an object array) otherwise.  As
     E is symmetric, these are the entries J of zeta^E v_c when K holds the
     support of every v_c.
 
     Entry (k, c) lands at bin E[k, i] of the L bins of (i, c), counted by
-    ``np.bincount`` once for each distinct value w of V in a block of its
-    nonzero entries and added as w times the exact int64 counts (cast to
-    Python ints on the object path); no float touches a value.  A block
-    holds at least bL nonzero entries (all of them when V has fewer), so it
-    counts at least as many indices as its bincount has bins, and about
-    ``_BLOCK`` indices when that is more.
+    ``np.bincount``; no float touches a value.  1_K takes one bincount per
+    block of rows of E, offset to the bins of their columns.  A block of the
+    nonzero entries of V is counted once per distinct value w in it and
+    added as w times the exact counts.  A block holds at least bL rows or
+    entries (or all), so it counts at least as many indices as its bincount
+    has bins, and about ``_BLOCK`` indices when that is more.
 
     The bins are reduced at the radical r of L: with s = L / r,
     Phi_L(x) = Phi_r(x^s), so bin a s + t is zeta_r^a zeta_L^t, and the
@@ -141,54 +142,57 @@ def _s_sums(E, L, V):
 
     The landing indices are int32, like E, and below |J| b L.  A call for
     which that, or |K| b L, passes 2^31 is refused, |K| b L first, from V's
-    shape alone, before E is read.  Charged on the byte budget before any of
-    them is allocated: the bins and bincount's counts (each |J| b L int64),
-    the int32 offsets of the |J| rows of the bins, the tail
-    ((r - phi(r)) phi(r) int64), 16 bytes for each landing index of the
-    largest block (the int32 indices, the copy of them masked to one value
-    and bincount's intp copy), 40 bytes for each entry of V (its cast copy,
-    the positions of its nonzero entries, and the values, offsets and mask
-    of a block), and numpy's buffer of ``np.getbufsize()`` entries for
+    shape (E's for 1_K) alone, before E is read.  Charged on the byte
+    budget before any of them is allocated, for 1_K as for a V of ones: the
+    bins and bincount's counts (each |J| b L int64), the int32 offsets of
+    the |J| rows of the bins, the tail ((r - phi(r)) phi(r) int64), 16
+    bytes per landing index of the largest block (the int32 indices, their
+    copy masked to one value and bincount's intp copy), 40 bytes per entry
+    of V (its cast copy, its nonzero positions, and the values, offsets and
+    mask of a block), and numpy's buffer of ``np.getbufsize()`` entries for
     adding the strided low bins.  The object path charges its arrays at 8
     bytes an entry, without the Python ints they point to.
     """
-    K, b = V.shape
+    K, b = (len(E), 1) if V is None else V.shape
     if K * b * L > 2**31 or E.shape[1] * b * L > 2**31:
         raise EnumerationBoundError("%d vectors at level %d overflow int32 indices" % (b, L))
     n = E.shape[1]
-    r = prod(p for p, _ in factorize(L))
-    phi = degree(r)
-    nonzero = np.count_nonzero(V)
+    r, phi = _radical(L)
+    nonzero = K if V is None else np.count_nonzero(V)
     blocks = max(1, nonzero // max(_BLOCK // n, b * L))
     indices = -(-nonzero // blocks) * n
     need = 16 * n * b * L + 4 * n + 8 * (r - phi) * phi + 16 * indices + 40 * K * b
     need += 8 * np.getbufsize()
     _byte_check(need, 1, "the sums of rho(S)")
     tail, top = _tail(r)
-    if int(np.abs(V).sum()) * top < 2**63:
-        V = V.astype(np.int64, copy=False)
+    big = (K if V is None else int(np.abs(V).sum())) * top >= 2**63
+    rows = np.arange(0, n * b * L, b * L, dtype=np.int32)
+    cut = [nonzero * t // blocks for t in range(blocks + 1)]
+    if V is None:
+        # out[i, E[k, i]] += 1 for every row k; no block's counts outlive its +=
+        out = np.bincount((E[:cut[1]] + rows).ravel(), minlength=n * L)
+        for lo, hi in zip(cut[1:], cut[2:]):
+            out += np.bincount((E[lo:hi] + rows).ravel(), minlength=n * L)
     else:
-        V, tail = V.astype(object), tail.astype(object)
-    out = np.zeros((n, b, L), dtype=V.dtype)
-    flat = out.reshape(-1)
-    rows = np.arange(0, out.size, b * L, dtype=np.int32)
-    ks, cs = np.nonzero(V)
-    for t in range(blocks):
-        lo, hi = len(ks) * t // blocks, len(ks) * (t + 1) // blocks
-        k, c = ks[lo:hi], cs[lo:hi]
-        # out[i, c, E[k, i]] += V[k, c]
-        at = E[k]
-        at += rows
-        at += (L * c)[:, None]
-        w = V[k, c]
-        values = set(w.tolist())
-        for x in values:
-            hit = at if len(values) == 1 else at[w == x]
-            counts = np.bincount(hit.reshape(-1), minlength=out.size)
-            counts = counts.astype(out.dtype, copy=False)
-            counts *= x
-            flat += counts
-            del counts  # so the charge bounds the reduction below too
+        V = V.astype(object if big else np.int64, copy=False)
+        out = np.zeros(n * b * L, dtype=V.dtype)
+        ks, cs = np.nonzero(V)
+        for lo, hi in zip(cut, cut[1:]):
+            k, c = ks[lo:hi], cs[lo:hi]
+            # out[i, c, E[k, i]] += V[k, c]
+            at = E[k]
+            at += rows
+            at += (L * c)[:, None]
+            w = V[k, c]
+            values = set(w.tolist())
+            for x in values:
+                hit = at if len(values) == 1 else at[w == x]
+                counts = np.bincount(hit.reshape(-1), minlength=out.size).astype(out.dtype, copy=False)
+                counts *= x
+                out += counts
+                del counts  # so the charge bounds the reduction below too
+    if big:
+        out, tail = out.astype(object, copy=False), tail.astype(object)
     bins = out.reshape(n, b, r, L // r)
     sums = tail.T @ bins[:, :, phi:]
     sums += bins[:, :, :phi]
@@ -232,11 +236,10 @@ def weil_relations_report(m):
       so conj(zeta^E)^t = zeta^E P_neg and zeta^E conj(zeta^E)^t = |D| I.
 
     A flag is True only when it is proven, so a failed premise makes every
-    flag that rests on it False.  Each block of rows E[K] of about
-    ``_BLOCK`` entries is built once, checked for additivity, refinement and
-    zero rows, and against E[gens, K] for symmetry, then dropped: O(|D|^2 r)
-    for r generators.  No root of unity is summed, but for the Gauss sum of
-    ``signature_mod8`` behind s4.
+    flag that rests on it False.  Each block of rows E[K] of about ``_BLOCK``
+    entries is built once, checked for additivity, refinement, zero rows and
+    against E[gens, K] for symmetry, then dropped: O(|D|^2 r) for r
+    generators.  No root of unity is summed but the Gauss sum behind s4.
     """
     L, n = m.level, m.size
     q = m.q_ints
@@ -244,12 +247,11 @@ def weil_relations_report(m):
     step = np.eye(X.shape[1], dtype=np.int64)
     gens = m.indices_of(step)
     shift = m.indices_of(X[:, None, :] + step)  # shift[x, j]: the index of x + g_j
-    every = np.arange(n)
     width = max(1, _BLOCK // n)
     form_ok = s2_ok = refines = True
     vanishes = False  # G = 0: q is not zero on the radical of E
     for x0 in range(0, n, width):
-        K = every[x0:x0 + width]
+        K = np.arange(x0, min(n, x0 + width))
         rows = _exponent_block(m, K)
         # d = E[x, y] + E[x, g_j] - E[x, y + g_j] lies in (-L, 2L): 0 mod L when 0 or L
         sums = (rows + rows[:, g, None] - rows[:, shift[:, j]] for j, g in enumerate(gens))
@@ -275,13 +277,16 @@ def weil_relations_report(m):
 
 
 def check_vH_action(m, h):
-    """Exact check of rho(S) v^H = s0 |H| v^{H perp}, s0 the scalar of rho(S)."""
+    """Exact check of rho(S) v^H = s0 |H| v^{H perp}, s0 the scalar of rho(S).
+
+    zeta^E 1_H, the rows E[H] summed by ``_s_sums``, less |H| at coordinate
+    0 of the zero columns (H perp), in place, must be 0.
+    """
     idx = np.fromiter(h.indices, dtype=np.int64, count=len(h.indices))
     E = _exponent_block(m, idx)
-    got = _s_sums(E, m.level, np.ones((len(idx), 1), dtype=np.int64))[:, 0]
-    target = np.zeros_like(got)
-    target[~E.any(axis=0), 0] = len(idx)
-    return bool(np.array_equal(got, target))
+    got = _s_sums(E, m.level)[:, 0]
+    got[~E.any(axis=0), 0] -= len(idx)
+    return not got.any()
 
 
 # ------------------------------------------------------- invariant vectors
@@ -290,10 +295,9 @@ def check_vH_action(m, h):
 def _residues(m, rows, q):
     """The square system zeta^E[iso, iso] - G I mod q, zeta_L sent to t of order L.
 
-    rows is E[iso].  ``np.take`` keeps the gathered block C-contiguous, as
-    ``_rref_mod`` wants it: the gather rows[:, iso] comes out in Fortran
-    order, and on D_{24,4} ``_rref_mod`` took 17.5 s on that order against
-    10.4 s on C order (2-core machine).
+    rows is E[iso].  ``np.take`` keeps the block C-contiguous, as
+    ``_rref_mod`` wants it: rows[:, iso] comes out in Fortran order, on
+    which ``_rref_mod`` took 17.5 s on D_{24,4} against 10.4 s (2 cores).
     """
     L, iso = m.level, m.isotropic_indices
     t = pow(primitive_root(q), (q - 1) // L, q)
@@ -308,10 +312,9 @@ def _fixed(m, rows, vectors):
     """zeta^E v == G v exactly, for integer vectors v over the isotropic elements.
 
     rows is E[iso].  Such a v is fixed by rho(T), and rho(S) v = s0 zeta^E v
-    = v exactly when zeta^E v = G v, as s0 G = 1.  ``_s_sums`` takes the
-    vectors as they are, over the rows of E[iso], ``_BLOCK`` // (|D| L) of
-    them at a time (at least one), so that the |D| b L bins of a block stay
-    near ``_BLOCK``.
+    = v exactly when zeta^E v = G v, as s0 G = 1.  ``_s_sums`` takes them
+    over the rows of E[iso], ``_BLOCK`` // (|D| L) at a time (at least one),
+    so that the |D| b L bins of a batch stay near ``_BLOCK``.
     """
     n, L, iso = m.size, m.level, list(m.isotropic_indices)
     gcan = np.array(coordinates(L, m.gauss_sum()), dtype=object)
@@ -332,9 +335,8 @@ def _certificate(m):
     of the square |iso| x |iso| system zeta^E[iso, iso] - G I, with entries
     in Z[zeta_L]: an invariant v lies over iso (rho(T) fixes it) and solves
     zeta^E v = G v on every row, so on the isotropic rows.  ``_fixed``
-    proves a vector over iso invariant on all |D| rows: the vectors go to
-    ``_s_sums`` as integer vectors at the level, with no histogram built.
-    The dimension is proven by one of two routes.
+    proves a vector over iso invariant on all |D| rows.  The dimension is
+    proven by one of two routes.
 
     Bounds (modules with self-dual isotropic subgroups).  The system is
     eliminated once, mod the first prime q = 1 (mod L) of ``linalg``.
@@ -351,9 +353,9 @@ def _certificate(m):
     when they ran, and accepts a lifted kernel basis only when ``_fixed``
     proves every vector invariant.  The ncols - rank_q lifted vectors are
     then at least as many as the invariants, proven invariant and
-    independent, so they span the invariants.  The family
-    spans when its greedy subfamily is as large as the kernel and proven
-    invariant.  The lift terminates because rho(S) = s0 zeta^E is unitary
+    independent, so they span them.  The family spans when its greedy
+    subfamily is as large as the kernel and proven invariant.  The lift
+    terminates because rho(S) = s0 zeta^E is unitary
     (``weil_relations_report``): if v lies over iso and (rho(S) v)_x = v_x
     for every isotropic x, then ||rho(S) v|| = ||v|| leaves no room for
     entries off iso, so the square kernel over C is exactly the invariant
@@ -363,12 +365,10 @@ def _certificate(m):
     prime lifts it.  Only the lift needs McGraw's theorem.
 
     Memory.  The rows E[iso] are built once, at 12 |iso| |D| bytes while
-    they are built and 4 after, handed to ``_residues`` and ``_fixed`` and
-    dropped on return.  A residue table is held as int64 next to them, and
-    each elimination step holds three more int64 temporaries of its size:
-    about 36 bytes per entry, checked before the rows are built.  Each
-    batch of ``_fixed`` adds what ``_s_sums`` charges for it: its |D| b L
-    bins twice and the landing indices of one block.
+    built and 4 after, and dropped on return.  A residue table is held as
+    int64 next to them, and each elimination step holds three more int64
+    temporaries of its size: about 36 bytes per entry, checked before the
+    rows are built.  Each batch of ``_fixed`` adds what ``_s_sums`` charges.
 
     Returns (iso, dimension, kernel basis, family rows, family pivots,
     spans): the kernel basis is None unless the lift ran; the pivots index

@@ -451,6 +451,35 @@ def test_vH_action_all_subgroups():
         assert W.check_vH_action(m, h)
 
 
+def vH_column_oracle(E, L, idx):
+    """Is sum_(k in idx) zeta_L^E[k, c] = |idx| on the zero columns of E[idx] and 0 on the rest?"""
+    for c in range(E.shape[1]):
+        got = sum((root_of_unity(int(E[k, c]), L) for k in idx), F(0))
+        if got != (0 if E[idx, c].any() else len(idx)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "m", [hyperbolic_pair(3, 1), hyperbolic_pair(4, 1), COMPONENTS[8]], ids=["D3", "D4", "Z4"]
+)
+def test_vH_check_rejects_a_column_that_is_no_character(monkeypatch, m):
+    # E[x, c] off by one at the last element x of H: column c of E[H] is no
+    # longer a character of H (the level is above 2), and the check must
+    # fail, as the column oracle finds by summing roots of unity; on the
+    # table as it is, both hold
+    E0, L = exponents(m), m.level
+    for h in enumerate_subgroups(m):
+        idx = list(h.indices)
+        monkeypatch.setattr(W, "_exponent_block", blocks_of(E0))
+        assert W.check_vH_action(m, h) is vH_column_oracle(E0, L, idx) is True
+        for c in range(m.size):
+            E = E0.copy()
+            E[idx[-1], c] = (E[idx[-1], c] + 1) % L
+            monkeypatch.setattr(W, "_exponent_block", blocks_of(E))
+            assert W.check_vH_action(m, h) is vH_column_oracle(E, L, idx) is False
+
+
 # ------------------------------------------------------ power-basis oracle
 # The fixed-point system expanded over the power basis of Q(zeta_L) into
 # integer rows, solved by the Fraction kernel: the reference for the
@@ -666,6 +695,37 @@ def test_selfdual_span_report():
         "family_rank": 4,
         "span_equal": True,
     }
+
+
+def double(d):
+    """D + D(-1): the diagonal is a self-dual isotropic subgroup."""
+    return direct_sum(d, negated(d))
+
+
+# p-primary modules and sums of them with self-dual isotropic subgroups,
+# beyond D_{N,N'}, and the dimension of their invariants
+BEYOND_LNN = {
+    "Z9": (_cyclic(9, F(1, 9)), 1),
+    "Z25": (_cyclic(25, F(1, 25)), 1),
+    "Z4+Z4(-1)": (direct_sum(_cyclic(4, F(1, 8)), _cyclic(4, F(-1, 8))), 2),
+    "Z8+Z8(-1)": (double(_cyclic(8, F(1, 16))), 3),
+    "Z9+Z9(-1)": (double(_cyclic(9, F(1, 9))), 3),
+    "(Z3)^4": (reduce(direct_sum, [COMPONENTS[0], COMPONENTS[0], COMPONENTS[1], COMPONENTS[1]]), 7),
+    "Z7+Z7(-1)+Z3+Z3(-1)": (direct_sum(double(COMPONENTS[4]), double(COMPONENTS[0])), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(BEYOND_LNN))
+def test_selfdual_family_spans_beyond_lnn(name):
+    # the paper's theorem on discriminant forms that are not D_{N,N'}: the
+    # self-dual isotropic family spans the invariants, whose dimension the
+    # lift alone certifies too
+    m, want = BEYOND_LNN[name]
+    assert m.signature_mod8() == 0
+    rep = W.verify_selfdual_span(m)
+    kernel = certified_system(m, partial(W._residues, m, W._isotropic_block(m)))[2]
+    assert rep["span_equal"] is True
+    assert rep["dimension"] == rep["family_rank"] == len(kernel) == want
 
 
 def test_env_var_bound_governs_dense_tables(monkeypatch):
@@ -1123,6 +1183,34 @@ def test_s_sums_peak_is_within_its_charge(monkeypatch, case):
     assert peak <= charges[0] + 2**15
 
 
+def test_s_sums_of_one_vector_peak_is_within_its_charge(monkeypatch):
+    # zeta^E 1_D on D_{30,1} in 30 blocks of L = 30 rows (a block of 2000
+    # indices): each block's bincount counts are added and dropped before
+    # the next block is counted, so the call stays within its charge with
+    # no slack, though its 27000 bins take 216 kB a copy
+    m = hyperbolic_pair(30, 1)
+    E = W._exponent_block(m, np.arange(m.size))
+    root_of_unity(1, m.level)
+    W._tail(W._radical(m.level)[0])
+    charges = []
+    check = W._byte_check
+
+    def recorded(entries, width, what):
+        charges.append(entries * width)
+        return check(entries, width, what)
+
+    monkeypatch.setattr(W, "_byte_check", recorded)
+    monkeypatch.setattr(W, "_BLOCK", 2000)
+    tracemalloc.start()
+    try:
+        W._s_sums(E, m.level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charges) == 1
+    assert peak <= charges[0]
+
+
 def test_residues_are_c_contiguous():
     # rows[:, iso] gathers columns in Fortran order when iso is not all of
     # D; the elimination of such a table is slower (see ``W._residues``)
@@ -1192,6 +1280,58 @@ def test_s_sums_matches_add_at_oracle(m, b, values, density, seed, block):
     assert got.dtype == want.dtype == on_support.dtype
     assert np.array_equal(got, want)
     assert np.array_equal(on_support, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(SUMS, DOUBLES), st.sampled_from([W._BLOCK, 1]), st.data())
+@example(_cyclic(8, F(1, 16)), 1, None)  # level 16
+@example(_cyclic(27, F(1, 27)), W._BLOCK, None)  # level 27
+@example(direct_sum(_cyclic(4, F(1, 8)), _cyclic(9, F(1, 9))), 1, None)  # level 72
+@example(Z101, W._BLOCK, None)  # a prime level
+@example(hyperbolic_pair(4, 1), 1, None)  # 16 rows at level 4: four blocks of L rows
+def test_s_sums_of_one_vector_matches_weighted_form(m, block, data):
+    # zeta^E 1_K on every row, or on a drawn set of rows K: V = None against
+    # a V of ones and the np.add.at oracle, with the default block or one of
+    # L rows; then with a largest tail entry of 2^62, which puts two or more
+    # rows on the object path, with the same sums
+    E, L = exponents(m), m.level
+    K = np.arange(m.size)
+    if data is not None and data.draw(st.booleans()):
+        K = np.array(sorted(data.draw(st.sets(st.integers(0, m.size - 1), min_size=1))))
+    ones = np.ones((len(K), 1), dtype=np.int64)
+    want = add_at_s_sums(E[K], L, ones)
+    tail = W._tail
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(W, "_BLOCK", block)
+        got = W._s_sums(E[K], L)
+        assert got.dtype == np.int64 and got.shape == (m.size, 1, degree(L))
+        assert np.array_equal(got, W._s_sums(E[K], L, ones))
+        assert np.array_equal(got, want)
+        mp.setattr(W, "_tail", lambda r: (tail(r)[0], 2**62))
+        big = W._s_sums(E[K], L)
+    assert big.dtype == (object if len(K) > 1 else np.int64)
+    assert np.array_equal(big, want)
+
+
+def test_vH_check_of_a_small_subgroup_is_one_bincount(monkeypatch):
+    # |H| |D| <= _BLOCK on D_{6,1}: zeta^E 1_H is one bincount of the rows
+    # E[H], with no search for nonzero entries, no vector of ones and no
+    # target array
+    m = hyperbolic_pair(6, 1)
+    names = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            names.append(name)
+            return getattr(np, name)
+
+    monkeypatch.setattr(W, "np", Numpy())
+    for h in enumerate_subgroups(m):
+        assert len(h.indices) * m.size <= W._BLOCK
+        names.clear()
+        assert W.check_vH_action(m, h)
+        assert names.count("bincount") == 1
+        assert not {"nonzero", "count_nonzero", "ones", "zeros", "zeros_like", "array_equal"} & set(names)
 
 
 @pytest.mark.parametrize("block", [W._BLOCK, 400])
