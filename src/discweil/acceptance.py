@@ -213,9 +213,9 @@ def check_eta_prime_identities():
     bad = []
     slow = []
     for p in (2, 3, 5, 7):
-        t0 = time.time()
+        t0 = time.monotonic()
         rep = verify_eta_prime(p, 200)
-        dt = time.time() - t0
+        dt = time.monotonic() - t0
         if not rep["verified"]:
             bad.append((p, rep["identity"]))
         if dt >= 60.0:
@@ -261,10 +261,10 @@ CHECKS = [
 def run_check(index):
     """Run one check by 1-based index; returns a result dict."""
     name, fn = CHECKS[index - 1]
-    t0 = time.time()
+    t0 = time.monotonic()
     out = fn()
     passed, detail, budget = out
-    dt = time.time() - t0
+    dt = time.monotonic() - t0
     if budget is not None and dt >= budget:
         passed = False
         detail += " [exceeded %ds budget]" % int(budget)

@@ -5,16 +5,17 @@ key k to the coefficient of q^(k/m).  Truncation metadata propagates through
 arithmetic pessimistically, so an identity check can never silently compare
 coefficients beyond what both sides actually know.
 
-Every product expansion, a Borcherds lift side or an eta quotient, goes
-through one engine: ``product_terms`` expands prod (1 - zeta_M^a t^s)^c by the
-Euler transform, a single pass of the logarithmic-derivative recurrence that
-needs no series powers and no inverse.  With integer c every coefficient lies
-in Z[zeta_M] = Z[x]/Phi_M, so the engine runs on the integer coordinates of the
-power basis: n divides every coordinate of n b_n, and each step's division by
-n is exact and checked.  The Dedekind eta expansion
-eta(d tau + r) = e(r/24) q^(d/24) prod(1 - e(nr) q^(nd)) is also produced
-sparsely from the pentagonal number theorem, with the naive truncated product
-alongside; both are kept as independent oracles for the engine.
+Every product expansion, a Borcherds lift side or an eta quotient, runs one
+recurrence, the Euler transform ``_euler``: n b_n = sum s_k b_(n-k) with
+sum s_k t^k = t d/dt log of the product, so no series powers and no inverse.
+``product_terms`` builds the s_k from explicit factors (1 - zeta_M^a t^s)^c;
+an eta quotient has them in closed form: as log(1 - x) = -sum_m x^m/m, each
+n | j gives prod_n (1 - zeta_M^(a n) t^(s n))^e the term -e s n zeta_M^(a j)
+at k = j s, in all -e s sigma(j) zeta_M^(a j).  With integer exponents every
+coefficient lies in Z[zeta_M], so the recurrence runs on integer power-basis
+coordinates and checks each division by n.  The sparse pentagonal eta
+expansion and the naive truncated product stay as oracles, as do the per-n
+factors of an eta quotient fed to ``product_terms`` (in the tests).
 """
 
 from dataclasses import dataclass
@@ -158,18 +159,9 @@ def product_terms(factors, M, bound):
     """Coefficients b_0, ..., b_(bound-1) of prod (1 - zeta_M^a t^s)^c.
 
     ``factors`` lists the triples (s, a, c) with s >= 1 and integer c; any
-    other c raises ValueError.  This is the Euler transform: the logarithmic
-    derivative of the product gives n b_n = sum_(k=1..n) s_k b_(n-k) with
-    s_k = -sum_(s | k) s c zeta_M^(a k/s).
-
-    Every b_n lies in Z[zeta_M] = Z[x]/Phi_M, whose power basis 1, zeta_M,
-    ..., zeta_M^(phi-1) is a Z-basis, so s_k and b_n are kept as lists of
-    phi(M) Python ints.  Step n convolves the s_k with the b_(n-k) into one
-    list of 2 phi - 1 ints, reduces its top half once by the coordinates of
-    the powers zeta_M^e, and divides each coordinate by n.  As n b_n and b_n
-    both have integer coordinates, n divides every coordinate of n b_n; a
-    nonzero remainder raises ArithmeticError, so that argument is checked at
-    every step.
+    other c raises ValueError.  Their logarithmic derivative has
+    s_k = -sum_(s | k) s c zeta_M^(a k/s), summed here over the multiples of
+    every s, and ``_euler`` expands it.
     """
     if any(c != int(c) for _, _, c in factors):
         raise ValueError("product exponents must be integers")
@@ -179,12 +171,26 @@ def product_terms(factors, M, bound):
             h = hist[j * s]
             e = a * j % M
             h[e] = h.get(e, 0) - s * int(c)
+    return _euler(hist, M, bound)
+
+
+def _euler(hist, M, bound):
+    """b_0, ..., b_(bound-1) from n b_n = sum_(k=1..n) s_k b_(n-k), b_0 = 1,
+    where s_k = sum_e hist[k][e] zeta_M^e.
+
+    Each b_n lies in Z[zeta_M] = Z[x]/Phi_M with its power basis a Z-basis,
+    so s_k and b_n are sparse integer coordinates.  Step n convolves them
+    into 2 phi - 1 ints, reduces the top half once by the powers zeta_M^e and
+    divides by n; as b_n is integral, a remainder raises ArithmeticError, so
+    that is checked at every step.  An all-zero convolution is an exact 0.
+    """
     phi = degree(M)
     sums = []
     for k in range(1, bound):
-        v = sparse_coordinates(M, hist[k].items())
+        v = hist[k] and sparse_coordinates(M, hist[k].items())
         if v:
             sums.append((k, v))
+    zero = Fraction(0)
     out = [Fraction(1)] if bound > 0 else []
     b = [[(0, 1)]]
     for n in range(1, bound):
@@ -195,6 +201,10 @@ def product_terms(factors, M, bound):
             for j, y in b[n - k]:
                 for i, x in v:
                     full[i + j] += x * y
+        if not any(full):
+            b.append([])
+            out.append(zero)
+            continue
         coords = []
         for c in fold(M, full):
             q, r = divmod(c, n)
@@ -209,19 +219,22 @@ def product_terms(factors, M, bound):
 # ------------------------------------------------------------------ eta
 
 
+def _eta_args(d, r, trunc):
+    d, r, trunc = Fraction(d), Fraction(r), Fraction(trunc)
+    if d <= 0:
+        raise ValueError("eta scale must be positive")
+    if trunc <= d / 24:
+        raise ValueError("truncation under the leading exponent gives an empty series")
+    return d, r, trunc
+
+
 def eta_series(d, r, trunc):
     """eta(d tau + r) as a truncated series, via the pentagonal expansion.
 
     The exponents are d(24 g + 1)/24 over generalized pentagonal numbers g,
     with coefficients (-1)^k e((24 g + 1) r / 24).
     """
-    d = Fraction(d)
-    r = Fraction(r)
-    trunc = Fraction(trunc)
-    if d <= 0:
-        raise ValueError("eta scale must be positive")
-    if trunc <= d / 24:
-        raise ValueError("truncation under the leading exponent gives an empty series")
+    d, r, trunc = _eta_args(d, r, trunc)
     m = 24 * d.denominator
     dn = d.numerator
     terms = {}
@@ -244,13 +257,7 @@ def eta_series(d, r, trunc):
 
 def eta_series_naive(d, r, trunc):
     """The same expansion by direct truncated multiplication (test oracle)."""
-    d = Fraction(d)
-    r = Fraction(r)
-    trunc = Fraction(trunc)
-    if d <= 0:
-        raise ValueError("eta scale must be positive")
-    if trunc <= d / 24:
-        raise ValueError("truncation under the leading exponent gives an empty series")
+    d, r, trunc = _eta_args(d, r, trunc)
     acc = FracQSeries.monomial(d / 24, exp_frac(r / 24), trunc)
     n = 1
     while d / 24 + n * d < trunc:
@@ -309,13 +316,15 @@ class EtaQuotient:
         object.__setattr__(self, "factors", tuple(self.factors))
 
     def expand(self, trunc):
-        """Truncated series of the quotient, from one pass of product_terms.
+        """Truncated series of the quotient, from one pass of ``_euler``.
 
         Each factor eta(d tau + r)^e is e(r e/24) q^(d e/24) times
-        prod_n (1 - e(n r) q^(n d))^e.  The monomials are pulled out front and
-        every product factor goes to the engine at once, over the lcm of the
-        shift denominators.  The series is known below trunc - loss(), the
-        order a quotient of eta series each truncated at trunc would know.
+        prod_n (1 - e(n r) q^(n d))^e.  The monomials are pulled out front; with
+        step = d D and a = r M over the lcms D, M of the scale and shift
+        denominators, s_k takes -e step sigma(j) zeta_M^(a j) at k = j step
+        (module docstring): one sieve, then bound/step terms a factor.  The
+        series is known below trunc - loss(), as a quotient of eta series each
+        truncated at trunc would be.
         """
         trunc = Fraction(trunc)
         live = [f for f in self.factors if f.exponent]
@@ -326,12 +335,22 @@ class EtaQuotient:
         M = lcm(*(f.shift.denominator for f in live))
         rel = trunc - top / 24  # trunc - loss() - lead()
         bound = ceil(rel * D)
-        triples = []
+        if any(f.exponent != int(f.exponent) for f in live):
+            raise ValueError("product exponents must be integers")
+        sigma = [0] * bound
+        for i in range(1, bound):
+            for j in range(i, bound, i):
+                sigma[j] += i
+        hist = [{} for _ in range(bound)]
         for f in live:
             step = int(f.scale * D)
             a = int(f.shift * M)
-            triples += [(n * step, n * a % M, f.exponent) for n in range(1, (bound - 1) // step + 1)]
-        coeffs = product_terms(triples, M, bound)
+            c = step * int(f.exponent)
+            for j in range(1, (bound - 1) // step + 1):
+                h = hist[j * step]
+                e = a * j % M
+                h[e] = h.get(e, 0) - c * sigma[j]
+        coeffs = _euler(hist, M, bound)
         out = FracQSeries(D, dict(enumerate(coeffs)), rel).shift(self.lead())
         phase = sum((f.shift * f.exponent for f in live), Fraction(0)) / 24
         front = self.prefactor * exp_frac(phase)

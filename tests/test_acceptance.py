@@ -1,7 +1,10 @@
 """One test per reproduction check; each prints as its own pass/fail line."""
 
+from types import SimpleNamespace
+
 import pytest
 
+import discweil.acceptance as A
 from discweil.acceptance import CHECKS, run_check
 
 
@@ -25,3 +28,16 @@ def test_dimension_formulas_under_a_lowered_bound(monkeypatch):
     assert result["passed"], result["detail"]
     assert "kernel cross-checks [(6, 2, 10), (4, 2, 8)];" in result["detail"]
     assert "product route [(12, 2, 16, 16), (30, 6, 70, 70)]" in result["detail"]
+
+
+def test_budgets_are_timed_on_the_monotonic_clock(monkeypatch):
+    # a wall clock can step; with only time.monotonic reachable, a check
+    # read as 500 s long overruns its 120 s budget and p = 7 its 60 s one
+    ticks = iter([0.0, 500.0])
+    monkeypatch.setattr(A, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    monkeypatch.setattr(A, "CHECKS", [("stub", lambda: (True, "ok", 120.0))])
+    assert run_check(1) == {"index": 1, "name": "stub", "passed": False,
+                            "detail": "ok [exceeded 120s budget]", "seconds": 500.0}
+    ticks = iter([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 66.0])
+    monkeypatch.setattr(A, "verify_eta_prime", lambda p, prec: {"verified": True})
+    assert A.check_eta_prime_identities() == (False, "failures [], over budget [(7, 60.0)]", None)

@@ -1,15 +1,16 @@
 import json
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discweil.borcherds import InputForm, lift
+from discweil.borcherds import InputForm, eta_identify, lift
 import discweil.qseries as qseries
 from discweil.cyclo import CycNumber, exp_frac, from_powers
 from discweil.fqmod import hyperbolic_pair
-from discweil.lnn_catalog import selfdual_list_Np
+from discweil.lnn_catalog import assemble, relations_Np, selfdual_list_Np
 from discweil.qseries import (
     EtaFactor,
     EtaQuotient,
@@ -265,3 +266,87 @@ def test_engine_division_check_catches_a_wrong_reduction(monkeypatch):
     monkeypatch.setattr(qseries, "fold", lambda M, full: full[: (len(full) + 1) // 2])
     with pytest.raises(ArithmeticError):
         product_terms([(1, 1, 1)], 3, 3)
+
+
+# ------------------------------- the closed form against the per-n triples
+
+
+def eta_triples(quotient, bound):
+    """The product part of an eta quotient as one engine triple
+    (n step, n a mod M, e) per n, over the lcm D of the scale denominators
+    and the lcm M of the shift denominators (oracle for the closed form)."""
+    live = [f for f in quotient.factors if f.exponent]
+    D = lcm(*(f.scale.denominator for f in live))
+    M = lcm(*(f.shift.denominator for f in live))
+    triples = []
+    for f in live:
+        step = int(f.scale * D)
+        a = int(f.shift * M)
+        triples += [(n * step, n * a % M, f.exponent) for n in range(1, (bound - 1) // step + 1)]
+    return triples
+
+
+def engine_outputs(monkeypatch, quotient, trunc):
+    """expand(trunc) with the (M, bound, coefficients) of each _euler call."""
+    calls = []
+    euler = qseries._euler
+
+    def spy(hist, M, bound):
+        out = euler(hist, M, bound)
+        calls.append((M, bound, out))
+        return out
+
+    monkeypatch.setattr(qseries, "_euler", spy)
+    series = quotient.expand(trunc)
+    monkeypatch.setattr(qseries, "_euler", euler)
+    return series, calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(eta_factors, min_size=1, max_size=4), st.integers(1, 12))
+def test_closed_form_matches_triples(factors, trunc):
+    q = EtaQuotient(factors)
+    with pytest.MonkeyPatch.context() as mp:
+        _, calls = engine_outputs(mp, q, trunc)
+    (M, bound, got), = calls
+    assert M == lcm(*(f.shift.denominator for f in factors if f.exponent))
+    assert_same_terms(got, product_terms(eta_triples(q, bound), M, bound))
+
+
+def test_expand_never_calls_product_terms(monkeypatch):
+    def no_triples(*_):
+        raise AssertionError("expand built per-n triples")
+
+    monkeypatch.setattr(qseries, "product_terms", no_triples)
+    q = EtaQuotient([EtaFactor(F(1, 2), F(1, 3), -2), EtaFactor(3, F(1, 2), 1)], exp_frac(F(1, 7)))
+    assert_matches_pentagonal(q.expand(10), q, 10)
+
+
+def test_expand_refuses_a_fraction_exponent():
+    with pytest.raises(ValueError):
+        EtaQuotient([EtaFactor(1, 0, F(1, 2))]).expand(5)
+
+
+def relation_quotient(N, p):
+    """The tau1 quotient of the first (N, p) catalog relation: a constant."""
+    rel = relations_Np(N, p)[0]
+    dec = [(c, assemble(s)) for c, s in zip(rel, selfdual_list_Np(N, p)) if c]
+    return eta_identify(dec)[0]
+
+
+@pytest.mark.parametrize(
+    "quotient",
+    [
+        EtaQuotient([EtaFactor(1, 0, 1), EtaFactor(2, 0, -1), EtaFactor(2, 0, 1), EtaFactor(1, 0, -1)]),
+        relation_quotient(3, 3),
+    ],
+    ids=["cancelling", "relation(3,3)"],
+)
+def test_constant_quotient_skips_every_fold(monkeypatch, quotient):
+    folds = []
+    fold = qseries.fold
+    monkeypatch.setattr(qseries, "fold", lambda M, full: folds.append(M) or fold(M, full))
+    series, ((_, bound, got),) = engine_outputs(monkeypatch, quotient, 30)
+    assert bound > 20 and folds == []
+    assert got[0] == 1 and all(type(x) is F and x == 0 for x in got[1:])
+    assert series.lead() == 0 and list(series.terms) == [0]
