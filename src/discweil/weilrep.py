@@ -32,7 +32,10 @@ meet, the v^H span the invariants.  Otherwise, and for modules with no such
 subgroup, ``linalg`` eliminates the system mod primes q = 1 (mod L) and
 lifts a kernel basis that ``_s_sums`` proves invariant, exactly; that the
 lift closes rests on rho(S) being unitary and on the rationality of the
-invariants.  No floating point and no unverified heuristics.
+invariants.  A module of two or more p-primary parts whose families span
+is certified through them: its invariants are the tensor product of
+theirs, and no table of the whole module is built.  No floating point and
+no unverified heuristics.
 """
 
 from functools import lru_cache, partial
@@ -42,6 +45,7 @@ import numpy as np
 
 from .arith import factorize, primitive_root
 from .cyclo import _powers, coordinates, degree
+from .fqmod import p_primary_decomposition
 from .linalg import _certified, _prime, _rref_mod, rational_rref
 from .subgroups import (
     EnumerationBoundError,
@@ -223,15 +227,14 @@ def weil_relations_report(m):
       the negation, exactly when row 0 is the only zero row: E is
       non-degenerate, and then s0 G = |G|^2 / |D| = 1;
     - rho(S)^4 is then e(-sig/2), the identity exactly for even signature;
-    - st3 is zeta^E T zeta^E = G T^-1 zeta^E T^-1, which is STS = T^-1 S T^-1,
-      that is (ST)^3 = S^2, when s0 G = 1.  Entry (i, c) of the left side is
+    - st3 is (ST)^3 = S^2, that is STS = T^-1 S T^-1, proven as
+      zeta^E T zeta^E = G T^-1 zeta^E T^-1 with s0 G = 1: it rests on the
+      premises of S^2 as well.  Entry (i, c) of the left side is
       sum_k zeta^(E[s, k] + q[k]) = G zeta^(q[s] + E[s, s]), as k -> k - s
       permutes D and E[s, k] + q[k] = q[k - s] + q[s] + E[s, s] by
-      refinement; of the right side it is G zeta^-q[s].  So st3 holds exactly
-      when q is even, 2 q[x] + E[x, x] = 0, a form additive in x that is
-      4 q[g_j] - q[2 g_j] at a generator; or when G = 0, that is when q is
-      not zero on the radical of E (|G|^2 is |D| times the sum of zeta^-q
-      over the radical, on which q is a character);
+      refinement; of the right side it is G zeta^-q[s], and G != 0.  So
+      st3 holds exactly when q is even as well, 2 q[x] + E[x, x] = 0, a
+      form additive in x that is 4 q[g_j] - q[2 g_j] at a generator;
     - rho(S) is unitary once S^2 holds: additivity gives E[:, -c] = -E[:, c],
       so conj(zeta^E)^t = zeta^E P_neg and zeta^E conj(zeta^E)^t = |D| I.
 
@@ -249,7 +252,6 @@ def weil_relations_report(m):
     shift = m.indices_of(X[:, None, :] + step)  # shift[x, j]: the index of x + g_j
     width = max(1, _BLOCK // n)
     form_ok = s2_ok = refines = True
-    vanishes = False  # G = 0: q is not zero on the radical of E
     for x0 in range(0, n, width):
         K = np.arange(x0, min(n, x0 + width))
         rows = _exponent_block(m, K)
@@ -260,16 +262,14 @@ def weil_relations_report(m):
         )
         if not form_ok:
             break
-        live = rows.any(axis=1)
-        s2_ok = s2_ok and np.array_equal(live, K != 0)
+        s2_ok = s2_ok and np.array_equal(rows.any(axis=1), K != 0)
         refines = refines and not ((q[shift[K]] - q[K, None] - q[gens] + rows[:, gens]) % L).any()
-        vanishes = vanishes or bool((q[K[~live]] % L).any())
     even = not ((4 * q[gens] - q[m.indices_of(2 * step)]) % L).any()
     s2_ok = form_ok and s2_ok
     return {
         "s2_is_negation": s2_ok,
         "s4": s2_ok and m.signature_mod8() % 2 == 0,
-        "st3": form_ok and refines and (even or vanishes),
+        "st3": s2_ok and refines and even,
         "s_unitary": s2_ok,
         "t_unitary": True,  # diagonal of roots of unity
         "method": "integer-histogram",
@@ -328,8 +328,19 @@ def _fixed(m, rows, vectors):
     return True
 
 
-def _certificate(m):
-    """The certified invariants of m and the self-dual isotropic family against them.
+def _family(m):
+    """The 0/1 rows over iso of m's self-dual isotropic subgroups, in
+    enumeration order, and the pivots of their greedy independent subfamily.
+
+    The greedy subfamily (each vector kept when it is not in the span of
+    those before it) is the pivot columns of the family written as columns.
+    """
+    family = isotropic_rows(m, enumerate_self_dual_isotropic(m))
+    return family, rational_rref([list(col) for col in zip(*family)])[1] if family else []
+
+
+def _square_certificate(m):
+    """The invariants of m and its self-dual isotropic family, certified on m's own system.
 
     The invariants are the vectors over the isotropic elements in the kernel
     of the square |iso| x |iso| system zeta^E[iso, iso] - G I, with entries
@@ -370,21 +381,17 @@ def _certificate(m):
     temporaries of its size: about 36 bytes per entry, checked before the
     rows are built.  Each batch of ``_fixed`` adds what ``_s_sums`` charges.
 
-    Returns (iso, dimension, kernel basis, family rows, family pivots,
-    spans): the kernel basis is None unless the lift ran; the pivots index
-    the greedy independent subfamily of the 0/1 rows of the self-dual
-    isotropic subgroups, and spans says that this subfamily is proven to
-    span the invariants.
+    Returns (dimension, kernel basis, family rows, family pivots, spans):
+    the kernel basis is None unless the lift ran; the rows and pivots are
+    those of ``_family``, and spans says that the greedy subfamily is proven
+    to span the invariants.
     """
     _bound_check(m.size)
     iso = m.isotropic_indices
     _byte_check(len(iso) ** 2, 36, "the fixed-point system")
     rows = _isotropic_block(m)
     fixed = partial(_fixed, m, rows)
-    family = isotropic_rows(m, enumerate_self_dual_isotropic(m))
-    # the greedy subfamily (each vector kept when it is not in the span of
-    # those before it) is the pivot columns of the family written as columns
-    pivots = rational_rref([list(col) for col in zip(*family)])[1] if family else []
+    family, pivots = _family(m)
     greedy = [family[c] for c in pivots]
     reduced = {}
     if family:
@@ -394,25 +401,103 @@ def _certificate(m):
         if upper == len(pivots):
             reduced.clear()  # freed before the sums of ``_fixed`` are counted
             if fixed(greedy):
-                return iso, upper, None, family, pivots, True
+                return upper, None, family, pivots, True
     # when the bounds miss, the lift starts at their prime from their RREF,
     # which its own elimination leaves as it is
     kernel = _certified(
         lambda p: reduced.pop(p) if p in reduced else _residues(m, rows, p), len(iso), fixed, m.level
     )[2]
     spans = len(pivots) == len(kernel) and fixed(greedy)
-    return iso, len(kernel), kernel, family, pivots, spans
+    return len(kernel), kernel, family, pivots, spans
+
+
+def _product_certificate(m):
+    """(dimension, family size, family rank) of m as products over its p-primary parts, or None.
+
+    None unless m has two or more parts and the square certificate of each
+    proves that a nonempty self-dual isotropic family spans its invariants.
+    ``_certificate`` proves the products; of m itself only the presentation
+    is read.
+    """
+    if len(factorize(m.size)) < 2:
+        return None
+    counts = []
+    for _, part, _ in p_primary_decomposition(m):
+        dimension, _, family, pivots, spans = _square_certificate(part)
+        if not (family and spans):
+            return None
+        counts.append((dimension, len(family), len(pivots)))
+    return tuple(map(prod, zip(*counts)))
+
+
+def _certificate(m):
+    """The certified invariants of m and the self-dual isotropic family against them.
+
+    Returns (dimension, kernel basis, family size, family rank, spans): the
+    kernel basis is None unless ``_square_certificate`` lifted one for m,
+    and spans says that the family is proven to span the invariants.
+
+    A module of two or more p-primary parts D_p, each with a nonempty
+    family that its square certificate proves spanning, takes the product
+    route: each count is the product of the parts', spans is True, and no
+    table of m is built, so the element bound applies to each part alone.
+    Proof:
+
+    - C[D] = (x)_p C[D_p], e_x = (x)_p e_(x_p).  Q and B are sums over the
+      parts, so the Gauss sum, zeta^E and rho(T), and so rho(S), are the
+      tensor products of the parts'.
+    - A self-dual isotropic H of D_p makes the Gauss sum of D_p |H| > 0
+      (the coset x + H adds e(Q(x)) sum_h e(B(x, h)), 0 unless x lies in
+      H^perp = H), so D_p has signature 0 mod 8, and rho_(D_p) is a
+      representation of SL2(Z) that factors through SL2(Z/L_p), L_p the
+      level of D_p (Nobs & Wolfart 1976; Ehlen & Skoruppa, "Computing
+      invariants of the Weil representation", 2017).  SL2(Z) maps onto
+      SL2(Z/L) = prod_p SL2(Z/L_p) (CRT), each factor acting on its own
+      C[D_p], and the invariants of such an external tensor product are
+      the tensor product of the invariants: Inv(D) = (x)_p Inv(D_p).
+    - Q/Z = (+)_p Q_p/Z_p, so x is isotropic exactly when every x_p is,
+      and a subgroup H = (+)_p H_p is self-dual isotropic exactly when
+      every H_p is (|H|^2 = |D|, and each |H_p|^2 <= |D_p|).  So the family
+      of D is the sums of one member of each part's family, v^H is
+      (x)_p v^(H_p), and the v^H span (x)_p span{v^(H_p)}, of dimension
+      the product of the parts' ranks, which is (x)_p Inv(D_p) = Inv(D).
+
+    Every other module takes ``_square_certificate`` on m itself, which is
+    also this route's test oracle: p-primary modules, and modules with a
+    part whose family is empty (such a part may have odd signature, and
+    then its rho is a representation of the metaplectic group only) or
+    does not span.
+    """
+    product = _product_certificate(m)
+    if product:
+        dimension, size, rank = product
+        return dimension, None, size, rank, True
+    dimension, kernel, family, pivots, spans = _square_certificate(m)
+    return dimension, kernel, len(family), len(pivots), spans
 
 
 def _invariants(m):
-    """(certified basis of the invariants, rank of the self-dual isotropic family)."""
-    iso, _, kernel, family, pivots, spans = _certificate(m)
-    if family and not spans:
-        raise CertificationError("the self-dual isotropic family does not span the invariants")
+    """(certified basis of the invariants, rank of the self-dual isotropic family).
+
+    m's own family is enumerated and its greedy subfamily taken on either
+    route, so the basis does not depend on the route; |D| over the element
+    bound is refused before any work.
+    """
+    _bound_check(m.size)
+    product = _product_certificate(m)
+    if product:
+        kernel = None
+        family, pivots = _family(m)
+        if product != (len(pivots), len(family), len(pivots)):
+            raise CertificationError("the self-dual isotropic family is not the product of its parts' families")
+    else:
+        _, kernel, family, pivots, spans = _square_certificate(m)
+        if family and not spans:
+            raise CertificationError("the self-dual isotropic family does not span the invariants")
     basis = []
     for v in sorted([family[c] for c in pivots] if family else kernel):
         dense = [0] * m.size
-        for g, c in zip(iso, v):
+        for g, c in zip(m.isotropic_indices, v):
             dense[g] = c
         basis.append(dense)
     return basis, len(pivots)
@@ -436,12 +521,12 @@ def invariant_dimension(m):
 
 def verify_selfdual_span(m):
     """Compare span{v^H : H self-dual isotropic} with the invariant space."""
-    _, dimension, _, family, pivots, spans = _certificate(m)
-    if not family:
+    dimension, _, size, rank, spans = _certificate(m)
+    if not size:
         raise ValueError("no self-dual isotropic subgroup; nothing to compare")
     return {
         "dimension": dimension,
-        "family_size": len(family),
-        "family_rank": len(pivots),
+        "family_size": size,
+        "family_rank": rank,
         "span_equal": spans,
     }

@@ -21,13 +21,15 @@ def test_criterion(index):
 
 
 def test_dimension_formulas_under_a_lowered_bound(monkeypatch):
-    # |D_{12,2}| = 576 is over a bound of 400, so check 3 takes the
-    # p-primary product route for it, as it does for (30, 6) by default
+    # |D_{12,2}| = 576 is over a bound of 400, as |D_{30,6}| = 32400 is over
+    # the default one: check 3 certifies both through their p-primary parts
     monkeypatch.setenv("WEILREP_MAX_D", "400")
     result = run_check(3)
     assert result["passed"], result["detail"]
-    assert "kernel cross-checks [(6, 2, 10), (4, 2, 8)];" in result["detail"]
-    assert "product route [(12, 2, 16, 16), (30, 6, 70, 70)]" in result["detail"]
+    assert result["detail"].endswith(
+        "certified dimensions match dimension_formula at"
+        " [(6, 2, 10), (4, 2, 8), (12, 2, 16), (30, 6, 70)]"
+    )
 
 
 def test_budgets_are_timed_on_the_monotonic_clock(monkeypatch):

@@ -1,4 +1,6 @@
+import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction as F
 from functools import lru_cache, partial, reduce
@@ -25,8 +27,9 @@ from discweil.cyclo import (
     from_powers,
     root_of_unity,
 )
-from discweil.fqmod import FqModule, direct_sum, hyperbolic_pair
+from discweil.fqmod import FqModule, direct_sum, hyperbolic_pair, p_primary_decomposition
 from discweil.linalg import _certified, _prime
+from discweil.lnn_catalog import dimension_formula
 from discweil.subgroups import EnumerationBoundError, enumerate_subgroups
 
 A1 = FqModule((2,), [F(1, 4)], [[F(1, 2)]])  # signature 1
@@ -298,8 +301,10 @@ def column_relations(m):
 
     - rho(S)^2 = e(-sig/4) P_neg exactly when (zeta^E)^2 e_c = |D| e_(-c);
     - rho(S)^4 is then e(-sig/2), the identity exactly for even signature;
-    - (ST)^3 = S^2 exactly when zeta^E T zeta^E = G T^-1 zeta^E T^-1:
-      zeta^E on the columns T zeta^E e_c against G zeta^(E[i, c] - q_i - q_c);
+    - (ST)^3 = S^2 exactly when zeta^E T zeta^E = G T^-1 zeta^E T^-1
+      (zeta^E on the columns T zeta^E e_c against G zeta^(E[i, c] - q_i - q_c))
+      and s0 G = 1, which S^2 gives: on a degenerate table s0 G != 1, and
+      the flag reads False, as the report's does;
     - rho(S) is unitary once S^2 holds and E is the table of a symmetric
       bilinear form, E = E^t and E[:, -c] = -E[:, c] mod L, checked on E.
 
@@ -337,7 +342,7 @@ def column_relations(m):
     return {
         "s2_is_negation": s2_ok,
         "s4": s2_ok and m.signature_mod8() % 2 == 0,
-        "st3": st3_ok,
+        "st3": st3_ok and s2_ok,
         "s_unitary": s2_ok and table_ok,
         "t_unitary": True,
         "method": "integer-histogram",
@@ -586,7 +591,7 @@ def test_bound_route_matches_lift_oracle(m):
     # the certified dimension and spans verdict against the lift on its own
     rows = W._isotropic_block(m)
     kernel = certified_system(m, partial(W._residues, m, rows))[2]
-    _, dimension, lifted, family, pivots, spans = W._certificate(m)
+    dimension, lifted, family, pivots, spans = W._square_certificate(m)
     assert dimension == len(kernel)
     assert spans == (len(pivots) == len(kernel) and W._fixed(m, rows, [family[c] for c in pivots]))
     assert (lifted is None) == (bool(family) and spans)
@@ -613,9 +618,9 @@ def test_invariant_space_methods_agree():
         m = hyperbolic_pair(N, Np)
         kernel = certified_system(m, partial(W._residues, m, W._isotropic_block(m)))[2]
         assert kernel == oracle_invariants(m)
-        iso, dimension, lifted, family, pivots, spans = W._certificate(m)
+        dimension, lifted, family, pivots, spans = W._square_certificate(m)
         assert spans and dimension == len(pivots) == want and lifted is None
-        got = [[v[g] for g in iso] for v in W.invariant_space(m)]
+        got = [[v[g] for g in m.isotropic_indices] for v in W.invariant_space(m)]
         assert oracle_rank(got) == oracle_rank(got + kernel) == want
 
 
@@ -625,9 +630,10 @@ def test_bad_prime_is_rejected(monkeypatch):
     # rank, so the lift runs, starting from the RREF the bounds made; its
     # first kernel is too large and fails the exact check, the next prime's
     # smaller key restarts the lift, and the certificate is the bounds' one
-    # with the lifted kernel
-    for m in (hyperbolic_pair(6, 1), direct_sum(COMPONENTS[4], negated(COMPONENTS[4]))):
-        iso, dimension, _, family, pivots, spans = W._certificate(m)
+    # with the lifted kernel.  p-primary modules, as a module of two or
+    # more parts is certified through its parts
+    for m in (hyperbolic_pair(4, 1), direct_sum(COMPONENTS[4], negated(COMPONENTS[4]))):
+        dimension, _, size, rank, spans = W._certificate(m)
         kernel = certified_system(m, partial(W._residues, m, W._isotropic_block(m)))[2]
         first = _prime(0, m.level)
         residues, fixed = W._residues, W._fixed
@@ -647,8 +653,8 @@ def test_bad_prime_is_rejected(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(W, "_residues", corrupted)
             mp.setattr(W, "_fixed", recorded)
-            assert W._certificate(m) == (iso, dimension, kernel, family, pivots, spans)
-        assert spans and dimension == len(kernel) == len(pivots)
+            assert W._certificate(m) == (dimension, kernel, size, rank, spans)
+        assert spans and dimension == len(kernel) == rank
         # the bounds' prime, reduced once for both routes, then the lift's second
         assert primes == [first, _prime(1, m.level)]
         assert verdicts == [False, True, True]
@@ -726,6 +732,106 @@ def test_selfdual_family_spans_beyond_lnn(name):
     kernel = certified_system(m, partial(W._residues, m, W._isotropic_block(m)))[2]
     assert rep["span_equal"] is True
     assert rep["dimension"] == rep["family_rank"] == len(kernel) == want
+
+
+# multi-prime D_{N,N'} under the bound: every one is certified through its parts
+PRODUCT_PAIRS = st.sampled_from([(6, 1), (10, 1), (12, 1), (15, 1), (6, 2), (6, 3), (12, 2)]).map(
+    lambda pair: hyperbolic_pair(*pair)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(SUMS, DOUBLES, PRODUCT_PAIRS))
+@example(hyperbolic_pair(12, 2))
+@example(double(direct_sum(COMPONENTS[0], COMPONENTS[2])))  # Z/15 + Z/15(-1), two parts
+@example(reduce(direct_sum, [double(COMPONENTS[6]), COMPONENTS[0], COMPONENTS[4]]))  # three parts
+def test_product_route_matches_square_route(m):
+    # the square certificate of the whole module is the oracle of the
+    # product route, for the certificate, the span report and the basis
+    dimension, kernel, family, pivots, spans = W._square_certificate(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(W, "_product_certificate", lambda _: None)
+        basis = W.invariant_space(m)
+        report = W.verify_selfdual_span(m) if family else None
+    # a module of two or more parts with a family has parts with families,
+    # and each spans, so it takes the product route
+    product = W._product_certificate(m)
+    assert (product is not None) == (len(p_primary_decomposition(m)) > 1 and bool(family))
+    assert product in (None, (dimension, len(family), len(pivots)))
+    assert W._certificate(m) == (dimension, kernel, len(family), len(pivots), spans)
+    assert json.dumps(W.invariant_space(m)) == json.dumps(basis)
+    if family:
+        assert W.verify_selfdual_span(m) == report
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        direct_sum(COMPONENTS[6], double(COMPONENTS[0])),
+        reduce(direct_sum, [double(COMPONENTS[6]), COMPONENTS[0], COMPONENTS[0]]),
+        direct_sum(COMPONENTS[0], COMPONENTS[2]),
+    ],
+    ids=["odd 2-part", "3-part with no family", "no family"],
+)
+def test_a_part_without_a_spanning_family_goes_square(monkeypatch, m):
+    # Z/2 with x^2/4 has signature 1, so no family; (Z/3)^2 with
+    # x^2/3 + y^2/3 has no isotropic element but 0; Z/3 + Z/5 has
+    # signature 2.  The square certificate then runs on the whole module.
+    square = W._square_certificate
+    sizes = []
+
+    def recorded(mod):
+        sizes.append(mod.size)
+        return square(mod)
+
+    monkeypatch.setattr(W, "_square_certificate", recorded)
+    dimension, kernel, size, rank, spans = W._certificate(m)
+    # the parts up to the first without a family, then the whole module
+    assert sizes[-1] == m.size
+    assert W._product_certificate(m) is None
+    assert (kernel is None) == (bool(size) and spans)
+    assert dimension == len(kernel) == size == rank == 0
+
+
+def test_basis_closes_against_the_product_counts(monkeypatch):
+    # on the product route the basis is the greedy subfamily of the whole
+    # module's family, accepted only when its size and rank are the
+    # products of the parts': a certificate either closes or raises
+    m = hyperbolic_pair(6, 1)
+    assert W._product_certificate(m) == (4, 4, 4)
+    monkeypatch.setattr(W, "_product_certificate", lambda _: (5, 5, 5))
+    with pytest.raises(W.CertificationError):
+        W.invariant_space(m)
+
+
+@pytest.mark.parametrize("N, Np, size", [(12, 12, 176), (60, 6, 160)])
+def test_span_report_past_the_bound_runs_through_the_parts(monkeypatch, N, Np, size):
+    # |D| = 20736 and 129600, over the default bound of 10^4, with every
+    # part under it: the span report certifies them in well under a second
+    # and computes no residue of the whole module, while a basis, a list
+    # of |D| ints, is refused before any work.  Both have dimension 112,
+    # which is dimension_formula(60, 6)
+    monkeypatch.delenv("WEILREP_MAX_D", raising=False)
+    residues = W._residues
+
+    def parts_only(mod, rows, q):
+        if mod.size == N * N * Np * Np:
+            raise AssertionError("the residues of the whole module were computed")
+        return residues(mod, rows, q)
+
+    monkeypatch.setattr(W, "_residues", parts_only)
+    t0 = time.monotonic()
+    rep = W.verify_selfdual_span(hyperbolic_pair(N, Np))
+    assert time.monotonic() - t0 < 1.0
+    assert rep == {"dimension": 112, "family_size": size, "family_rank": 112, "span_equal": True}
+    assert dimension_formula(60, 6) == 112
+
+    def no_work(_):
+        raise AssertionError("the parts were split")
+
+    monkeypatch.setattr(W, "p_primary_decomposition", no_work)
+    with pytest.raises(EnumerationBoundError):
+        W.invariant_space(hyperbolic_pair(N, Np))
 
 
 def test_env_var_bound_governs_dense_tables(monkeypatch):
@@ -1022,9 +1128,11 @@ def test_relations_report_needs_a_non_degenerate_table(monkeypatch, N, Np, c, t)
     # c E is a symmetric bilinear table and c q an even refinement of it,
     # but the rows of the x with c L B(x, .) = 0 are zero, and some such x
     # is not 0: the form is degenerate, and S^2 is no negation, as the
-    # column oracle finds.  With c = 0 the table is zero and q = E[g] is
-    # not zero on its radical, all of D: G = 0, and both sides of STS
-    # vanish, so STS holds.
+    # column oracle finds.  Then s0 G != 1, so the identity that st3 checks
+    # is not (ST)^3 = S^2, and st3 reads False: for c = 2 on D_{4,1},
+    # s0 G = 4 and (ST)^3 != S^2.  With c = 0 the table is zero and
+    # q = E[g] is not zero on its radical, all of D: G = 0, S = 0, and
+    # st3 reads False too, as nothing in the report proves it.
     m = hyperbolic_pair(N, Np)
     L, E = m.level, exponents(m)
     g = m.indices_of(np.eye(len(m.orders), dtype=np.int64))[0]
@@ -1032,7 +1140,7 @@ def test_relations_report_needs_a_non_degenerate_table(monkeypatch, N, Np, c, t)
     monkeypatch.setitem(m.__dict__, "q_ints", (c * m.q_ints + t * E[g]) % L)
     rep = W.weil_relations_report(m)
     assert rep == column_relations(m)
-    assert not rep["s2_is_negation"]
+    assert not rep["s2_is_negation"] and not rep["st3"]
 
 
 @pytest.mark.parametrize(
