@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import ceil
 
 from .arith import divisors, is_prime, is_rational_square
-from .cyclo import CycNumber, exp_frac
+from .cyclo import CycNumber, exp_frac, exp_frac_product
 from .fqmod import hyperbolic_pair
 from .linalg import rational_rref
 from .lnn_catalog import SelfDualSpec, assemble, selfdual_list_Np, relations_Np
@@ -155,12 +155,10 @@ def _psi_series(f, side, trunc):
     factors = [(lam, x, c) for lam in range(1, bound) for x, c in slots[lam % Np] if c]
     coeffs = product_terms(factors, N, bound)
     exp_den = 24 * Np
-    terms = {}
-    for k, v in enumerate(coeffs):
-        key = lead * exp_den + k * (exp_den // den)
-        assert key.denominator == 1
-        terms[key.numerator] = v
-    return FracQSeries(exp_den, terms, trunc)
+    k0 = lead * exp_den
+    assert k0.denominator == 1
+    k0, step = k0.numerator, exp_den // den
+    return FracQSeries(exp_den, {k0 + k * step: v for k, v in enumerate(coeffs)}, trunc)
 
 
 def lift(f, trunc):
@@ -203,22 +201,23 @@ def _collapse(S, N, Np):
     return c, g, k0, c * k0
 
 
-def _member_factors(h):
-    """Exact eta data of the two sides of a self-dual isotropic h in D_{N,N'}.
-
-    N and N' are read from h's module.
+def _member_sides(h):
+    """(scale, shift, phase) of the two sides of a self-dual isotropic h in
+    D_{N,N'}: each side's eta factor eta(scale tau + shift) comes with the
+    prefactor e(phase), phase = -w/24N.  N and N' are read from h's module.
     """
     N, Np = h.parent.orders[0], h.parent.orders[2]
     elems = h.element_tuples()
     S1 = {(x2, x4) for (x1, x2, x3, x4) in elems if x1 == 0 and x3 == 0}
     S2 = {(x2, x3) for (x1, x2, x3, x4) in elems if x1 == 0 and x4 == 0}
-    c1, g1, k01, w1 = _collapse(S1, N, Np)
-    c2, g2, k02, w2 = _collapse(S2, N, Np)
+    c1, g1, _, w1 = _collapse(S1, N, Np)
+    c2, g2, _, w2 = _collapse(S2, N, Np)
     if c1 * g1 != len(S2) or c2 * g2 != len(S1):
         raise ValueError("side data violates the self-duality cross counts")
-    fac1 = (Fraction(c1 * g1), Fraction(w1, N))
-    fac2 = (Fraction(c2 * g2, Np), Fraction(w2, N))
-    return fac1, exp_frac(Fraction(-w1, 24 * N)), fac2, exp_frac(Fraction(-w2, 24 * N))
+    return (
+        (Fraction(c1 * g1), Fraction(w1, N), Fraction(-w1, 24 * N)),
+        (Fraction(c2 * g2, Np), Fraction(w2, N), Fraction(-w2, 24 * N)),
+    )
 
 
 def _solve_exact(cols, b):
@@ -275,23 +274,18 @@ def eta_identify(decomposition):
     ``decomposition`` holds (c, subgroup) pairs, c nonzero, of self-dual
     isotropic subgroups of one D_{N,N'}.  The returned quotients reproduce the
     product-formula series exactly: expanding eta1 gives psi1 and expanding
-    eta2 gives psi2, coefficient by coefficient, because each factor carries
-    its e(-w/24N) prefactor.
+    eta2 gives psi2, coefficient by coefficient, because each member's factor
+    eta^c comes with e(-w/24N)^c.  A side's prefactor is the product of
+    those, one root of unity e(-sum c w/24N) (``exp_frac_product``).
     """
-    factors1 = []
-    factors2 = []
-    pref1 = Fraction(1)
-    pref2 = Fraction(1)
+    factors = ([], [])
+    phases = ([], [])
     for c, h in decomposition:
-        (s1, sh1), p1, (s2, sh2), p2 = _member_factors(h)
-        factors1.append(EtaFactor(s1, sh1, c))
-        factors2.append(EtaFactor(s2, sh2, c))
-        pref1 = pref1 * p1 ** c
-        pref2 = pref2 * p2 ** c
-    q1 = EtaQuotient(tuple(factors1), pref1)
-    q2 = EtaQuotient(tuple(factors2), pref2)
-    const = pref1 * pref2
-    return q1, q2, const
+        for i, (scale, shift, phase) in enumerate(_member_sides(h)):
+            factors[i].append(EtaFactor(scale, shift, c))
+            phases[i].append((phase, c))
+    q1, q2 = (EtaQuotient(tuple(f), exp_frac_product(p)) for f, p in zip(factors, phases))
+    return q1, q2, q1.prefactor * q2.prefactor
 
 
 # ------------------------------------------------- characters and relations

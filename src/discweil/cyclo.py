@@ -2,19 +2,23 @@
 
 One value, one representation: a rational number is always a ``Fraction``
 and a ``CycNumber`` is always irrational.  Every number this module hands
-out (arithmetic, ``root_of_unity``, ``exp_frac``, ``from_coordinates``,
-``from_powers``) is built by ``_make``, which returns a Fraction whenever
-the power-basis coordinates are rational; ``coordinates`` reads the integer
-coordinates of either kind at a chosen conductor.
+out (arithmetic, ``root_of_unity``, ``exp_frac``, ``exp_frac_product``,
+``from_coordinates``, ``from_powers``) is built by ``_make``, which returns
+a Fraction whenever the power-basis coordinates are rational;
+``coordinates`` reads the integer coordinates of either kind at a chosen
+conductor.
 
 A CycNumber of conductor M is stored canonically: integer coordinates
 (c_0, ..., c_(phi-1)) in the power basis 1, zeta_M, ..., zeta_M^(phi(M)-1)
 over a positive denominator coprime to their content, so equality reads
 fields.  A sum adds coordinates and a product is an integer convolution
 reduced by the one cached table of the powers zeta_M^e, 0 <= e < M, whose
-rows hold only their nonzero coordinates.  The text form depends only on
-the value: r zeta_M^e prints as r*zM^e (r > 0 where -zeta_M^e is a power
-too), anything else as the power-basis sum.
+rows hold only their nonzero coordinates.  The text form depends on the
+value and the conductor: r zeta_M^e prints as r*zM^e (r > 0 where -zeta_M^e
+is a power too), anything else as the power-basis sum.  A CycNumber keeps
+the conductor its computation reached, so equal irrational values can print
+differently: root_of_unity(3, 72) == root_of_unity(1, 24), printed 1*z72^3
+and 1*z24^1.
 """
 
 from fractions import Fraction
@@ -260,8 +264,9 @@ class CycNumber:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def inv(self):
@@ -336,3 +341,33 @@ def exp_frac(fr):
     """e(fr) = exp(2 pi i fr) for a rational fr, exact."""
     fr = Fraction(fr)
     return root_of_unity(fr.numerator % fr.denominator, fr.denominator)
+
+
+def exp_frac_product(pairs):
+    """prod e(s)^c over pairs (s, c) of a rational s and an integer c, exact.
+
+    The value is e(sum c s), one root of unity, built at the conductor the
+    running product of the exp_frac(s) ** c reaches, so it is that product
+    in type, text and JSON: the lcm of the conductors of its irrational
+    factors e(s)^c (each the reduced denominator of s), restarted whenever
+    a partial product is +-1.  The exponents are summed as integers over
+    the lcm L of the denominators: e(t/L) is +-1 exactly when L | 2t.
+    """
+    pairs = [(Fraction(s), c) for s, c in pairs]
+    L = lcm(*(s.denominator for s, _ in pairs))
+    total = 0
+    M = 1
+    for s, c in pairs:
+        t = s.numerator * (L // s.denominator) * c
+        if 2 * t % L:
+            M = lcm(M, s.denominator)
+        total += t
+        if not 2 * total % L:
+            M = 1
+    if M == 1:
+        return Fraction(-1 if total % L else 1)
+    # e(total/L) = zeta_2M^e; at odd M an odd e is -zeta_M^((e - M)/2), no power of zeta_M
+    e = 2 * total * M // L
+    if e % 2 == 0:
+        return root_of_unity(e // 2, M)
+    return -root_of_unity((e - M) // 2, M)

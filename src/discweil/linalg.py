@@ -101,9 +101,9 @@ def _prime(i, step=1):
 
 def _integer_row(row):
     """The row times the common denominator of its Fractions; rows of ints as they are."""
-    if not any(isinstance(x, Fraction) for x in row):
+    if not any(type(x) is Fraction for x in row):
         return row
-    den = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+    den = lcm(*(x.denominator for x in row if type(x) is Fraction))
     return [int(x * den) for x in row]
 
 

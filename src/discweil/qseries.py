@@ -15,12 +15,13 @@ at k = j s, in all -e s sigma(j) zeta_M^(a j).  With integer exponents every
 coefficient lies in Z[zeta_M], so the recurrence runs on integer power-basis
 coordinates and checks each division by n.  The sparse pentagonal eta
 expansion and the naive truncated product stay as oracles, as do the per-n
-factors of an eta quotient fed to ``product_terms`` (in the tests).
+factors of an eta quotient fed to ``product_terms`` and the Fraction
+bookkeeping of ``EtaQuotient.expand`` (in the tests).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import lcm
 
 from .cyclo import CycNumber, degree, exp_frac, fold, from_coordinates, sparse_coordinates
 
@@ -41,8 +42,8 @@ class FracQSeries:
         if exp_den < 1:
             raise ValueError("exponent denominator must be positive")
         self.exp_den = exp_den
-        self.trunc = Fraction(trunc)
-        bound = self.trunc * exp_den
+        self.trunc = trunc = Fraction(trunc)
+        bound = -(-trunc.numerator * exp_den // trunc.denominator)  # k < trunc m for integer k
         self.terms = {
             k: v for k, v in terms.items() if v and k < bound
         }
@@ -81,16 +82,6 @@ class FracQSeries:
     def scale(self, c):
         return FracQSeries(
             self.exp_den, {k: v * c for k, v in self.terms.items()}, self.trunc
-        )
-
-    def shift(self, expo):
-        """Multiply by the exact monomial q^expo."""
-        expo = Fraction(expo)
-        m = lcm(self.exp_den, expo.denominator)
-        s = self._rescaled(m)
-        d = expo.numerator * (m // expo.denominator)
-        return FracQSeries(
-            m, {k + d: v for k, v in s.terms.items()}, s.trunc + expo
         )
 
     def __mul__(self, other):
@@ -323,40 +314,49 @@ class EtaQuotient:
         step = d D and a = r M over the lcms D, M of the scale and shift
         denominators, s_k takes -e step sigma(j) zeta_M^(a j) at k = j step
         (module docstring): one sieve, then bound/step terms a factor.  The
-        series is known below trunc - loss(), as a quotient of eta series each
+        lead sum(step e)/24D, the largest step and the phase sum(a e)/24M
+        are integers over those denominators, and the series is built once,
+        at the lcm m of D and the lead's denominator: b_j at q^(lead + j/D).
+        It is known below trunc - loss(), as a quotient of eta series each
         truncated at trunc would be.
         """
         trunc = Fraction(trunc)
         live = [f for f in self.factors if f.exponent]
-        top = max((f.scale for f in live), default=Fraction(0))
-        if live and trunc <= top / 24:
-            raise ValueError("truncation under the leading exponent gives an empty series")
         D = lcm(*(f.scale.denominator for f in live))
         M = lcm(*(f.shift.denominator for f in live))
-        rel = trunc - top / 24  # trunc - loss() - lead()
-        bound = ceil(rel * D)
+        steps = [f.scale.numerator * (D // f.scale.denominator) for f in live]
+        top = max(steps, default=0)  # 24 D (loss() + lead())
+        tn, td = trunc.numerator, trunc.denominator
+        if live and 24 * D * tn <= top * td:
+            raise ValueError("truncation under the leading exponent gives an empty series")
         if any(f.exponent != int(f.exponent) for f in live):
             raise ValueError("product exponents must be integers")
+        bound = -((top * td - 24 * D * tn) // (24 * td))  # ceil(D (trunc - loss() - lead()))
         sigma = [0] * bound
         for i in range(1, bound):
             for j in range(i, bound, i):
                 sigma[j] += i
         hist = [{} for _ in range(bound)]
-        for f in live:
-            step = int(f.scale * D)
-            a = int(f.shift * M)
-            c = step * int(f.exponent)
+        lead = phase = 0  # 24 D lead(), and 24 M times the phase
+        for f, step in zip(live, steps):
+            e = int(f.exponent)
+            a = f.shift.numerator * (M // f.shift.denominator)
+            c = step * e
+            lead += c
+            phase += a * e
             for j in range(1, (bound - 1) // step + 1):
                 h = hist[j * step]
-                e = a * j % M
-                h[e] = h.get(e, 0) - c * sigma[j]
+                r = a * j % M
+                h[r] = h.get(r, 0) - c * sigma[j]
         coeffs = _euler(hist, M, bound)
-        out = FracQSeries(D, dict(enumerate(coeffs)), rel).shift(self.lead())
-        phase = sum((f.shift * f.exponent for f in live), Fraction(0)) / 24
-        front = self.prefactor * exp_frac(phase)
+        front = self.prefactor * exp_frac(Fraction(phase, 24 * M))
         if front != 1:
-            out = out.scale(front)
-        return out
+            coeffs = [v * front if v else v for v in coeffs]
+        lead = Fraction(lead, 24 * D)
+        m = lcm(D, lead.denominator)
+        k0, stride = lead.numerator * (m // lead.denominator), m // D
+        terms = {k0 + j * stride: v for j, v in enumerate(coeffs)}
+        return FracQSeries(m, terms, trunc + lead - Fraction(top, 24 * D))
 
     def loss(self):
         """How far below the requested order expand() knows the series."""

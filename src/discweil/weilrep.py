@@ -43,7 +43,7 @@ from math import prod
 
 import numpy as np
 
-from .arith import factorize, primitive_root
+from .arith import factorize, is_rational_square, primitive_root
 from .cyclo import _powers, coordinates, degree
 from .fqmod import p_primary_decomposition
 from .linalg import _certified, _prime, _rref_mod, rational_rref
@@ -416,13 +416,18 @@ def _product_certificate(m):
 
     None unless m has two or more parts and the square certificate of each
     proves that a nonempty self-dual isotropic family spans its invariants.
-    ``_certificate`` proves the products; of m itself only the presentation
-    is read.
+    A part whose order is no square has no self-dual isotropic subgroup
+    (|H|^2 = |D_p|), so that is checked of every part before any part is
+    certified.  ``_certificate`` proves the products; of m itself only the
+    presentation is read.
     """
     if len(factorize(m.size)) < 2:
         return None
+    parts = [part for _, part, _ in p_primary_decomposition(m)]
+    if not all(is_rational_square(part.size) for part in parts):
+        return None
     counts = []
-    for _, part, _ in p_primary_decomposition(m):
+    for part in parts:
         dimension, _, family, pivots, spans = _square_certificate(part)
         if not (family and spans):
             return None

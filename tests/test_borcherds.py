@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_weilrep import dense_S, mat_apply
 
-from discweil.arith import divisors
+import discweil.borcherds as B
+from discweil.arith import divisors, is_prime
 from discweil.borcherds import (
     InputForm,
     catalog_for,
@@ -18,6 +20,7 @@ from discweil.borcherds import (
     verify_eta_prime,
     weyl_vector,
 )
+from discweil.cyclo import exp_frac
 from discweil.fqmod import hyperbolic_pair
 from discweil.lnn_catalog import (
     SelfDualSpec,
@@ -235,3 +238,61 @@ def test_decompose_recovers_coefficients():
     assert by_first == {1: 2, 3: -1, 6: 3}
     # each coordinate carries its member's assembled subgroup
     assert all(h == assemble(s) for _, s, h in triples)
+
+
+# ---------------------------- the prefactors against the running product
+
+
+def _member_factors(h):
+    """Exact eta data of the two sides of a self-dual isotropic h in D_{N,N'}:
+    each side's (scale, shift) and its root of unity e(-w/24N) (test oracle).
+    """
+    N, Np = h.parent.orders[0], h.parent.orders[2]
+    elems = h.element_tuples()
+    S1 = {(x2, x4) for (x1, x2, x3, x4) in elems if x1 == 0 and x3 == 0}
+    S2 = {(x2, x3) for (x1, x2, x3, x4) in elems if x1 == 0 and x4 == 0}
+    c1, g1, _, w1 = B._collapse(S1, N, Np)
+    c2, g2, _, w2 = B._collapse(S2, N, Np)
+    if c1 * g1 != len(S2) or c2 * g2 != len(S1):
+        raise ValueError("side data violates the self-duality cross counts")
+    fac1 = (F(c1 * g1), F(w1, N))
+    fac2 = (F(c2 * g2, Np), F(w2, N))
+    return fac1, exp_frac(F(-w1, 24 * N)), fac2, exp_frac(F(-w2, 24 * N))
+
+
+def eta_identify_by_running_product(decomposition):
+    """eta_identify with one CycNumber power and product per member and side."""
+    factors1, factors2 = [], []
+    pref1 = pref2 = F(1)
+    for c, h in decomposition:
+        (s1, sh1), p1, (s2, sh2), p2 = _member_factors(h)
+        factors1.append(B.EtaFactor(s1, sh1, c))
+        factors2.append(B.EtaFactor(s2, sh2, c))
+        pref1 = pref1 * p1**c
+        pref2 = pref2 * p2**c
+    return B.EtaQuotient(tuple(factors1), pref1), B.EtaQuotient(tuple(factors2), pref2), pref1 * pref2
+
+
+PRIME_PAIRS = [(N, p) for N in range(2, 13) for p in range(2, N + 1) if N % p == 0 and is_prime(p)]
+
+
+@pytest.mark.parametrize("N,p", PRIME_PAIRS, ids=["%d-%d" % pair for pair in PRIME_PAIRS])
+def test_relation_identity_matches_the_running_product(monkeypatch, N, p):
+    # every relations_Np vector: the same JSON when the prefactors are
+    # multiplied out one member at a time
+    rels = relations_Np(N, p)
+    want = []
+    with monkeypatch.context() as mp:
+        mp.setattr(B, "eta_identify", eta_identify_by_running_product)
+        for rel in rels:
+            want.append(json.dumps(relation_to_eta_identity(N, p, rel, 6), sort_keys=True))
+    got = [json.dumps(relation_to_eta_identity(N, p, rel, 6), sort_keys=True) for rel in rels]
+    assert got == want
+
+
+def test_mixed_lift_matches_the_running_product(monkeypatch):
+    cat = selfdual_list_Np(6, 3)
+    f = InputForm.from_combination(hyperbolic_pair(6, 3), [(1, cat[3]), (-2, cat[7]), (1, cat[11])])
+    got = json.dumps(lift(f, 8).to_json(), sort_keys=True)
+    monkeypatch.setattr(B, "eta_identify", eta_identify_by_running_product)
+    assert got == json.dumps(lift(f, 8).to_json(), sort_keys=True)

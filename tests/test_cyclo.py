@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -12,6 +13,7 @@ from discweil.cyclo import (
     cyclotomic_poly,
     degree,
     exp_frac,
+    exp_frac_product,
     from_coordinates,
     from_powers,
     root_of_unity,
@@ -346,3 +348,64 @@ def test_text_of_every_power_and_its_negative():
                 assert str(-z) == "1*z%d^%d" % (M, (e + M // 2) % M)
             else:
                 assert str(-z) == "-1*z%d^%d" % (M, e)
+
+
+def test_text_depends_on_the_conductor():
+    # equal values print at the conductor each computation reached
+    a, b = root_of_unity(3, 72), root_of_unity(1, 24)
+    assert a == b and (str(a), str(b)) == ("1*z72^3", "1*z24^1")
+    assert a.to_json() != b.to_json()
+    assert str(exp_frac(F(3, 72))) == "1*z24^1"  # exp_frac reduces s first
+
+
+# ----------------------------------------- products of e(s)^c as one root
+
+
+def running_product(pairs):
+    """prod exp_frac(s) ** c, one CycNumber power and product a pair (oracle)."""
+    out = F(1)
+    for s, c in pairs:
+        out = out * exp_frac(s) ** c
+    return out
+
+
+def _printed(x):
+    return (type(x), repr(x), json.dumps(x.to_json() if isinstance(x, CycNumber) else str(x)))
+
+
+phase_pairs = st.lists(
+    st.tuples(
+        st.builds(F, st.integers(-60, 60), st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 24, 72])),
+        st.integers(-4, 4),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300)
+@given(phase_pairs, phase_pairs, st.sampled_from([None, F(0), F(1, 2)]))
+def test_exp_frac_product_is_the_running_product(head, tail, back):
+    # with back, head's inverse follows it, and then e(back): the partial
+    # product returns to 1 or -1 before tail runs
+    pairs = list(head)
+    if back is not None:
+        pairs += [(s, -c) for s, c in reversed(head)] + [(back, 1)]
+    pairs += tail
+    assert _printed(exp_frac_product(pairs)) == _printed(running_product(pairs))
+
+
+@pytest.mark.parametrize(
+    "pairs,text",
+    [
+        ([], "1"),
+        ([(F(1, 2), 3)], "-1"),
+        ([(F(1, 4), 2), (F(1, 2), 1)], "1"),
+        ([(F(1, 3), 1), (F(1, 2), 1)], "-1*z3^1"),  # odd conductor: keeps its sign
+        ([(F(1, 8), 1), (F(1, 3), 2), (F(-1, 3), 2)], "1*z24^3"),  # the lcm, not 8
+        ([(F(1, 8), 4), (F(1, 6), 1)], "1*z6^4"),  # e(1/8)^4 = -1 adds no conductor
+        ([(F(1, 24), 5), (F(-5, 24), 1), (F(1, 12), 1)], "1*z12^1"),  # restarted at 1
+    ],
+)
+def test_exp_frac_product_pins(pairs, text):
+    assert str(exp_frac_product(pairs)) == text
+    assert _printed(exp_frac_product(pairs)) == _printed(running_product(pairs))

@@ -10,6 +10,7 @@ from discweil.borcherds import InputForm, catalog_for, decompose
 from discweil.fqmod import hyperbolic_pair
 from discweil.linalg import (
     _certified_rows,
+    _integer_row,
     _prime,
     _rref_mod,
     primitive_integer_vector,
@@ -195,3 +196,10 @@ def test_decompose_keeps_coefficients_beyond_int64():
     want = [2**70, -3, 0, 1]
     got = decompose(InputForm.from_combination(m, list(zip(want, members))))
     assert [(c, s) for c, s, _ in got] == [(c, s) for c, s in zip(want, members) if c]
+
+
+def test_integer_row_scales_only_rows_with_fractions():
+    ints = [0, 1, 0, 3]
+    assert _integer_row(ints) is ints  # no copy, no scaling
+    assert _integer_row([F(1, 2), 3, F(-1, 3), F(4)]) == [3, 18, -2, 24]
+    assert _integer_row([F(2), 5]) == [2, 5]

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction as F
-from math import lcm
+from math import ceil, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -350,3 +350,99 @@ def test_constant_quotient_skips_every_fold(monkeypatch, quotient):
     assert bound > 20 and folds == []
     assert got[0] == 1 and all(type(x) is F and x == 0 for x in got[1:])
     assert series.lead() == 0 and list(series.terms) == [0]
+
+
+# --------------------------- integer bookkeeping against the Fraction route
+
+
+def expand_by_fractions(quotient, trunc):
+    """EtaQuotient.expand with Fraction bookkeeping (test oracle).
+
+    The coefficients come from the per-n triples; the series is built at the
+    scale denominator D, moved by q^lead() through a rescale to
+    lcm(D, lead denominator), then scaled by prefactor * e(phase), each step
+    a FracQSeries of its own, and every exponent a Fraction.
+    """
+    trunc = F(trunc)
+    live = [f for f in quotient.factors if f.exponent]
+    top = max((f.scale for f in live), default=F(0))
+    if live and trunc <= top / 24:
+        raise ValueError("truncation under the leading exponent gives an empty series")
+    D = lcm(*(f.scale.denominator for f in live))
+    M = lcm(*(f.shift.denominator for f in live))
+    rel = trunc - top / 24
+    bound = ceil(rel * D)
+    if any(f.exponent != int(f.exponent) for f in live):
+        raise ValueError("product exponents must be integers")
+    out = FracQSeries(D, dict(enumerate(product_terms(eta_triples(quotient, bound), M, bound))), rel)
+    lead = quotient.lead()
+    m = lcm(D, lead.denominator)
+    d = lead.numerator * (m // lead.denominator)
+    out = FracQSeries(m, {k * (m // D) + d: v for k, v in out.terms.items()}, rel + lead)
+    phase = sum((f.shift * f.exponent for f in live), F(0)) / 24
+    front = quotient.prefactor * exp_frac(phase)
+    return out.scale(front) if front != 1 else out
+
+
+def expanded(route, quotient, trunc):
+    """The JSON text of route(quotient, trunc), or its ValueError's message."""
+    try:
+        return json.dumps(route(quotient, trunc).to_json())
+    except ValueError as e:
+        return "ValueError: %s" % e
+
+
+prefactors = st.sampled_from([F(1), F(-2, 3), F(0), exp_frac(F(1, 8)), exp_frac(F(1, 3)) * F(5, 2)])
+any_eta_factors = st.builds(
+    EtaFactor,
+    st.builds(F, st.integers(1, 9), st.sampled_from([1, 2, 3, 4, 6])),
+    st.builds(F, st.integers(-7, 7), st.sampled_from([1, 2, 3, 4, 5, 12])),
+    st.one_of(st.integers(-3, 3), st.integers(-3, 3), st.just(F(1, 2))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(any_eta_factors, max_size=4),
+    prefactors,
+    st.builds(F, st.integers(-4, 40), st.sampled_from([1, 2, 3, 5])),
+)
+def test_expand_matches_the_fraction_route(factors, prefactor, trunc):
+    # random scales, negative shifts, zero and Fraction exponents, prefactors
+    # and truncations under the lead: the same JSON, or the same error first
+    q = EtaQuotient(factors, prefactor)
+    assert expanded(EtaQuotient.expand, q, trunc) == expanded(expand_by_fractions, q, trunc)
+
+
+def test_expand_errors_keep_their_order():
+    under = [EtaFactor(6, 0, 1), EtaFactor(1, 0, F(1, 2))]
+    for factors, trunc, message in [
+        (under, F(1, 4), "truncation under the leading exponent gives an empty series"),
+        (under, 1, "product exponents must be integers"),
+    ]:
+        q = EtaQuotient(factors)
+        assert expanded(EtaQuotient.expand, q, trunc) == "ValueError: " + message
+        assert expanded(expand_by_fractions, q, trunc) == "ValueError: " + message
+
+
+def test_expand_builds_one_series(monkeypatch):
+    made = []
+    init = FracQSeries.__init__
+
+    def counted(self, *args):
+        made.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(FracQSeries, "__init__", counted)
+    q = EtaQuotient([EtaFactor(F(1, 2), F(-1, 3), -2), EtaFactor(3, F(1, 2), 1)], exp_frac(F(1, 7)))
+    series = q.expand(10)
+    assert made == [series.exp_den] == [12]  # lcm(2, lead denominator 12)
+    monkeypatch.undo()
+    assert json.dumps(series.to_json()) == expanded(expand_by_fractions, q, 10)
+
+
+@pytest.mark.parametrize("trunc", [F(7, 3), F(-7, 3), F(5), F(0)])
+def test_truncation_bound_is_an_integer_ceiling(trunc):
+    # keys k/m < trunc, compared as k < ceil(trunc m)
+    s = FracQSeries(3, {k: F(1) for k in range(-12, 12)}, trunc)
+    assert sorted(s.terms) == [k for k in range(-12, 12) if F(k, 3) < trunc]

@@ -765,18 +765,20 @@ def test_product_route_matches_square_route(m):
 
 
 @pytest.mark.parametrize(
-    "m",
+    "m,parts",
     [
-        direct_sum(COMPONENTS[6], double(COMPONENTS[0])),
-        reduce(direct_sum, [double(COMPONENTS[6]), COMPONENTS[0], COMPONENTS[0]]),
-        direct_sum(COMPONENTS[0], COMPONENTS[2]),
+        (direct_sum(COMPONENTS[6], double(COMPONENTS[0])), []),
+        (reduce(direct_sum, [double(COMPONENTS[6]), COMPONENTS[0], COMPONENTS[0]]), [4, 9]),
+        (direct_sum(COMPONENTS[0], COMPONENTS[2]), []),
     ],
     ids=["odd 2-part", "3-part with no family", "no family"],
 )
-def test_a_part_without_a_spanning_family_goes_square(monkeypatch, m):
+def test_a_part_without_a_spanning_family_goes_square(monkeypatch, m, parts):
     # Z/2 with x^2/4 has signature 1, so no family; (Z/3)^2 with
     # x^2/3 + y^2/3 has no isotropic element but 0; Z/3 + Z/5 has
     # signature 2.  The square certificate then runs on the whole module.
+    # A part of non-square order (Z/2, Z/3, Z/5) has no family at all, so
+    # no part is certified before the whole module.
     square = W._square_certificate
     sizes = []
 
@@ -787,7 +789,7 @@ def test_a_part_without_a_spanning_family_goes_square(monkeypatch, m):
     monkeypatch.setattr(W, "_square_certificate", recorded)
     dimension, kernel, size, rank, spans = W._certificate(m)
     # the parts up to the first without a family, then the whole module
-    assert sizes[-1] == m.size
+    assert sizes == parts + [m.size]
     assert W._product_certificate(m) is None
     assert (kernel is None) == (bool(size) and spans)
     assert dimension == len(kernel) == size == rank == 0
