@@ -205,11 +205,21 @@ def _member_sides(h):
     """(scale, shift, phase) of the two sides of a self-dual isotropic h in
     D_{N,N'}: each side's eta factor eta(scale tau + shift) comes with the
     prefactor e(phase), phase = -w/24N.  N and N' are read from h's module.
+
+    The sides read (x2, x4) at x1 = x3 = 0 and (x2, x3) at x1 = x4 = 0 off
+    h's index set: index ((x1 N + x2) N' + x3) N' + x4, so x1 = 0 below N N'^2.
     """
     N, Np = h.parent.orders[0], h.parent.orders[2]
-    elems = h.element_tuples()
-    S1 = {(x2, x4) for (x1, x2, x3, x4) in elems if x1 == 0 and x3 == 0}
-    S2 = {(x2, x3) for (x1, x2, x3, x4) in elems if x1 == 0 and x4 == 0}
+    S1, S2 = set(), set()
+    sq = Np * Np
+    for i in h.indices:
+        if i < N * sq:
+            x2, x34 = divmod(i, sq)
+            x3, x4 = divmod(x34, Np)
+            if not x3:
+                S1.add((x2, x4))
+            if not x4:
+                S2.add((x2, x3))
     c1, g1, _, w1 = _collapse(S1, N, Np)
     c2, g2, _, w2 = _collapse(S2, N, Np)
     if c1 * g1 != len(S2) or c2 * g2 != len(S1):
@@ -334,9 +344,9 @@ def relation_to_eta_identity(N, p, rel, trunc):
     decomposition = [(c, assemble(s)) for c, s in zip(rel, members) if c]
     total = {}
     for c, h in decomposition:
-        for x in h.element_tuples():
-            total[x] = total.get(x, 0) + c
-    if any(v for v in total.values()):
+        for i in h.indices:
+            total[i] = total.get(i, 0) + c
+    if any(total.values()):
         raise ValueError("vector is not a relation of the catalog")
     q1, q2, _ = eta_identify(decomposition)
     out = {"N": N, "p": p}

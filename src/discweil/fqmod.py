@@ -24,6 +24,8 @@ import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm, prod
+from numbers import Rational
+from operator import index
 
 import numpy as np
 
@@ -33,7 +35,11 @@ from .subgroups import EnumerationBoundError, _byte_check
 
 
 def mod1(fr):
-    """Reduce a rational into [0, 1), i.e. take its class in Q/Z."""
+    """Reduce a rational into [0, 1), i.e. take its class in Q/Z; a float or a string raises TypeError."""
+    if type(fr) is Fraction and 0 <= fr.numerator < fr.denominator:
+        return fr
+    if not isinstance(fr, Rational):
+        raise TypeError("Q/Z values must be rational numbers, not %s" % type(fr).__name__)
     fr = Fraction(fr)
     return fr - (fr.numerator // fr.denominator)
 
@@ -57,9 +63,13 @@ class FqModule:
     """
 
     def __init__(self, orders, qs, bs):
-        self.orders = tuple(int(d) for d in orders)
-        self.qs = tuple(mod1(q) for q in qs)
-        self.bs = tuple(tuple(mod1(b) for b in row) for row in bs)
+        # orders that are not integers and values that are not rationals raise TypeError
+        try:
+            self.orders = tuple(map(index, orders))
+        except TypeError:
+            raise TypeError("generator orders must be integers") from None
+        self.qs = tuple(map(mod1, qs))
+        self.bs = tuple(tuple(map(mod1, row)) for row in bs)
         k = len(self.orders)
         if any(d < 1 for d in self.orders):
             raise ValueError("generator orders must be positive")
@@ -68,24 +78,24 @@ class FqModule:
         self._validate()
 
     def _validate(self):
-        k = len(self.orders)
-        for i in range(k):
-            for j in range(k):
-                if self.bs[i][j] != self.bs[j][i]:
+        # values in [0, 1) scaled by the level L: a check holds in Q/Z exactly when it holds mod L
+        L, qg, bg = self._int_tables
+        for i, (d, row) in enumerate(zip(self.orders, bg)):
+            for j, b in enumerate(row):
+                if b != bg[j][i]:
                     raise ValueError("bilinear values not symmetric")
                 # d_i g_i = 0 forces d_i B(g_i, g_j) = 0 in Q/Z
-                if mod1(self.orders[i] * self.bs[i][j]) != 0:
+                if d * b % L:
                     raise ValueError("bilinear value incompatible with order")
-            if self.bs[i][i] != mod1(2 * self.qs[i]):
+            if row[i] != 2 * qg[i] % L:
                 raise ValueError("B(g,g) must equal 2 Q(g)")
-            if mod1(self.orders[i] ** 2 * self.qs[i]) != 0:
+            if d * d * qg[i] % L:
                 raise ValueError("Q value incompatible with order")
-        L = self.level
         if L > 2**31 or (L - 1) * sum(d - 1 for d in self.orders) >= 2**63:
             raise EnumerationBoundError("level %d: exponents overflow int64 products or int32" % L)
         # coords and pairing, 8 r bytes per element each, q_ints, 8, and the
         # |D| x r product that q_ints is summed from
-        _byte_check(self.size, 8 * (3 * k + 1), "the element tables")
+        _byte_check(self.size, 8 * (3 * len(self.orders) + 1), "the element tables")
         if self.radical_size() != 1:
             raise DegenerateFormError("bilinear form is degenerate")
 
@@ -104,10 +114,10 @@ class FqModule:
 
     @cached_property
     def _int_tables(self):
-        """Q and B on generators scaled by the level, as plain ints."""
+        """Q and B on generators scaled by the level, as plain ints in [0, L)."""
         L = self.level
-        qg = [int(q * L) for q in self.qs]
-        bg = [[int(b * L) for b in row] for row in self.bs]
+        qg = [q.numerator * (L // q.denominator) for q in self.qs]
+        bg = [[b.numerator * (L // b.denominator) for b in row] for row in self.bs]
         return L, qg, bg
 
     @cached_property
@@ -422,10 +432,18 @@ def direct_sum(a, b):
 def hyperbolic_pair(N, Nprime):
     """The rank 4 module (Z/N)^2 + (Z/N')^2 with Q = x1 x2/N + x3 x4/N'.
 
-    Cached, as modules are immutable and the catalogs ask for the same pair
-    once per member: each build re-validates the presentation.
+    The presentation of direct_sum(hyperbolic(N), hyperbolic(N')), built and
+    validated once.  Cached, as modules are immutable and the catalogs ask
+    for the same pair once per member.
     """
-    return direct_sum(hyperbolic(N), hyperbolic(Nprime))
+    if N < 1 or Nprime < 1:
+        raise ValueError("scale must be a positive integer")
+    z, b, c = Fraction(0), Fraction(1, N), Fraction(1, Nprime)
+    return FqModule(
+        (N, N, Nprime, Nprime),
+        (z, z, z, z),
+        ((z, b, z, z), (b, z, z, z), (z, z, z, c), (z, z, c, z)),
+    )
 
 
 def p_primary_decomposition(m):

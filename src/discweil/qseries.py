@@ -33,6 +33,11 @@ def _coeff_json(v):
     return [v.numerator, v.denominator]
 
 
+def _key_bound(trunc, m):
+    """ceil(trunc m): an integer key k lies below the truncation trunc exactly when k < it."""
+    return -(-trunc.numerator * m // trunc.denominator)
+
+
 class FracQSeries:
     """Sparse truncated series sum_k c_k q^(k/exp_den) with k/exp_den < trunc."""
 
@@ -43,7 +48,7 @@ class FracQSeries:
             raise ValueError("exponent denominator must be positive")
         self.exp_den = exp_den
         self.trunc = trunc = Fraction(trunc)
-        bound = -(-trunc.numerator * exp_den // trunc.denominator)  # k < trunc m for integer k
+        bound = _key_bound(trunc, exp_den)
         self.terms = {
             k: v for k, v in terms.items() if v and k < bound
         }
@@ -92,7 +97,7 @@ class FracQSeries:
         trunc = min(
             a.trunc + b._lead_or_trunc(), b.trunc + a._lead_or_trunc()
         )
-        bound = trunc * m
+        bound = _key_bound(trunc, m)
         out = {}
         bkeys = sorted(b.terms)
         for ka, va in a.terms.items():
@@ -134,7 +139,7 @@ def first_mismatch(a, b):
     """Smallest exponent below both truncations where coefficients differ."""
     m = lcm(a.exp_den, b.exp_den)
     a, b = a._rescaled(m), b._rescaled(m)
-    bound = min(a.trunc, b.trunc) * m
+    bound = _key_bound(min(a.trunc, b.trunc), m)
     for k in sorted(set(a.terms) | set(b.terms)):
         if k >= bound:
             break

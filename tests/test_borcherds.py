@@ -21,7 +21,7 @@ from discweil.borcherds import (
     weyl_vector,
 )
 from discweil.cyclo import exp_frac
-from discweil.fqmod import hyperbolic_pair
+from discweil.fqmod import FqModule, hyperbolic_pair
 from discweil.lnn_catalog import (
     SelfDualSpec,
     assemble,
@@ -30,6 +30,7 @@ from discweil.lnn_catalog import (
     selfdual_list_Np,
 )
 from discweil.qseries import equals_to_precision, eta_series, first_mismatch
+from discweil.subgroups import Subgroup
 from discweil.weilrep import invariant_space
 
 M6 = hyperbolic_pair(6, 1)
@@ -188,9 +189,9 @@ def test_non_relation_vector_is_rejected():
     rels = relations_Np(2, 2)
     bad = list(rels[0])
     bad[0] += 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vector is not a relation of the catalog$"):
         relation_to_eta_identity(2, 2, bad, 30)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^relation length does not match the catalog$"):
         relation_to_eta_identity(2, 2, [1, 2], 30)  # wrong length
 
 
@@ -243,10 +244,9 @@ def test_decompose_recovers_coefficients():
 # ---------------------------- the prefactors against the running product
 
 
-def _member_factors(h):
-    """Exact eta data of the two sides of a self-dual isotropic h in D_{N,N'}:
-    each side's (scale, shift) and its root of unity e(-w/24N) (test oracle).
-    """
+def member_sides_by_tuples(h):
+    """(scale, shift, phase) of the two sides of a self-dual isotropic h in
+    D_{N,N'}, read off h's element tuples (test oracle for _member_sides)."""
     N, Np = h.parent.orders[0], h.parent.orders[2]
     elems = h.element_tuples()
     S1 = {(x2, x4) for (x1, x2, x3, x4) in elems if x1 == 0 and x3 == 0}
@@ -255,9 +255,18 @@ def _member_factors(h):
     c2, g2, _, w2 = B._collapse(S2, N, Np)
     if c1 * g1 != len(S2) or c2 * g2 != len(S1):
         raise ValueError("side data violates the self-duality cross counts")
-    fac1 = (F(c1 * g1), F(w1, N))
-    fac2 = (F(c2 * g2, Np), F(w2, N))
-    return fac1, exp_frac(F(-w1, 24 * N)), fac2, exp_frac(F(-w2, 24 * N))
+    return (
+        (F(c1 * g1), F(w1, N), F(-w1, 24 * N)),
+        (F(c2 * g2, Np), F(w2, N), F(-w2, 24 * N)),
+    )
+
+
+def _member_factors(h):
+    """Exact eta data of the two sides of a self-dual isotropic h in D_{N,N'}:
+    each side's (scale, shift) and its root of unity e(-w/24N) (test oracle).
+    """
+    (s1, sh1, ph1), (s2, sh2, ph2) = member_sides_by_tuples(h)
+    return (s1, sh1), exp_frac(ph1), (s2, sh2), exp_frac(ph2)
 
 
 def eta_identify_by_running_product(decomposition):
@@ -296,3 +305,69 @@ def test_mixed_lift_matches_the_running_product(monkeypatch):
     got = json.dumps(lift(f, 8).to_json(), sort_keys=True)
     monkeypatch.setattr(B, "eta_identify", eta_identify_by_running_product)
     assert got == json.dumps(lift(f, 8).to_json(), sort_keys=True)
+
+
+# ------------------------------------------ the relation path on index sets
+
+
+@pytest.mark.parametrize("N,p", PRIME_PAIRS, ids=["%d-%d" % pair for pair in PRIME_PAIRS])
+def test_member_sides_match_the_element_tuples(N, p):
+    for spec in selfdual_list_Np(N, p):
+        h = assemble(spec)
+        assert B._member_sides(h) == member_sides_by_tuples(h), spec
+
+
+def _sides_or_error(sides, h):
+    try:
+        return sides(h)
+    except ValueError as e:
+        return str(e)
+
+
+def test_member_sides_match_off_the_catalog():
+    # a twisted member of a square pair, and subgroups that are not self-dual,
+    # whose cross counts may fail: the same sides or the same message
+    m = hyperbolic_pair(6, 3)
+    groups = [assemble(family_exy_y(4, (1, 1, 2), 1)), Subgroup(m, {0}), Subgroup(m, range(m.size))]
+    groups += [Subgroup.from_gens(m, [g]) for g in [(0, 2, 0, 1), (1, 0, 0, 0), (0, 3, 1, 1), (2, 0, 0, 2)]]
+    outcomes = [_sides_or_error(B._member_sides, h) for h in groups]
+    assert outcomes == [_sides_or_error(member_sides_by_tuples, h) for h in groups]
+    assert "side data violates the self-duality cross counts" in outcomes
+
+
+def _element_at_refused(self, i):
+    raise AssertionError("element_at called")
+
+
+def test_relation_lift_reads_no_element_tuples(monkeypatch):
+    want = [relation_to_eta_identity(6, 3, rel, 8) for rel in relations_Np(6, 3)]
+    monkeypatch.setattr(FqModule, "element_at", _element_at_refused)
+    got = [relation_to_eta_identity(6, 3, rel, 8) for rel in relations_Np(6, 3)]
+    assert got == want and all(rep["verified"] for rep in got)
+    assert verify_eta_prime(3, 20)["verified"]
+
+
+def is_relation_by_tuples(N, p, vec):
+    """Whether sum c 1_H vanishes, summed over the members' element tuples (test oracle)."""
+    total = {}
+    for c, spec in zip(vec, selfdual_list_Np(N, p)):
+        for x in assemble(spec).element_tuples() if c else ():
+            total[x] = total.get(x, 0) + c
+    return not any(total.values())
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([(2, 2), (3, 3), (4, 2), (6, 3)]), st.data())
+def test_relation_check_matches_the_element_tuples(pair, data):
+    # a combination of the relation basis, perhaps moved off the span
+    N, p = pair
+    rels = relations_Np(N, p)
+    coef = data.draw(st.lists(st.integers(-2, 2), min_size=len(rels), max_size=len(rels)))
+    vec = [sum(c * r[i] for c, r in zip(coef, rels)) for i in range(len(rels[0]))]
+    for i, d in data.draw(st.lists(st.tuples(st.integers(0, len(vec) - 1), st.integers(-1, 1)), max_size=2)):
+        vec[i] += d
+    if is_relation_by_tuples(N, p, vec):
+        assert relation_to_eta_identity(N, p, vec, 4)["verified"]
+    else:
+        with pytest.raises(ValueError, match="^vector is not a relation of the catalog$"):
+            relation_to_eta_identity(N, p, vec, 4)

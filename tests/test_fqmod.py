@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction as F
 from functools import reduce
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from discweil.fqmod import (
     hyperbolic_pair,
     p_primary_decomposition,
 )
-from discweil.subgroups import EnumerationBoundError
+from discweil.subgroups import EnumerationBoundError, _byte_check
 
 
 def element_list(m):
@@ -278,3 +279,145 @@ def test_signature_holds_no_table_of_powers():
     finally:
         tracemalloc.stop()
     assert held < 2**20
+
+
+# ------------------------------------- presentation checks against Fractions
+
+
+def mod1_by_fraction(fr):
+    fr = F(fr)
+    return fr - (fr.numerator // fr.denominator)
+
+
+def module_by_fractions(orders, qs, bs):
+    """The module of a presentation, checked by the Fraction loop over the
+    values in Q/Z that preceded the integer tables (test oracle)."""
+    m = object.__new__(FqModule)
+    m.orders = tuple(int(d) for d in orders)
+    m.qs = tuple(mod1_by_fraction(q) for q in qs)
+    m.bs = tuple(tuple(mod1_by_fraction(b) for b in row) for row in bs)
+    k = len(m.orders)
+    if any(d < 1 for d in m.orders):
+        raise ValueError("generator orders must be positive")
+    if len(m.qs) != k or len(m.bs) != k or any(len(r) != k for r in m.bs):
+        raise ValueError("presentation size mismatch")
+    for i in range(k):
+        for j in range(k):
+            if m.bs[i][j] != m.bs[j][i]:
+                raise ValueError("bilinear values not symmetric")
+            if mod1_by_fraction(m.orders[i] * m.bs[i][j]) != 0:
+                raise ValueError("bilinear value incompatible with order")
+        if m.bs[i][i] != mod1_by_fraction(2 * m.qs[i]):
+            raise ValueError("B(g,g) must equal 2 Q(g)")
+        if mod1_by_fraction(m.orders[i] ** 2 * m.qs[i]) != 0:
+            raise ValueError("Q value incompatible with order")
+    L = m.level
+    if L > 2**31 or (L - 1) * sum(d - 1 for d in m.orders) >= 2**63:
+        raise EnumerationBoundError("level %d: exponents overflow int64 products or int32" % L)
+    _byte_check(m.size, 8 * (3 * k + 1), "the element tables")
+    if m.radical_size() != 1:
+        raise DegenerateFormError("bilinear form is degenerate")
+    return m
+
+
+FLAWS = ["none", "asymmetric", "order", "diagonal", "q", "noise", "nonpositive", "size"]
+
+
+@st.composite
+def presentations(draw):
+    """A small presentation, valid by construction, then given one flaw.
+
+    B(g_i, g_j) is drawn from (1/gcd(d_i, d_j))Z and Q(g_i) from (1/2d_i)Z
+    with an even numerator at odd d_i; each value may sit outside [0, 1).
+    """
+    k = draw(st.integers(1, 3))
+    orders = [draw(st.integers(1, 8)) for _ in range(k)]
+    shift = st.integers(-2, 2)
+    qs = []
+    bs = [[F(0)] * k for _ in range(k)]
+    for i, d in enumerate(orders):
+        s = draw(st.integers(0, 2 * d - 1))
+        q = F(s - s % 2 if d % 2 else s, 2 * d)
+        qs.append(q + draw(shift))
+        bs[i][i] = 2 * q + draw(shift)
+        for j in range(i + 1, k):
+            g = gcd(d, orders[j])
+            b = F(draw(st.integers(0, g - 1)), g)
+            bs[i][j], bs[j][i] = b + draw(shift), b + draw(shift)
+    flaw = draw(st.sampled_from(FLAWS))
+    i = draw(st.integers(0, k - 1))
+    j = draw(st.integers(0, k - 1))
+    if flaw == "asymmetric" and i != j:
+        bs[i][j] += F(1, draw(st.integers(2, 16)))
+    elif flaw == "order":
+        bs[i][j] = bs[j][i] = F(1, 2 * lcm(orders[i], orders[j]))
+    elif flaw == "diagonal":
+        bs[i][i] += F(1, orders[i])
+    elif flaw == "q":
+        qs[i] += F(1, 2)
+    elif flaw == "noise":
+        bs[i][j] = F(draw(st.integers(-20, 20)), draw(st.integers(1, 20)))
+    elif flaw == "nonpositive":
+        orders[i] = draw(st.integers(-1, 0))
+    elif flaw == "size":
+        bs = bs[:-1]
+    return orders, qs, bs
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ValueError, EnumerationBoundError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400)
+@given(presentations())
+def test_integer_checks_match_the_fraction_loop(pres):
+    got = _outcome(lambda: FqModule(*pres))
+    want = _outcome(lambda: module_by_fractions(*pres))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, FqModule)
+        assert got == want and hash(got) == hash(want)
+        assert got.to_json() == want.to_json()
+
+
+def test_module_refuses_non_integer_orders_and_non_rational_values():
+    q, b = (F(1, 8),), ((F(1, 4),),)
+    assert FqModule((4,), q, b).orders == (4,)
+    for orders in [(4.9,), ("4",), (F(4),)]:
+        with pytest.raises(TypeError, match="orders must be integers"):
+            FqModule(orders, q, b)
+    with pytest.raises(TypeError, match="rational"):
+        FqModule((4,), (0.125,), b)
+    with pytest.raises(TypeError, match="rational"):
+        FqModule((4,), q, ((0.25,),))
+    with pytest.raises(TypeError, match="rational"):
+        FqModule((4,), ("1/8",), b)
+    # an integer type other than int is read by its value
+    m = FqModule((np.int64(4),), q, b)
+    assert m == FqModule((4,), q, b) and type(m.orders[0]) is int
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_hyperbolic_pair_is_the_direct_sum(monkeypatch, N):
+    built = []
+    init = FqModule.__init__
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(FqModule, "__init__", counting_init)
+    for Np in [d for d in range(1, N + 1) if N % d == 0]:
+        hyperbolic_pair.cache_clear()
+        built.clear()
+        m = hyperbolic_pair(N, Np)
+        assert built == [(N, N, Np, Np)]
+        assert hyperbolic_pair(N, Np) is m and len(built) == 1
+        want = direct_sum(hyperbolic(N), hyperbolic(Np))
+        assert m == want and hash(m) == hash(want)
+        assert m.to_json() == want.to_json()
+    hyperbolic_pair.cache_clear()

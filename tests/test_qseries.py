@@ -446,3 +446,47 @@ def test_truncation_bound_is_an_integer_ceiling(trunc):
     # keys k/m < trunc, compared as k < ceil(trunc m)
     s = FracQSeries(3, {k: F(1) for k in range(-12, 12)}, trunc)
     assert sorted(s.terms) == [k for k in range(-12, 12) if F(k, 3) < trunc]
+
+
+def mul_by_fraction_bound(a, b):
+    """FracQSeries.__mul__ with the keys compared to the Fraction trunc * m (test oracle)."""
+    m = lcm(a.exp_den, b.exp_den)
+    a, b = a._rescaled(m), b._rescaled(m)
+    trunc = min(a.trunc + b._lead_or_trunc(), b.trunc + a._lead_or_trunc())
+    out = {}
+    for ka, va in a.terms.items():
+        for kb in sorted(b.terms):
+            if ka + kb >= trunc * m:
+                break
+            out[ka + kb] = out.get(ka + kb, 0) + va * b.terms[kb]
+    return FracQSeries(m, out, trunc)
+
+
+def first_mismatch_by_fraction_bound(a, b):
+    """first_mismatch with the keys compared to the Fraction bound (test oracle)."""
+    m = lcm(a.exp_den, b.exp_den)
+    a, b = a._rescaled(m), b._rescaled(m)
+    for k in sorted(set(a.terms) | set(b.terms)):
+        if k >= min(a.trunc, b.trunc) * m:
+            break
+        if a.terms.get(k, 0) != b.terms.get(k, 0):
+            return F(k, m)
+    return None
+
+
+SMALL_SERIES = st.builds(
+    FracQSeries,
+    st.integers(1, 4),
+    st.dictionaries(st.integers(-6, 10), st.integers(-2, 2), max_size=6),
+    st.builds(F, st.integers(-8, 20), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=200)
+@given(SMALL_SERIES, SMALL_SERIES)
+def test_product_and_mismatch_bounds_match_the_fraction_bound(a, b):
+    assert (a * b).to_json() == mul_by_fraction_bound(a, b).to_json()
+    assert first_mismatch(a, b) == first_mismatch_by_fraction_bound(a, b)
+    # a's terms at twice the denominator: equal below both truncations
+    same = FracQSeries(2 * a.exp_den, {2 * k: v for k, v in a.terms.items()}, b.trunc)
+    assert first_mismatch(a, same) is None is first_mismatch_by_fraction_bound(a, same)
