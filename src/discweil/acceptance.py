@@ -10,11 +10,12 @@ import time
 from fractions import Fraction
 
 from .arith import divisors, is_prime, sigma0
-from .borcherds import lift, verify_eta_prime, InputForm, catalog_for
+from .borcherds import lift, verify_eta_prime, InputForm
 from .fqmod import hyperbolic, hyperbolic_pair
 from .lnn_catalog import (
     assemble,
     canonical_params,
+    catalog_for,
     classify_params,
     dimension_formula,
     hxyz_complement,

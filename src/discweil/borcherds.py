@@ -11,13 +11,15 @@ to eta-function identities whose constants are forced by leading terms.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from itertools import chain
 from math import ceil
 
 from .arith import divisors, is_prime, is_rational_square
 from .cyclo import CycNumber, exp_frac, exp_frac_product
 from .fqmod import hyperbolic_pair
 from .linalg import rational_rref
-from .lnn_catalog import SelfDualSpec, assemble, selfdual_list_Np, relations_Np
+from .lnn_catalog import SelfDualSpec, assemble, catalog_for, relations_Np, selfdual_list_Np
 from .qseries import (
     EtaFactor,
     EtaQuotient,
@@ -28,6 +30,22 @@ from .qseries import (
 )
 from .subgroups import isotropic_rows
 from .weilrep import _fixed, _isotropic_block
+
+
+@lru_cache(maxsize=32)
+def _side_table(N, Np):
+    """Where the side patterns sit in D_{N,N'}: (columns, cells).
+
+    columns[0][l][x] is the index of (0,x,0,l), columns[1][l][x] that of
+    (0,x,l,0); cells[side] maps each index of columns[side] to its (x, l).
+    FqModule.index is additive on reduced coordinates, so three calls give
+    the place values of x and of the two l slots.
+    """
+    m = hyperbolic_pair(N, Np)
+    sx, s3, s4 = (m.index(e) for e in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    columns = [[[x * sx + l * s for x in range(N)] for l in range(Np)] for s in (s4, s3)]
+    xl = [(x, l) for l in range(Np) for x in range(N)]
+    return columns, [dict(zip(chain.from_iterable(grid), xl)) for grid in columns]
 
 
 class InputForm:
@@ -64,17 +82,26 @@ class InputForm:
 
     @classmethod
     def from_combination(cls, module, pairs):
-        """Integer combination of subgroup characteristic functions."""
+        """Integer combination of characteristic functions of SelfDualSpecs
+        or Subgroups of ``module``; a member of another module is refused."""
         dense = {}
         for c, h in pairs:
-            if isinstance(h, SelfDualSpec):
+            spec = isinstance(h, SelfDualSpec)
+            parent = hyperbolic_pair(h.N, h.Nprime) if spec else h.parent
+            if parent != module:
+                raise ValueError("member of %r given for %r" % (parent, module))
+            if spec:
                 h = assemble(h)
             for x in h.element_tuples():
                 dense[x] = dense.get(x, 0) + c
         return cls(module, dense)
 
-    def coeff(self, x):
-        return self.dense[self.module.index(tuple(x))]
+    @cached_property
+    def sides(self):
+        """The coefficients along the side patterns: sides[0][l][x] at
+        (0,x,0,l) and sides[1][l][x] at (0,x,l,0)."""
+        columns = _side_table(self.N, self.Nprime)[0]
+        return tuple([[self.dense[i] for i in column] for column in grid] for grid in columns)
 
     def _verify(self):
         m = self.module
@@ -96,15 +123,9 @@ class WeylVector:
 
 
 def weyl_vector(f):
-    """The two counting sums: (0,x,0,y) over 24 and (0,x,y,0) over 24 N'."""
-    N, Np = f.N, f.Nprime
-    s_prime = 0
-    s_plain = 0
-    for y in range(Np):
-        for x in range(N):
-            s_prime += f.coeff((0, x, 0, y))
-            s_plain += f.coeff((0, x, y, 0))
-    return WeylVector(Fraction(s_prime, 24), Fraction(s_plain, 24 * Np))
+    """The two counting sums: (0,x,0,l) over 24 and (0,x,l,0) over 24 N'."""
+    s_prime, s_plain = (sum(map(sum, grid)) for grid in f.sides)
+    return WeylVector(Fraction(s_prime, 24), Fraction(s_plain, 24 * f.Nprime))
 
 
 @dataclass
@@ -130,42 +151,31 @@ class LiftResult:
         }
 
 
-def _psi_series(f, side, trunc):
+def _psi_series(side, lead, grid, trunc):
     """One side of the product expansion as a truncated series.
 
-    side 1: exponent grid 1, patterns (0,x,0,l), lead (1/24) sum c_(0,x,y,0).
-    side 2: grid 1/N', patterns (0,x,l,0), lead (1/24N') sum c_(0,x,0,y).
-    Grid step l contributes prod_x (1 - zeta_N^x w^l)^c, with c read at the
-    pattern whose free slot holds l mod N'.
+    side[l][x] is the coefficient c at the side's pattern for x and l mod N'
+    (one of f.sides), lead the leading exponent and 1/grid the exponent
+    step: tau_1 reads f.sides[0] on grid 1, tau_2 reads f.sides[1] on grid
+    N'.  Grid step l contributes prod_x (1 - zeta_N^x w^l)^c.
     """
-    N, Np = f.N, f.Nprime
-    w = weyl_vector(f)
-    if side == 1:
-        lead = Np * w.rho_kappa
-        den = 1
-    else:
-        lead = w.rho_kappa_prime / Np
-        den = Np
+    Np, N = len(side), len(side[0])
     trunc = Fraction(trunc)
-    bound = ceil((trunc - lead) * den)
-    slots = [
-        [(x, f.coeff((0, x, 0, r) if side == 1 else (0, x, r, 0))) for x in range(N)]
-        for r in range(Np)
-    ]
-    factors = [(lam, x, c) for lam in range(1, bound) for x, c in slots[lam % Np] if c]
+    bound = ceil((trunc - lead) * grid)
+    factors = [(lam, x, c) for lam in range(1, bound) for x, c in enumerate(side[lam % Np]) if c]
     coeffs = product_terms(factors, N, bound)
     exp_den = 24 * Np
     k0 = lead * exp_den
     assert k0.denominator == 1
-    k0, step = k0.numerator, exp_den // den
+    k0, step = k0.numerator, exp_den // grid
     return FracQSeries(exp_den, {k0 + k * step: v for k, v in enumerate(coeffs)}, trunc)
 
 
 def lift(f, trunc):
     """Product expansion of the lift of f, split into the two variables."""
-    psi1 = _psi_series(f, 1, trunc)
-    psi2 = _psi_series(f, 2, trunc)
-    c0 = f.coeff((0, 0, 0, 0))
+    w = weyl_vector(f)
+    psi1 = _psi_series(f.sides[0], f.Nprime * w.rho_kappa, 1, trunc)
+    psi2 = _psi_series(f.sides[1], w.rho_kappa_prime / f.Nprime, f.Nprime, trunc)
     eta1 = eta2 = None
     const = "undetermined"
     try:
@@ -175,8 +185,8 @@ def lift(f, trunc):
     if terms is not None:
         eta1, eta2, const = eta_identify([(c, h) for c, _, h in terms])
     return LiftResult(
-        weight=Fraction(c0, 2),
-        weyl=weyl_vector(f),
+        weight=Fraction(f.dense[0], 2),  # index 0 is the zero element
+        weyl=w,
         psi1=psi1,
         psi2=psi2,
         eta1=eta1,
@@ -188,17 +198,20 @@ def lift(f, trunc):
 # ----------------------------------------------------- eta identification
 
 
-def _collapse(S, N, Np):
-    """(c, g, k0, w) for a subgroup S of (Z/N) x (Z/N').
+def _collapse(S, Np):
+    """(c, g, w) for a subgroup S of (Z/N) x (Z/N').
 
     c counts (x, 0) in S, g generates the second projection (N' when trivial),
-    k0 is the smallest x with (x, g) in S, and w = c k0 drives the shift.
+    and w = c k0 drives the shift, k0 the smallest x with (x, g) in S.
     """
-    c = sum(1 for (x, t) in S if t == 0)
-    seconds = sorted({t for (_, t) in S if t != 0})
-    g = seconds[0] if seconds else Np
-    k0 = min(x for (x, t) in S if t == g % Np)
-    return c, g, k0, c * k0
+    c, g = 0, Np
+    for _, t in S:
+        if not t:
+            c += 1
+        elif t < g:
+            g = t
+    k0 = min(x for x, t in S if t == g % Np)
+    return c, g, c * k0
 
 
 def _member_sides(h):
@@ -206,23 +219,13 @@ def _member_sides(h):
     D_{N,N'}: each side's eta factor eta(scale tau + shift) comes with the
     prefactor e(phase), phase = -w/24N.  N and N' are read from h's module.
 
-    The sides read (x2, x4) at x1 = x3 = 0 and (x2, x3) at x1 = x4 = 0 off
-    h's index set: index ((x1 N + x2) N' + x3) N' + x4, so x1 = 0 below N N'^2.
+    The sides collect the (x, l) of h's elements (0,x,0,l) and (0,x,l,0),
+    read off h's index set through the side table's cells.
     """
     N, Np = h.parent.orders[0], h.parent.orders[2]
-    S1, S2 = set(), set()
-    sq = Np * Np
-    for i in h.indices:
-        if i < N * sq:
-            x2, x34 = divmod(i, sq)
-            x3, x4 = divmod(x34, Np)
-            if not x3:
-                S1.add((x2, x4))
-            if not x4:
-                S2.add((x2, x3))
-    c1, g1, _, w1 = _collapse(S1, N, Np)
-    c2, g2, _, w2 = _collapse(S2, N, Np)
-    if c1 * g1 != len(S2) or c2 * g2 != len(S1):
+    S = [[cell[i] for i in h.indices.intersection(cell)] for cell in _side_table(N, Np)[1]]
+    (c1, g1, w1), (c2, g2, w2) = (_collapse(s, Np) for s in S)
+    if c1 * g1 != len(S[1]) or c2 * g2 != len(S[0]):
         raise ValueError("side data violates the self-duality cross counts")
     return (
         (Fraction(c1 * g1), Fraction(w1, N), Fraction(-w1, 24 * N)),
@@ -243,19 +246,6 @@ def _solve_exact(cols, b):
     for row, p in zip(rref, pivots):
         sol[p] = row[ncols]
     return sol
-
-
-def catalog_for(N, Np):
-    """The identification basis: divisor subgroups for N' = 1, the full
-    prime catalog for prime N' | N."""
-    if Np == 1:
-        return [
-            SelfDualSpec(N, 1, (d, 0, N // d), (1, 0, 1), (0, 0), (0, 0))
-            for d in divisors(N)
-        ]
-    if is_prime(Np) and N % Np == 0:
-        return selfdual_list_Np(N, Np)
-    raise ValueError("identification needs N' = 1 or a prime divisor of N")
 
 
 def decompose(f):

@@ -15,9 +15,9 @@ from functools import lru_cache
 from math import prod
 
 from .arith import is_prime
-from .borcherds import InputForm, catalog_for, lift, verify_eta_prime
+from .borcherds import InputForm, lift, verify_eta_prime
 from .fqmod import FqModule, hyperbolic_pair, presentation_from_json
-from .lnn_catalog import assemble, relations_Np
+from .lnn_catalog import assemble, catalog_for, relations_Np
 from .qseries import eta_series
 from .subgroups import EnumerationBoundError, _bound_check, classify, enumerate_subgroups
 from .weilrep import _invariants

@@ -261,70 +261,68 @@ def family_exy_y(N, xyz, u):
 # ------------------------------------------------------- the prime catalog
 
 
-def selfdual_list_Np(N, p):
-    """The full self-dual isotropic catalog of the (N, p) pair, in order.
+def _catalog_keys(N, Np):
+    """Keys of the catalog of D_{N,N'}, in catalog order: (0, d) and (1, d)
+    for the direct sums over d | N, then (2, d', a) and (3, d', a) for the
+    glued members over d' | N/N' and units a = 1..N'-1.  N' = 1 keeps the
+    (0, d) family only: the others repeat it or are empty."""
+    keys = [(0, d) for d in divisors(N)]
+    if Np == 1:
+        return keys
+    glued = [(dp, a) for dp in divisors(N // Np) for a in range(1, Np)]
+    return keys + [(1, d) for d in divisors(N)] + [(k, *g) for k in (2, 3) for g in glued]
 
-    Order: the two direct-sum families over divisors d of N (second block
-    H_{1,0,p}, then H_{p,0,1}), then the two glued families over divisors d'
-    of N/p and units a = 1..p-1 (glue (a,0),(0,-a^-1), then swapped).
-    relations_Np uses coordinates in exactly this order.
-    """
+
+def _member(N, Np, key):
+    """The member with this key: H_d plus H_{1,0,N'} (0) or H_{N',0,1} (1);
+    H_{d'} over N/N' glued by (a, 0), (0, -a^-1) (2) or swapped (3)."""
+    kind, d = key[0], key[1]
+    if kind < 2:
+        second = (1, 0, Np) if kind == 0 else (Np, 0, 1)
+        return SelfDualSpec(N, Np, (d, 0, N // d), second, (0, 0), (0, 0))
+    a = key[2]
+    glue = (a, 0), (0, -pow(a, -1, Np) % Np)
+    if kind == 3:
+        glue = glue[::-1]
+    return SelfDualSpec(N, Np, (d, 0, N // (Np * d)), (1, 0, 1), *glue)
+
+
+def _check_prime_pair(N, p):
     if not is_prime(p) or N % p:
         raise ValueError("p must be a prime divisor of N")
-    out = []
-    for d in divisors(N):
-        out.append(SelfDualSpec(N, p, (d, 0, N // d), (1, 0, p), (0, 0), (0, 0)))
-    for d in divisors(N):
-        out.append(SelfDualSpec(N, p, (d, 0, N // d), (p, 0, 1), (0, 0), (0, 0)))
-    glued = []
-    for dp in divisors(N // p):
-        for a in range(1, p):
-            ainv = pow(a, -1, p)
-            glued.append((dp, a, ainv))
-    for dp, a, ainv in glued:
-        out.append(
-            SelfDualSpec(N, p, (dp, 0, N // (p * dp)), (1, 0, 1), (a, 0), (0, (-ainv) % p))
-        )
-    for dp, a, ainv in glued:
-        out.append(
-            SelfDualSpec(N, p, (dp, 0, N // (p * dp)), (1, 0, 1), (0, (-ainv) % p), (a, 0))
-        )
-    return out
+
+
+def catalog_for(N, Np):
+    """The identification basis: the divisor subgroups for N' = 1 (equal to
+    ``family_exNy0(N, 1)``), the full prime catalog for prime N' | N."""
+    if Np != 1 and (not is_prime(Np) or N % Np):
+        raise ValueError("identification needs N' = 1 or a prime divisor of N")
+    return [_member(N, Np, key) for key in _catalog_keys(N, Np)]
+
+
+def selfdual_list_Np(N, p):
+    """The full self-dual isotropic catalog of the (N, p) pair, in key order
+    (see ``_catalog_keys``); relations_Np uses exactly these coordinates."""
+    _check_prime_pair(N, p)
+    return catalog_for(N, p)
 
 
 def relations_Np(N, p):
     """Integer vectors spanning the relations among the catalog's
-    characteristic functions, one per divisor of N/p, in selfdual_list_Np
-    coordinates."""
-    if not is_prime(p) or N % p:
-        raise ValueError("p must be a prime divisor of N")
-    divs = divisors(N)
-    divs_q = divisors(N // p)
-    nd = len(divs)
-    nq = len(divs_q)
-    t1 = {d: i for i, d in enumerate(divs)}
-    t2 = {d: nd + i for i, d in enumerate(divs)}
-    base5 = 2 * nd
-    base6 = 2 * nd + nq * (p - 1)
-    pos5 = {}
-    pos6 = {}
-    k = 0
-    for dp in divs_q:
-        for a in range(1, p):
-            pos5[(dp, a)] = base5 + k
-            pos6[(dp, a)] = base6 + k
-            k += 1
-    total = base6 + nq * (p - 1)
+    characteristic functions, one per divisor d' of N/p, in selfdual_list_Np
+    coordinates: 1_(0,d') - 1_(1,d') - 1_(0,pd') + 1_(1,pd') equals the sum
+    over units a of 1_(2,d',a) - 1_(3,d',a)."""
+    _check_prime_pair(N, p)
+    keys = _catalog_keys(N, p)
+    pos = {key: i for i, key in enumerate(keys)}
     rels = []
-    for dp in divs_q:
-        v = [0] * total
-        v[t1[dp]] += 1
-        v[t2[dp]] -= 1
-        v[t1[p * dp]] -= 1
-        v[t2[p * dp]] += 1
+    for dp in divisors(N // p):
+        v = [0] * len(keys)
+        terms = [((0, dp), 1), ((1, dp), -1), ((0, p * dp), -1), ((1, p * dp), 1)]
         for a in range(1, p):
-            v[pos5[(dp, a)]] -= 1
-            v[pos6[(dp, a)]] += 1
+            terms += [((2, dp, a), -1), ((3, dp, a), 1)]
+        for key, c in terms:
+            v[pos[key]] += c
         rels.append(v)
     return rels
 

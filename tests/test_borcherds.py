@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -75,6 +76,34 @@ def test_input_keys_need_entries_in_range():
     for key in ((0, 3, 0, 0), (0, -1, 0, 0), (0, 0, 0, 1)):
         with pytest.raises(ValueError, match="outside"):
             InputForm(m, {(0, 0, 0, 0): 1, key: 1})
+
+
+def _assemble_refused(spec):
+    raise AssertionError("assembled a member of another module")
+
+
+@pytest.mark.parametrize(
+    "module,member,message",
+    [
+        (
+            hyperbolic_pair(6, 1),
+            catalog_for(3, 1)[1],
+            "member of FqModule(orders=(3, 3, 1, 1)) given for FqModule(orders=(6, 6, 1, 1))",
+        ),
+        (
+            hyperbolic_pair(4, 2),
+            assemble(selfdual_list_Np(2, 2)[0]),
+            "member of FqModule(orders=(2, 2, 2, 2)) given for FqModule(orders=(4, 4, 2, 2))",
+        ),
+    ],
+    ids=["spec", "subgroup"],
+)
+def test_combination_refuses_a_member_of_another_module(monkeypatch, module, member, message):
+    # refused before it is assembled, naming both modules, where the S check
+    # used to fail late with "not invariant under the S generator"
+    monkeypatch.setattr(B, "assemble", _assemble_refused)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        InputForm.from_combination(module, [(1, member)])
 
 
 def test_lift_constant_is_a_fraction_when_rational():
@@ -251,8 +280,8 @@ def member_sides_by_tuples(h):
     elems = h.element_tuples()
     S1 = {(x2, x4) for (x1, x2, x3, x4) in elems if x1 == 0 and x3 == 0}
     S2 = {(x2, x3) for (x1, x2, x3, x4) in elems if x1 == 0 and x4 == 0}
-    c1, g1, _, w1 = B._collapse(S1, N, Np)
-    c2, g2, _, w2 = B._collapse(S2, N, Np)
+    c1, g1, w1 = B._collapse(S1, Np)
+    c2, g2, w2 = B._collapse(S2, Np)
     if c1 * g1 != len(S2) or c2 * g2 != len(S1):
         raise ValueError("side data violates the self-duality cross counts")
     return (
@@ -333,6 +362,29 @@ def test_member_sides_match_off_the_catalog():
     outcomes = [_sides_or_error(B._member_sides, h) for h in groups]
     assert outcomes == [_sides_or_error(member_sides_by_tuples, h) for h in groups]
     assert "side data violates the self-duality cross counts" in outcomes
+
+
+def test_side_table_holds_the_module_indices():
+    # every N' | N <= 12: the columns are FqModule.index of (0,x,0,l) and
+    # (0,x,l,0), each side's cells invert its columns, and an input's sides
+    # are its dense entries there
+    for N in range(1, 13):
+        for Np in divisors(N):
+            m = hyperbolic_pair(N, Np)
+            columns, cells = B._side_table(N, Np)
+            plain = [[m.index((0, x, 0, l)) for x in range(N)] for l in range(Np)]
+            prime = [[m.index((0, x, l, 0)) for x in range(N)] for l in range(Np)]
+            assert columns == [plain, prime], (N, Np)
+            for grid, cell in zip(columns, cells):
+                assert len(cell) == N * Np
+                assert all(cell[i] == (x, l) for l, row in enumerate(grid) for x, i in enumerate(row))
+    cat = selfdual_list_Np(6, 3)
+    f = InputForm.from_combination(hyperbolic_pair(6, 3), [(1, cat[3]), (-2, cat[7]), (1, cat[11])])
+    m = f.module
+    assert f.sides == (
+        [[f.dense[m.index((0, x, 0, l))] for x in range(6)] for l in range(3)],
+        [[f.dense[m.index((0, x, l, 0))] for x in range(6)] for l in range(3)],
+    )
 
 
 def _element_at_refused(self, i):

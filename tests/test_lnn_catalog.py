@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from test_subgroups import characteristic_vector
 
-from discweil.arith import divisors, sigma0
+from discweil.arith import divisors, factorize, is_prime, sigma0
 from discweil.fqmod import FqModule, hyperbolic, hyperbolic_pair
 from discweil.linalg import rational_rank
 from discweil.lnn_catalog import (
@@ -12,6 +12,7 @@ from discweil.lnn_catalog import (
     _min_params,
     assemble,
     canonical_params,
+    catalog_for,
     classify_params,
     condsum_check,
     dimension_formula,
@@ -24,12 +25,14 @@ from discweil.lnn_catalog import (
     selfdual_list_Np,
 )
 from discweil.subgroups import (
+    EnumerationBoundError,
     Subgroup,
     classify,
     complement,
     enumerate_self_dual_isotropic,
     enumerate_subgroups,
 )
+from discweil.weilrep import verify_selfdual_span
 
 PRIME_PAIRS = [(2, 2), (3, 3), (4, 2), (6, 2), (6, 3)]
 
@@ -127,6 +130,111 @@ def test_dimension_formula_values():
     assert dimension_formula(6, 6) == 35
     with pytest.raises(ValueError):
         dimension_formula(8, 4)  # N' must be square-free
+
+
+# ------------------------------------------- the keyed catalog, by hand
+
+
+def selfdual_list_by_hand(N, p):
+    """The (N, p) catalog in order, each family written out (test oracle for
+    the keyed selfdual_list_Np)."""
+    out = []
+    for d in divisors(N):
+        out.append(SelfDualSpec(N, p, (d, 0, N // d), (1, 0, p), (0, 0), (0, 0)))
+    for d in divisors(N):
+        out.append(SelfDualSpec(N, p, (d, 0, N // d), (p, 0, 1), (0, 0), (0, 0)))
+    glued = []
+    for dp in divisors(N // p):
+        for a in range(1, p):
+            ainv = pow(a, -1, p)
+            glued.append((dp, a, ainv))
+    for dp, a, ainv in glued:
+        out.append(
+            SelfDualSpec(N, p, (dp, 0, N // (p * dp)), (1, 0, 1), (a, 0), (0, (-ainv) % p))
+        )
+    for dp, a, ainv in glued:
+        out.append(
+            SelfDualSpec(N, p, (dp, 0, N // (p * dp)), (1, 0, 1), (0, (-ainv) % p), (a, 0))
+        )
+    return out
+
+
+def relations_by_hand(N, p):
+    """The relation vectors with every catalog position counted by hand (test
+    oracle for the keyed relations_Np)."""
+    divs = divisors(N)
+    divs_q = divisors(N // p)
+    nd = len(divs)
+    nq = len(divs_q)
+    t1 = {d: i for i, d in enumerate(divs)}
+    t2 = {d: nd + i for i, d in enumerate(divs)}
+    base5 = 2 * nd
+    base6 = 2 * nd + nq * (p - 1)
+    pos5 = {}
+    pos6 = {}
+    k = 0
+    for dp in divs_q:
+        for a in range(1, p):
+            pos5[(dp, a)] = base5 + k
+            pos6[(dp, a)] = base6 + k
+            k += 1
+    total = base6 + nq * (p - 1)
+    rels = []
+    for dp in divs_q:
+        v = [0] * total
+        v[t1[dp]] += 1
+        v[t2[dp]] -= 1
+        v[t1[p * dp]] -= 1
+        v[t2[p * dp]] += 1
+        for a in range(1, p):
+            v[pos5[(dp, a)]] -= 1
+            v[pos6[(dp, a)]] += 1
+        rels.append(v)
+    return rels
+
+
+PRIME_PAIRS_TO_60 = [(N, p) for N in range(2, 61) for p in divisors(N) if is_prime(p)]
+
+
+def test_keyed_catalog_matches_the_hand_indexed_one():
+    assert len(PRIME_PAIRS_TO_60) == 96
+    for N, p in PRIME_PAIRS_TO_60:
+        cat = selfdual_list_Np(N, p)
+        assert cat == selfdual_list_by_hand(N, p) == catalog_for(N, p), (N, p)
+        assert relations_Np(N, p) == relations_by_hand(N, p), (N, p)
+
+
+def test_rank_one_catalog_is_the_diagonal_family():
+    for N in range(1, 31):
+        assert catalog_for(N, 1) == family_exNy0(N, 1), N
+
+
+@pytest.mark.parametrize("N,Np", [(4, 4), (6, 6), (8, 4), (9, 2)])
+def test_catalog_refuses_other_pairs(N, Np):
+    with pytest.raises(ValueError, match="^identification needs N' = 1 or a prime divisor of N$"):
+        catalog_for(N, Np)
+    for listing in (selfdual_list_Np, relations_Np):
+        with pytest.raises(ValueError, match="^p must be a prime divisor of N$"):
+            listing(N, Np)
+
+
+def test_dimension_formula_matches_the_certified_span():
+    # every square-free N' | N with N <= 24: the formula is the certified
+    # dimension, and the catalog spans it; seven pairs lie past the bound
+    checked, refused = [], []
+    for N in range(1, 25):
+        for Np in divisors(N):
+            if any(e > 1 for _, e in factorize(Np)):
+                continue
+            try:
+                rep = verify_selfdual_span(hyperbolic_pair(N, Np))
+            except EnumerationBoundError:
+                refused.append((N, Np))
+                continue
+            assert rep["span_equal"] and rep["dimension"] == dimension_formula(N, Np), (N, Np)
+            checked.append((N, Np))
+    assert len(checked) == 60
+    assert refused == [(11, 11), (13, 13), (17, 17), (19, 19), (22, 11), (22, 22), (23, 23)]
 
 
 def test_diagonal_family_sizes():
